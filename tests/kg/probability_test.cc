@@ -1,5 +1,8 @@
 // Probabilistic item-concept edges (paper future work 2).
 
+#include <algorithm>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "kg/concept_net.h"
@@ -73,7 +76,13 @@ TEST_P(ProbabilitySweep, RoundTripPrecision) {
   EcConceptId ec = *net.GetOrAddEcConcept({"x"});
   ItemId item = *net.AddItem({"y"}, category);
   ASSERT_TRUE(net.LinkItemToEc(item, ec, GetParam()).ok());
-  std::string path = std::string(::testing::TempDir()) + "/prob_sweep.txt";
+  // ctest runs every instance as its own process, in parallel, so each
+  // instance needs a file of its own ("RoundTripPrecision/3" -> "..._3").
+  std::string instance =
+      ::testing::UnitTest::GetInstance()->current_test_info()->name();
+  std::replace(instance.begin(), instance.end(), '/', '_');
+  std::string path = std::string(::testing::TempDir()) + "/prob_sweep_" +
+                     instance + ".txt";
   ASSERT_TRUE(SaveConceptNet(net, path).ok());
   auto loaded = LoadConceptNet(path);
   ASSERT_TRUE(loaded.ok());

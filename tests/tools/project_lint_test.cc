@@ -1,6 +1,6 @@
-// Tests for the whole-program half of alicoco_lint: the ProjectIndex and
-// its incremental cache, the graph machinery, the three cross-file passes
-// against the fixture mini-trees, and SARIF round-tripping.
+// Tests for the whole-program half of alicoco_lint: the ProjectIndex
+// extractor, the graph machinery, the cross-file passes against the
+// fixture mini-trees, and the SARIF writer.
 
 #include <algorithm>
 #include <filesystem>
@@ -35,14 +35,10 @@ fs::path FixtureRoot(const std::string& name) {
   return fs::path(ALICOCO_PROJECT_FIXTURE_DIR) / name;
 }
 
-ProjectReport AnalyzeFixture(const std::string& name,
-                             const std::string& cache_path = "",
-                             LintClock* cost_clock = nullptr) {
+ProjectReport AnalyzeFixture(const std::string& name) {
   ProjectOptions options;
   options.project_dir = "src";
   options.layers_path = (FixtureRoot(name) / "layers.txt").generic_string();
-  options.cache_path = cache_path;
-  options.cost_clock = cost_clock;
   auto report = AnalyzeProject(FixtureRoot(name).generic_string(), options);
   EXPECT_TRUE(report.ok()) << report.status().ToString();
   return report.ok() ? std::move(*report) : ProjectReport{};
@@ -291,6 +287,32 @@ TEST(SummarizeSourceTest, ExtractsGuardedMembersRequiresAndViewEscapes) {
   EXPECT_TRUE(half->params[0].escapes_return);
 }
 
+TEST(SummarizeSourceTest, TaintFixturesYieldTaintFacts) {
+  // The taint fixtures exist to exercise these summary records; if
+  // extraction stops producing them, the cross-file taint pass has
+  // nothing to join and its goldens go quietly empty.
+  bool saw_taint_out = false;
+  bool saw_call = false;
+  bool saw_pending = false;
+  for (const char* fixture : {"taintalloc", "taintmul", "taintindex"}) {
+    auto index =
+        ProjectIndex::Build(FixtureRoot(fixture).generic_string(), {"src"});
+    ASSERT_TRUE(index.ok()) << fixture << ": " << index.status().ToString();
+    for (const FileSummary& file : index->files()) {
+      for (const DeclInfo& decl : file.decls) {
+        for (const ParamInfo& param : decl.params) {
+          saw_taint_out |= param.taint_out;
+        }
+      }
+      saw_call |= !file.taint_calls.empty();
+      saw_pending |= !file.taint_pending.empty();
+    }
+  }
+  EXPECT_TRUE(saw_taint_out);
+  EXPECT_TRUE(saw_call);
+  EXPECT_TRUE(saw_pending);
+}
+
 // ---------------------------------------------------------------------------
 // The interprocedural tier
 
@@ -309,9 +331,8 @@ TEST(InterprocTest, BlockingSeedTableSplitsSeededFromPropagated) {
   EXPECT_FALSE(IsWaitSeedKind(nullptr));
 
   // Everything else is propagation, witnessed by the evidence chain.
-  ProjectIndex::Options options;
-  auto index = ProjectIndex::Build(
-      FixtureRoot("blockinglock").generic_string(), {"src"}, options);
+  auto index =
+      ProjectIndex::Build(FixtureRoot("blockinglock").generic_string(), {"src"});
   ASSERT_TRUE(index.ok());
   const Interproc ip = Interproc::Build(*index);
   EXPECT_TRUE(ip.MayBlock("Server::WriteLog"));  // seeded: calls fwrite
@@ -327,9 +348,8 @@ TEST(InterprocTest, BlockingSeedTableSplitsSeededFromPropagated) {
 }
 
 TEST(InterprocTest, EntryHeldPropagatesThroughUnannotatedCalls) {
-  ProjectIndex::Options options;
-  auto index = ProjectIndex::Build(FixtureRoot("guardedby").generic_string(),
-                                   {"src"}, options);
+  auto index =
+      ProjectIndex::Build(FixtureRoot("guardedby").generic_string(), {"src"});
   ASSERT_TRUE(index.ok());
   const Interproc ip = Interproc::Build(*index);
   // Tick holds mu_ around Step, and Step is Bump's only caller: the lock
@@ -378,21 +398,33 @@ INSTANTIATE_TEST_SUITE_P(AllFixtures, ProjectFixtureTest,
 // ---------------------------------------------------------------------------
 // SARIF
 
-TEST(SarifTest, RoundTripsFindings) {
-  std::vector<Finding> findings;
-  findings.push_back(
-      {"src/a.h", 3, "layer-violation", "module 'a' must not depend on 'b'"});
-  findings.push_back({"src/b \"q\".cc", 12, "discarded-result",
-                      "tricky \\ payload\nwith newline"});
-  auto parsed = ParseSarif(WriteSarif(findings));
-  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  ASSERT_EQ(parsed->size(), findings.size());
-  for (size_t i = 0; i < findings.size(); ++i) {
-    EXPECT_EQ((*parsed)[i].file, findings[i].file);
-    EXPECT_EQ((*parsed)[i].line, findings[i].line);
-    EXPECT_EQ((*parsed)[i].rule, findings[i].rule);
-    EXPECT_EQ((*parsed)[i].message, findings[i].message);
-  }
+TEST(SarifTest, EscapesSpecialCharactersInResults) {
+  // Quote, backslash, newline and tab take their short JSON escapes; any
+  // other control byte comes out as \u00XX.
+  const std::string got = WriteSarif(
+      {{"src/b \"q\".cc", 12, "discarded-result",
+        "tricky \\ payload\nwith newline,\ttab and \x01"}});
+  const std::string results =
+      "      \"results\": [\n"
+      "        {\n"
+      "          \"ruleId\": \"discarded-result\",\n"
+      "          \"level\": \"warning\",\n"
+      "          \"message\": {\"text\": "
+      "\"tricky \\\\ payload\\nwith newline,\\ttab and \\u0001\"},\n"
+      "          \"locations\": [\n"
+      "            {\"physicalLocation\": {\"artifactLocation\": "
+      "{\"uri\": \"src/b \\\"q\\\".cc\"}, \"region\": {\"startLine\": 12}}}\n"
+      "          ]\n"
+      "        }\n"
+      "      ]\n"
+      "    }\n"
+      "  ]\n"
+      "}\n";
+  // Everything before "results" is the rule catalog, the same for every
+  // finding list; MatchesFixtureGolden pins it byte for byte.
+  const std::string empty = WriteSarif({});
+  const std::string catalog = empty.substr(0, empty.find("      \"results\""));
+  EXPECT_EQ(got, catalog + results);
 }
 
 TEST(SarifTest, MatchesFixtureGolden) {
@@ -401,16 +433,8 @@ TEST(SarifTest, MatchesFixtureGolden) {
             ReadFileOrDie(FixtureRoot("nodiscard") / "expected.sarif"));
 }
 
-TEST(SarifTest, RejectsDocumentsMissingTheSpine) {
-  EXPECT_FALSE(ParseSarif("{").ok());
-  EXPECT_FALSE(ParseSarif("{}").ok());
-  EXPECT_FALSE(ParseSarif("{\"version\": \"2.1.0\"}").ok());
-  EXPECT_FALSE(ParseSarif("{\"version\": \"2.1.0\", \"runs\": []}").ok());
-  EXPECT_TRUE(ParseSarif(WriteSarif({})).ok());
-}
-
 // ---------------------------------------------------------------------------
-// Cache + incremental behavior
+// Pass registry + suppression integration
 
 /// Copies a fixture tree into a fresh temp dir so the test can mutate it.
 fs::path CloneFixture(const std::string& name, const std::string& tag) {
@@ -419,330 +443,6 @@ fs::path CloneFixture(const std::string& name, const std::string& tag) {
   fs::copy(FixtureRoot(name), dst, fs::copy_options::recursive);
   return dst;
 }
-
-TEST(ProjectIndexTest, CacheInvalidationRelexesOnlyTouchedFiles) {
-  fs::path root = CloneFixture("lockorder", "invalidate");
-  std::string cache = (root / "cache.bin").generic_string();
-
-  ProjectIndex::Options options;
-  options.cache_path = cache;
-  auto cold = ProjectIndex::Build(root.generic_string(), {"src"}, options);
-  ASSERT_TRUE(cold.ok());
-  EXPECT_EQ(cold->stats().files, 3u);
-  EXPECT_EQ(cold->stats().lexed, 3u);
-  EXPECT_EQ(cold->stats().cache_hits, 0u);
-  EXPECT_EQ(cold->changed().size(), 3u);
-
-  auto warm = ProjectIndex::Build(root.generic_string(), {"src"}, options);
-  ASSERT_TRUE(warm.ok());
-  EXPECT_EQ(warm->stats().lexed, 0u);
-  EXPECT_EQ(warm->stats().cache_hits, 3u);
-  EXPECT_TRUE(warm->changed().empty());
-
-  {
-    std::ofstream touch(root / "src/locks/reentry.h", std::ios::app);
-    touch << "// touched\n";
-  }
-  auto partial = ProjectIndex::Build(root.generic_string(), {"src"}, options);
-  ASSERT_TRUE(partial.ok());
-  EXPECT_EQ(partial->stats().lexed, 1u);
-  EXPECT_EQ(partial->stats().cache_hits, 2u);
-  EXPECT_EQ(partial->changed(),
-            (std::vector<std::string>{"src/locks/reentry.h"}));
-}
-
-TEST(ProjectIndexTest, CorruptCacheIsDiscardedNotTrusted) {
-  fs::path root = CloneFixture("cycle", "corrupt");
-  std::string cache = (root / "cache.bin").generic_string();
-  ProjectIndex::Options options;
-  options.cache_path = cache;
-  ASSERT_TRUE(ProjectIndex::Build(root.generic_string(), {"src"}, options)
-                  .ok());
-  {
-    std::ofstream clobber(cache, std::ios::trunc);
-    clobber << "alicoco_lint_cache_v1\nF src/m/x.h notahash\n";
-  }
-  auto rebuilt = ProjectIndex::Build(root.generic_string(), {"src"}, options);
-  ASSERT_TRUE(rebuilt.ok());
-  EXPECT_EQ(rebuilt->stats().lexed, 2u);  // cache ignored, all re-lexed
-  EXPECT_EQ(rebuilt->stats().cache_hits, 0u);
-}
-
-TEST(ProjectIndexTest, SummariesSurviveSerialization) {
-  fs::path root = FixtureRoot("lockorder");
-  ProjectIndex::Options options;
-  auto index = ProjectIndex::Build(root.generic_string(), {"src"}, options);
-  ASSERT_TRUE(index.ok());
-  auto round = DeserializeSummaries(SerializeSummaries(index->files()));
-  ASSERT_TRUE(round.ok()) << round.status().ToString();
-  ASSERT_EQ(round->size(), index->files().size());
-  for (size_t i = 0; i < round->size(); ++i) {
-    const FileSummary& a = index->files()[i];
-    const FileSummary& b = (*round)[i];
-    EXPECT_EQ(a.path, b.path);
-    EXPECT_EQ(a.content_hash, b.content_hash);
-    EXPECT_EQ(a.includes.size(), b.includes.size());
-    EXPECT_EQ(a.mutexes.size(), b.mutexes.size());
-    ASSERT_EQ(a.functions.size(), b.functions.size());
-    for (size_t j = 0; j < a.functions.size(); ++j) {
-      EXPECT_EQ(a.functions[j].name, b.functions[j].name);
-      EXPECT_EQ(a.functions[j].acquisitions.size(),
-                b.functions[j].acquisitions.size());
-      EXPECT_EQ(a.functions[j].calls.size(), b.functions[j].calls.size());
-    }
-    EXPECT_EQ(a.decls.size(), b.decls.size());
-    EXPECT_EQ(a.call_statements.size(), b.call_statements.size());
-    EXPECT_EQ(a.findings.size(), b.findings.size());
-    EXPECT_EQ(a.allowances, b.allowances);
-  }
-}
-
-TEST(ProjectIndexTest, InterprocSummaryFieldsSurviveSerialization) {
-  for (const char* fixture : {"guardedby", "blockinglock", "viewescape"}) {
-    ProjectIndex::Options options;
-    auto index = ProjectIndex::Build(FixtureRoot(fixture).generic_string(),
-                                     {"src"}, options);
-    ASSERT_TRUE(index.ok());
-    auto round = DeserializeSummaries(SerializeSummaries(index->files()));
-    ASSERT_TRUE(round.ok()) << fixture << ": " << round.status().ToString();
-    ASSERT_EQ(round->size(), index->files().size());
-    for (size_t i = 0; i < round->size(); ++i) {
-      const FileSummary& a = index->files()[i];
-      const FileSummary& b = (*round)[i];
-      ASSERT_EQ(a.guarded_members.size(), b.guarded_members.size());
-      for (size_t j = 0; j < a.guarded_members.size(); ++j) {
-        EXPECT_EQ(a.guarded_members[j].class_name,
-                  b.guarded_members[j].class_name);
-        EXPECT_EQ(a.guarded_members[j].member, b.guarded_members[j].member);
-        EXPECT_EQ(a.guarded_members[j].mutex, b.guarded_members[j].mutex);
-      }
-      ASSERT_EQ(a.functions.size(), b.functions.size());
-      for (size_t j = 0; j < a.functions.size(); ++j) {
-        const FunctionSummary& fa = a.functions[j];
-        const FunctionSummary& fb = b.functions[j];
-        ASSERT_EQ(fa.calls.size(), fb.calls.size());
-        for (size_t k = 0; k < fa.calls.size(); ++k) {
-          EXPECT_EQ(fa.calls[k].arg0, fb.calls[k].arg0);
-          EXPECT_EQ(fa.calls[k].held, fb.calls[k].held);
-        }
-        ASSERT_EQ(fa.member_refs.size(), fb.member_refs.size());
-        for (size_t k = 0; k < fa.member_refs.size(); ++k) {
-          EXPECT_EQ(fa.member_refs[k].line, fb.member_refs[k].line);
-          EXPECT_EQ(fa.member_refs[k].name, fb.member_refs[k].name);
-          EXPECT_EQ(fa.member_refs[k].held, fb.member_refs[k].held);
-        }
-        ASSERT_EQ(fa.view_returns.size(), fb.view_returns.size());
-        for (size_t k = 0; k < fa.view_returns.size(); ++k) {
-          EXPECT_EQ(fa.view_returns[k].line, fb.view_returns[k].line);
-          EXPECT_EQ(fa.view_returns[k].callee, fb.view_returns[k].callee);
-          ASSERT_EQ(fa.view_returns[k].args.size(),
-                    fb.view_returns[k].args.size());
-          for (size_t m = 0; m < fa.view_returns[k].args.size(); ++m) {
-            EXPECT_EQ(fa.view_returns[k].args[m].owner,
-                      fb.view_returns[k].args[m].owner);
-            EXPECT_EQ(fa.view_returns[k].args[m].is_temp,
-                      fb.view_returns[k].args[m].is_temp);
-          }
-        }
-      }
-      ASSERT_EQ(a.decls.size(), b.decls.size());
-      for (size_t j = 0; j < a.decls.size(); ++j) {
-        EXPECT_EQ(a.decls[j].requires_locks, b.decls[j].requires_locks);
-        ASSERT_EQ(a.decls[j].params.size(), b.decls[j].params.size());
-        for (size_t k = 0; k < a.decls[j].params.size(); ++k) {
-          EXPECT_EQ(a.decls[j].params[k].escapes_return,
-                    b.decls[j].params[k].escapes_return);
-        }
-      }
-    }
-  }
-}
-
-TEST(ProjectIndexTest, TaintSummaryFieldsSurviveSerialization) {
-  bool saw_taint_out = false;
-  bool saw_call = false;
-  bool saw_pending = false;
-  for (const char* fixture : {"taintalloc", "taintmul", "taintindex"}) {
-    ProjectIndex::Options options;
-    auto index = ProjectIndex::Build(FixtureRoot(fixture).generic_string(),
-                                     {"src"}, options);
-    ASSERT_TRUE(index.ok());
-    auto round = DeserializeSummaries(SerializeSummaries(index->files()));
-    ASSERT_TRUE(round.ok()) << fixture << ": " << round.status().ToString();
-    ASSERT_EQ(round->size(), index->files().size());
-    for (size_t i = 0; i < round->size(); ++i) {
-      const FileSummary& a = index->files()[i];
-      const FileSummary& b = (*round)[i];
-      ASSERT_EQ(a.decls.size(), b.decls.size());
-      for (size_t j = 0; j < a.decls.size(); ++j) {
-        EXPECT_EQ(a.decls[j].returns_tainted, b.decls[j].returns_tainted);
-        ASSERT_EQ(a.decls[j].params.size(), b.decls[j].params.size());
-        for (size_t k = 0; k < a.decls[j].params.size(); ++k) {
-          EXPECT_EQ(a.decls[j].params[k].taint_sink_mask,
-                    b.decls[j].params[k].taint_sink_mask);
-          EXPECT_EQ(a.decls[j].params[k].taint_out,
-                    b.decls[j].params[k].taint_out);
-          saw_taint_out |= a.decls[j].params[k].taint_out;
-        }
-      }
-      ASSERT_EQ(a.taint_calls.size(), b.taint_calls.size());
-      for (size_t j = 0; j < a.taint_calls.size(); ++j) {
-        const TaintCallArg& ca = a.taint_calls[j];
-        const TaintCallArg& cb = b.taint_calls[j];
-        EXPECT_EQ(ca.line, cb.line);
-        EXPECT_EQ(ca.kind, cb.kind);
-        EXPECT_EQ(ca.arg_index, cb.arg_index);
-        EXPECT_EQ(ca.origin, cb.origin);
-        EXPECT_EQ(ca.guard_param, cb.guard_param);
-        EXPECT_EQ(ca.source_line, cb.source_line);
-        EXPECT_EQ(ca.param_mask, cb.param_mask);
-        EXPECT_EQ(ca.caller, cb.caller);
-        EXPECT_EQ(ca.caller_class, cb.caller_class);
-        EXPECT_EQ(ca.callee, cb.callee);
-        EXPECT_EQ(ca.qualifier, cb.qualifier);
-        EXPECT_EQ(ca.var, cb.var);
-        EXPECT_EQ(ca.source, cb.source);
-        saw_call = true;
-      }
-      ASSERT_EQ(a.taint_pending.size(), b.taint_pending.size());
-      for (size_t j = 0; j < a.taint_pending.size(); ++j) {
-        EXPECT_EQ(a.taint_pending[j].line, b.taint_pending[j].line);
-        EXPECT_EQ(a.taint_pending[j].rule, b.taint_pending[j].rule);
-        EXPECT_EQ(a.taint_pending[j].message, b.taint_pending[j].message);
-        EXPECT_EQ(a.taint_pending[j].guard_callee,
-                  b.taint_pending[j].guard_callee);
-        EXPECT_EQ(a.taint_pending[j].guard_param,
-                  b.taint_pending[j].guard_param);
-        saw_pending = true;
-      }
-    }
-  }
-  // The fixtures exist to exercise these fields; if extraction stops
-  // producing them the round-trips above are vacuous.
-  EXPECT_TRUE(saw_taint_out);
-  EXPECT_TRUE(saw_call);
-  EXPECT_TRUE(saw_pending);
-}
-
-TEST(ProjectIndexTest, OlderCacheFormatIsDiscardedNotTrusted) {
-  fs::path root = CloneFixture("guardedby", "v2cache");
-  std::string cache = (root / "cache.bin").generic_string();
-  ProjectIndex::Options options;
-  options.cache_path = cache;
-  auto cold = ProjectIndex::Build(root.generic_string(), {"src"}, options);
-  ASSERT_TRUE(cold.ok());
-  ASSERT_EQ(cold->stats().lexed, 2u);
-  {
-    // A v2-era cache: older magic, otherwise plausible content. The
-    // summary shape changed in v3, so it must be re-lexed, not parsed.
-    std::ofstream clobber(cache, std::ios::trunc);
-    clobber << "alicoco_lint_cache_v2 " << AnalyzerCacheVersion() << "\n";
-  }
-  auto rebuilt = ProjectIndex::Build(root.generic_string(), {"src"}, options);
-  ASSERT_TRUE(rebuilt.ok());
-  EXPECT_EQ(rebuilt->stats().lexed, 2u);
-  EXPECT_EQ(rebuilt->stats().cache_hits, 0u);
-}
-
-TEST(ProjectIndexTest, V3CacheFormatIsDiscardedNotTrusted) {
-  fs::path root = CloneFixture("taintalloc", "v3cache");
-  std::string cache = (root / "cache.bin").generic_string();
-  ProjectIndex::Options options;
-  options.cache_path = cache;
-  auto cold = ProjectIndex::Build(root.generic_string(), {"src"}, options);
-  ASSERT_TRUE(cold.ok());
-  ASSERT_EQ(cold->stats().lexed, 1u);
-  {
-    // A v3-era cache: the P/D records lack the taint columns added in v4,
-    // so trusting it would silently drop every taint fact. Discard it.
-    std::ofstream clobber(cache, std::ios::trunc);
-    clobber << "alicoco_lint_cache_v3 " << AnalyzerCacheVersion() << "\n";
-  }
-  auto rebuilt = ProjectIndex::Build(root.generic_string(), {"src"}, options);
-  ASSERT_TRUE(rebuilt.ok());
-  EXPECT_EQ(rebuilt->stats().lexed, 1u);
-  EXPECT_EQ(rebuilt->stats().cache_hits, 0u);
-}
-
-TEST(ProjectIndexTest, WarmRunIsAtLeastFiveTimesFasterThanCold) {
-  // The acceptance bar from the issue, asserted with the injected cost
-  // clock over the real src/ tree: no timer flake, and the ratio collapses
-  // to ~1x if cache loading ever silently breaks.
-  fs::path repo_root = fs::path(ALICOCO_REPO_ROOT);
-  std::string cache =
-      (fs::path(::testing::TempDir()) / "project_lint_warm.cache")
-          .generic_string();
-  fs::remove(cache);
-
-  SimulatedClock cold_clock;
-  ProjectIndex::Options options;
-  options.cache_path = cache;
-  options.cost_clock = &cold_clock;
-  auto cold =
-      ProjectIndex::Build(repo_root.generic_string(), {"src"}, options);
-  ASSERT_TRUE(cold.ok());
-  ASSERT_GT(cold->stats().lexed, 0u);
-
-  SimulatedClock warm_clock;
-  options.cost_clock = &warm_clock;
-  auto warm =
-      ProjectIndex::Build(repo_root.generic_string(), {"src"}, options);
-  ASSERT_TRUE(warm.ok());
-  EXPECT_EQ(warm->stats().lexed, 0u);
-  EXPECT_EQ(warm->stats().cache_hits, warm->stats().files);
-
-  EXPECT_GE(cold_clock.NowUs(), 5 * warm_clock.NowUs())
-      << "cold=" << cold_clock.NowUs() << " warm=" << warm_clock.NowUs();
-}
-
-TEST(ProjectLintTest, TaintFindingsSurviveAWarmCacheRun) {
-  // The taint pass runs over deserialized summaries on a warm run; if the
-  // T/W/P/D cache records drop a column the findings silently vanish.
-  std::string cache =
-      (fs::path(::testing::TempDir()) / "taint_warm.cache").generic_string();
-  fs::remove(cache);
-  ProjectReport cold = AnalyzeFixture("taintalloc", cache);
-  ProjectReport warm = AnalyzeFixture("taintalloc", cache);
-  ASSERT_FALSE(cold.findings.empty());
-  ASSERT_EQ(warm.findings.size(), cold.findings.size());
-  for (size_t i = 0; i < cold.findings.size(); ++i) {
-    EXPECT_EQ(FormatFinding(warm.findings[i]),
-              FormatFinding(cold.findings[i]));
-  }
-  EXPECT_GT(warm.taint.sink_params, 0u);
-}
-
-TEST(ProjectLintTest, ChangedOnlyModeReportsTouchedFilesOnly) {
-  fs::path root = CloneFixture("nodiscard", "changed_only");
-  std::string cache = (root / "cache.bin").generic_string();
-
-  ProjectOptions options;
-  options.project_dir = "src";
-  options.layers_path = (root / "layers.txt").generic_string();
-  options.cache_path = cache;
-  auto first = AnalyzeProject(root.generic_string(), options);
-  ASSERT_TRUE(first.ok());
-  EXPECT_EQ(first->findings.size(), 2u);  // both discards, cold run
-
-  options.changed_only = true;
-  auto quiet = AnalyzeProject(root.generic_string(), options);
-  ASSERT_TRUE(quiet.ok());
-  EXPECT_TRUE(quiet->findings.empty()) << "nothing changed since the cache";
-
-  {
-    std::ofstream touch(root / "src/client/client.h", std::ios::app);
-    touch << "// touched\n";
-  }
-  auto after = AnalyzeProject(root.generic_string(), options);
-  ASSERT_TRUE(after.ok());
-  EXPECT_EQ(after->findings.size(), 2u);  // client.h holds both findings
-  for (const Finding& f : after->findings) {
-    EXPECT_EQ(f.file, "src/client/client.h");
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Pass registry + suppression integration
 
 TEST(ProjectLintTest, PassIdsAreKnownToSuppressions) {
   for (const PassInfo& pass : PassRegistry()) {

@@ -3,8 +3,9 @@
 #
 #   1. lint gate (tools/lint.sh): per-file rules over the whole tree, then
 #      the cross-file passes (include-graph layering, lock-order deadlock
-#      detection, discarded-result, CFG dataflow, untrusted-input taint)
-#      via `alicoco_lint --project src`, leaving
+#      detection, discarded-result, CFG dataflow, the interprocedural lock
+#      & lifetime tier, untrusted-input taint) via
+#      `alicoco_lint --project src`, leaving
 #      build/lint/alicoco_lint.sarif for CI artifact upload
 #   2. plain RelWithDebInfo build + full ctest, then the suite again with
 #      ALICOCO_SIMD=scalar so the portable kernel tier stays covered on
@@ -49,15 +50,6 @@ step "forced-scalar kernel tier + tests"
 # on top of them) even on AVX2 hardware where CPUID would pick SIMD.
 ALICOCO_SIMD=scalar ctest --preset default
 
-step "analyzer self-bench gate"
-# Cold vs warm analysis of the real tree on the simulated cost clock, plus
-# the interprocedural-tier cost, compared against the committed baseline.
-# Figures are machine-independent (simulated clock), so the ratio is tight.
-mkdir -p build/obs
-build/tools/lint/alicoco_lint --root . --project src \
-  --self-bench build/obs/BENCH_lint.json \
-  --bench-baseline tools/lint/BENCH_lint.json --max-regress 0.25
-
 step "pipeline profile gate"
 # Re-runs the instrumented bench pipeline and compares per-stage wall time
 # against the committed baseline; a stage beyond 2x baseline + slack fails.
@@ -101,8 +93,8 @@ UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
 step "corrupted-checkpoint corpus replay (ASan)"
 # Replays tests/corpus/ — truncated, bit-flipped, and oversized-count
 # inputs for every deserializer (kg snapshot, nn checkpoint + quantized
-# store, pipeline profile, SARIF, lint cache) — under ASan explicitly,
-# so a corrupt-input regression is named by the gate that catches it.
+# store, pipeline profile) — under ASan explicitly, so a corrupt-input
+# regression is named by the gate that catches it.
 ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" \
 UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
   ctest --preset asan -R CorpusReplay --output-on-failure

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Static-analysis gate.
 #
-#   tools/lint.sh [build-dir] [--changed-only]
+#   tools/lint.sh [build-dir]
 #
 # Three layers:
 #   1. alicoco_lint, the in-repo analyzer (tools/lint/): lexer-aware banned
@@ -9,15 +9,14 @@
 #      with findings as stable `file:line:rule-id: message` lines and the
 #      checked-in suppression file tools/lint/suppressions.txt. Built on
 #      demand; this is the authoritative layer. Runs twice: the per-file
-#      tree walk, then whole-program mode (--project src) for the
-#      include-graph / lock-order / discarded-result / dataflow passes,
-#      writing SARIF to <build-dir>/lint/alicoco_lint.sarif and keeping an
-#      incremental summary cache in <build-dir>/lint/summary.cache.
-#      With --changed-only, project-mode findings are limited to files
-#      that changed since the cached run (pre-commit mode).
+#      tree walk, then whole-program mode (--project src), which analyses
+#      every file from source and runs the include-graph, lock-order,
+#      discarded-result, dataflow, interprocedural and taint passes,
+#      writing SARIF to <build-dir>/lint/alicoco_lint.sarif.
 #   2. clang-tidy over every first-party translation unit, driven by the
 #      compile_commands.json in the build dir (default: build/). Skipped
-#      with a warning when clang-tidy is not installed.
+#      with a warning when clang-tidy is not installed; CI installs only
+#      g++, so this layer does not run there.
 #   3. Grep fallback for the banned-pattern subset, run ONLY when layer 1
 #      could not run (no compiler/cmake available) -- the gate never
 #      silently passes on nothing.
@@ -27,14 +26,7 @@
 set -u
 cd "$(dirname "$0")/.."
 
-BUILD_DIR="build"
-CHANGED_ONLY=0
-for arg in "$@"; do
-  case "$arg" in
-    --changed-only) CHANGED_ONLY=1 ;;
-    *) BUILD_DIR="$arg" ;;
-  esac
-done
+BUILD_DIR="${1:-build}"
 FAIL=0
 
 note() { printf '%s\n' "$*"; }
@@ -57,12 +49,9 @@ if command -v cmake >/dev/null 2>&1 && { command -v c++ >/dev/null 2>&1 \
         fail "alicoco_lint reported findings"
       fi
       mkdir -p "${BUILD_DIR}/lint"
-      PROJECT_FLAGS=(--root . --project src
-        --sarif "${BUILD_DIR}/lint/alicoco_lint.sarif"
-        --cache "${BUILD_DIR}/lint/summary.cache" --stats)
-      [ "$CHANGED_ONLY" -eq 1 ] && PROJECT_FLAGS+=(--changed-only)
-      note "running project passes (include-graph, lock-order, discarded-result, dataflow)..."
-      if ! "${BUILD_DIR}/tools/lint/alicoco_lint" "${PROJECT_FLAGS[@]}"; then
+      note "running project passes (include-graph, lock-order, discarded-result, dataflow, interprocedural, taint)..."
+      if ! "${BUILD_DIR}/tools/lint/alicoco_lint" --root . --project src \
+          --sarif "${BUILD_DIR}/lint/alicoco_lint.sarif" --stats; then
         fail "alicoco_lint --project src reported findings"
       fi
     else

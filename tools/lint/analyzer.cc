@@ -186,12 +186,8 @@ std::string FormatFinding(const Finding& finding) {
 
 Result<ProjectReport> AnalyzeProject(const std::string& root,
                                      const ProjectOptions& options) {
-  ProjectIndex::Options index_options;
-  index_options.cache_path = options.cache_path;
-  index_options.cost_clock = options.cost_clock;
-  ALICOCO_ASSIGN_OR_RETURN(
-      ProjectIndex index,
-      ProjectIndex::Build(root, {options.project_dir}, index_options));
+  ALICOCO_ASSIGN_OR_RETURN(ProjectIndex index,
+                           ProjectIndex::Build(root, {options.project_dir}));
 
   std::string layers_path = options.layers_path.empty()
                                 ? (fs::path(root) / "tools/lint/layers.txt")
@@ -209,15 +205,8 @@ Result<ProjectReport> AnalyzeProject(const std::string& root,
   std::vector<Finding> pass_findings =
       RunAllPasses(index, layers, &interproc_stats, &taint_stats);
   findings.insert(findings.end(), pass_findings.begin(), pass_findings.end());
-  if (options.cost_clock != nullptr) {
-    options.cost_clock->AdvanceUs(interproc_stats.cost_us);
-    options.cost_clock->AdvanceUs(taint_stats.cost_us);
-  }
 
-  std::set<std::string> changed(index.changed().begin(),
-                                index.changed().end());
   auto drop = [&](const Finding& f) {
-    if (options.changed_only && changed.count(f.file) == 0) return true;
     if (options.suppressions != nullptr &&
         options.suppressions->Matches(f.rule, f.file)) {
       return true;

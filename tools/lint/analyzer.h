@@ -71,13 +71,6 @@ struct ProjectOptions {
   std::string project_dir = "src";
   /// Layering declaration; empty means `<root>/tools/lint/layers.txt`.
   std::string layers_path;
-  /// Summary cache for incremental runs; empty disables caching.
-  std::string cache_path;
-  /// Report only findings in files that changed since the cached run
-  /// (with no cache, every file counts as changed). Pre-commit mode.
-  bool changed_only = false;
-  /// Cost accounting; may be nullptr.
-  LintClock* cost_clock = nullptr;
   const Suppressions* suppressions = nullptr;
 };
 
@@ -86,12 +79,10 @@ struct ProjectReport {
   /// suppression-filtered, sorted by (file, line, rule, message).
   std::vector<Finding> findings;
   IndexStats stats;
-  /// Size/cost counters of the interprocedural tier (call-graph
-  /// condensation + fixpoints); its cost_us is also charged to the
-  /// options cost clock.
+  /// Size counters of the interprocedural tier (call-graph condensation
+  /// + fixpoints).
   InterprocStats interproc;
-  /// Size/cost counters of the cross-file taint pass; its cost_us is
-  /// charged to the options cost clock the same way.
+  /// Size counters of the cross-file taint pass.
   TaintStats taint;
 };
 

@@ -18,18 +18,6 @@ namespace {
 
 namespace fs = std::filesystem;
 
-// Simulated cost model: summarizing from source is charged per byte (the
-// lexer and extractor are both linear scans); a cache hit is charged a
-// small near-flat amount (hash + summary-line parse). The absolute units
-// are arbitrary — what matters is that the ratio mirrors the real work,
-// so the warm-vs-cold assertion tests cache behavior, not timer noise.
-constexpr uint64_t kLexBaseCostUs = 8;
-constexpr uint64_t kCacheHitBaseCostUs = 1;
-
-void Charge(LintClock* cost_clock, uint64_t us) {
-  if (cost_clock != nullptr) cost_clock->AdvanceUs(us);
-}
-
 Result<std::string> ReadFile(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) return Status::IOError("cannot open: " + path);
@@ -996,85 +984,12 @@ class Extractor {
   FileSummary* out_;
 };
 
-// ---------------------------------------------------------------------------
-// Cache serialization
-
-void AppendEscaped(const std::string& s, std::string* out) {
-  for (char c : s) {
-    switch (c) {
-      case '\\': out->append("\\\\"); break;
-      case ' ': out->append("\\s"); break;
-      case '\t': out->append("\\t"); break;
-      case '\n': out->append("\\n"); break;
-      default: out->push_back(c);
-    }
-  }
-  if (s.empty()) out->append("\\0");
-}
-
-Result<std::string> Unescape(const std::string& s) {
-  if (s == "\\0") return std::string();
-  std::string out;
-  out.reserve(s.size());
-  for (size_t i = 0; i < s.size(); ++i) {
-    if (s[i] != '\\') {
-      out.push_back(s[i]);
-      continue;
-    }
-    if (i + 1 >= s.size()) return Status::Corruption("dangling escape");
-    ++i;
-    switch (s[i]) {
-      case '\\': out.push_back('\\'); break;
-      case 's': out.push_back(' '); break;
-      case 't': out.push_back('\t'); break;
-      case 'n': out.push_back('\n'); break;
-      default: return Status::Corruption("unknown escape");
-    }
-  }
-  return out;
-}
-
-std::string JoinHeld(const std::vector<int>& held) {
-  if (held.empty()) return "-";
-  std::string out;
-  for (size_t i = 0; i < held.size(); ++i) {
-    if (i != 0) out.push_back(',');
-    out += std::to_string(held[i]);
-  }
-  return out;
-}
-
-Result<std::vector<int>> ParseHeld(const std::string& field) {
-  std::vector<int> held;
-  if (field == "-") return held;
-  for (const std::string& part : SplitString(field, ',')) {
-    try {
-      held.push_back(std::stoi(part));
-    } catch (...) {
-      return Status::Corruption("bad held list: " + field);
-    }
-  }
-  return held;
-}
-
-constexpr char kCacheMagic[] = "alicoco_lint_cache_v4";
-
 }  // namespace
-
-uint64_t HashContent(const std::string& contents) {
-  uint64_t hash = 1469598103934665603ull;  // FNV-1a offset basis
-  for (char c : contents) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 1099511628211ull;  // FNV prime
-  }
-  return hash;
-}
 
 FileSummary SummarizeSource(const std::string& path,
                             const std::string& contents) {
   FileSummary summary;
   summary.path = path;
-  summary.content_hash = HashContent(contents);
 
   std::vector<Token> tokens = Lex(contents);
 
@@ -1126,8 +1041,7 @@ FileSummary SummarizeSource(const std::string& path,
   }
 
   // The intraprocedural dataflow checks run here — at summarize time — so
-  // their findings live in the summary and ride the content-hash cache
-  // exactly like per-file rule findings.
+  // their findings live in the summary exactly like per-file rule findings.
   std::vector<Finding> flow =
       RunFunctionDataflowChecks(path, code, extractor.bodies());
   summary.findings.insert(summary.findings.end(), flow.begin(), flow.end());
@@ -1145,21 +1059,6 @@ FileSummary SummarizeSource(const std::string& path,
   return summary;
 }
 
-uint64_t AnalyzerCacheVersion() {
-  // Hand-bumped when the FileSummary shape or cache line protocol changes
-  // in a way the tag set alone doesn't reveal.
-  std::string ident = "summary-format-4";
-  for (const auto& rule : RuleRegistry()) {
-    ident.push_back('|');
-    ident.append(rule->id());
-  }
-  for (const PassInfo& pass : PassRegistry()) {
-    ident.push_back('|');
-    ident.append(pass.id);
-  }
-  return HashContent(ident);
-}
-
 const FileSummary* ProjectIndex::Find(const std::string& path) const {
   auto it = std::lower_bound(
       files_.begin(), files_.end(), path,
@@ -1168,8 +1067,7 @@ const FileSummary* ProjectIndex::Find(const std::string& path) const {
 }
 
 Result<ProjectIndex> ProjectIndex::Build(
-    const std::string& root, const std::vector<std::string>& subdirs,
-    const Options& options) {
+    const std::string& root, const std::vector<std::string>& subdirs) {
   static const char* kExtensions[] = {".h", ".hpp", ".cc", ".cpp"};
 
   std::vector<std::string> paths;
@@ -1196,472 +1094,16 @@ Result<ProjectIndex> ProjectIndex::Build(
   }
   std::sort(paths.begin(), paths.end());
 
-  // A broken or stale cache is silently discarded: correctness never
-  // depends on it, only speed.
-  std::map<std::string, FileSummary> cached;
-  if (!options.cache_path.empty()) {
-    auto text = ReadFile(options.cache_path);
-    if (text.ok()) {
-      auto loaded = DeserializeSummaries(*text);
-      if (loaded.ok()) {
-        for (FileSummary& f : *loaded) {
-          std::string key = f.path;
-          cached.emplace(std::move(key), std::move(f));
-        }
-      }
-    }
-  }
-
   ProjectIndex index;
   for (const std::string& rel : paths) {
     ALICOCO_ASSIGN_OR_RETURN(
         std::string contents,
         ReadFile((fs::path(root) / rel).generic_string()));
-    uint64_t hash = HashContent(contents);
-    auto it = cached.find(rel);
-    if (it != cached.end() && it->second.content_hash == hash) {
-      Charge(options.cost_clock,
-             kCacheHitBaseCostUs + contents.size() / 256);
-      index.files_.push_back(std::move(it->second));
-      ++index.stats_.cache_hits;
-    } else {
-      Charge(options.cost_clock, kLexBaseCostUs + contents.size());
-      index.files_.push_back(SummarizeSource(rel, contents));
-      index.stats_.bytes_lexed += contents.size();
-      ++index.stats_.lexed;
-      index.changed_.push_back(rel);
-    }
+    index.files_.push_back(SummarizeSource(rel, contents));
+    index.stats_.bytes_lexed += contents.size();
   }
   index.stats_.files = index.files_.size();
-  if (options.cost_clock != nullptr) {
-    index.stats_.cost_us = options.cost_clock->NowUs();
-  }
-
-  if (!options.cache_path.empty()) {
-    std::ofstream out(options.cache_path,
-                      std::ios::binary | std::ios::trunc);
-    if (out) out << SerializeSummaries(index.files_);
-    // An unwritable cache dir is not an analysis failure.
-  }
   return index;
-}
-
-std::string SerializeSummaries(const std::vector<FileSummary>& files) {
-  // The header carries the analyzer's own fingerprint: a cache written by
-  // an older lint (fewer rules, different summary shape) fails the
-  // comparison below and is discarded wholesale, so an upgraded analyzer
-  // never serves findings it didn't compute.
-  std::string out(kCacheMagic);
-  out.push_back(' ');
-  out.append(std::to_string(AnalyzerCacheVersion()));
-  out.push_back('\n');
-  for (const FileSummary& f : files) {
-    out.append("F ");
-    AppendEscaped(f.path, &out);
-    out.append(" " + std::to_string(f.content_hash) + "\n");
-    for (const IncludeSite& inc : f.includes) {
-      out.append("I " + std::to_string(inc.line) +
-                 (inc.angled ? " 1 " : " 0 "));
-      AppendEscaped(inc.path, &out);
-      out.push_back('\n');
-    }
-    for (const MutexMemberDecl& m : f.mutexes) {
-      out.append("M ");
-      AppendEscaped(m.class_name, &out);
-      out.push_back(' ');
-      AppendEscaped(m.member, &out);
-      out.push_back('\n');
-    }
-    for (const GuardedMemberDecl& g : f.guarded_members) {
-      out.append("B ");
-      AppendEscaped(g.class_name, &out);
-      out.push_back(' ');
-      AppendEscaped(g.member, &out);
-      out.push_back(' ');
-      AppendEscaped(g.mutex, &out);
-      out.push_back('\n');
-    }
-    for (const FunctionSummary& fn : f.functions) {
-      out.append("U ");
-      AppendEscaped(fn.name, &out);
-      out.push_back(' ');
-      AppendEscaped(fn.class_name, &out);
-      out.push_back('\n');
-      for (const Acquisition& a : fn.acquisitions) {
-        out.append("A " + std::to_string(a.line) +
-                   (a.is_plain_member ? " 1 " : " 0 "));
-        AppendEscaped(a.name, &out);
-        out.push_back(' ');
-        AppendEscaped(a.expr, &out);
-        out.append(" " + JoinHeld(a.held) + "\n");
-      }
-      for (const CallInfo& c : fn.calls) {
-        out.append("C " + std::to_string(c.line) + " " +
-                   std::to_string(static_cast<int>(c.kind)) + " ");
-        AppendEscaped(c.callee, &out);
-        out.push_back(' ');
-        AppendEscaped(c.qualifier, &out);
-        out.push_back(' ');
-        AppendEscaped(c.arg0, &out);
-        out.append(" " + JoinHeld(c.held) + "\n");
-      }
-      for (const MemberRef& r : fn.member_refs) {
-        out.append("R " + std::to_string(r.line) + " ");
-        AppendEscaped(r.name, &out);
-        out.append(" " + JoinHeld(r.held) + "\n");
-      }
-      for (const ViewReturnCall& v : fn.view_returns) {
-        out.append("V " + std::to_string(v.line) + " ");
-        AppendEscaped(v.callee, &out);
-        out.append(" " + std::to_string(v.args.size()));
-        for (const ViewArg& a : v.args) {
-          out.push_back(' ');
-          AppendEscaped(a.owner, &out);
-          out.append(a.is_temp ? " 1" : " 0");
-        }
-        out.push_back('\n');
-      }
-    }
-    for (const DeclInfo& d : f.decls) {
-      out.append("D " + std::to_string(d.line) + (d.checked ? " 1" : " 0") +
-                 (d.has_body ? " 1" : " 0") +
-                 (d.returns_tainted ? " 1 " : " 0 "));
-      AppendEscaped(d.name, &out);
-      out.push_back(' ');
-      AppendEscaped(d.class_name, &out);
-      out.push_back('\n');
-      for (const ParamInfo& p : d.params) {
-        out.append(std::string("P ") + (p.by_value ? "1" : "0") +
-                   (p.moved ? " 1" : " 0") +
-                   (p.escapes_return ? " 1 " : " 0 ") +
-                   std::to_string(static_cast<int>(p.taint_sink_mask)) +
-                   (p.taint_out ? " 1 " : " 0 "));
-        AppendEscaped(p.type, &out);
-        out.push_back(' ');
-        AppendEscaped(p.name, &out);
-        out.push_back('\n');
-      }
-      for (const std::string& req : d.requires_locks) {
-        out.append("Q ");
-        AppendEscaped(req, &out);
-        out.push_back('\n');
-      }
-    }
-    for (const CallStatement& s : f.call_statements) {
-      out.append("S " + std::to_string(s.line) + " ");
-      AppendEscaped(s.callee, &out);
-      out.push_back('\n');
-    }
-    for (const TaintCallArg& t : f.taint_calls) {
-      out.append("T " + std::to_string(t.line) + " " +
-                 std::to_string(static_cast<int>(t.kind)) + " " +
-                 std::to_string(t.arg_index) + " " +
-                 std::to_string(static_cast<int>(t.origin)) + " " +
-                 std::to_string(t.guard_param) + " " +
-                 std::to_string(t.source_line) + " " +
-                 std::to_string(t.param_mask) + " ");
-      AppendEscaped(t.caller, &out);
-      out.push_back(' ');
-      AppendEscaped(t.caller_class, &out);
-      out.push_back(' ');
-      AppendEscaped(t.callee, &out);
-      out.push_back(' ');
-      AppendEscaped(t.qualifier, &out);
-      out.push_back(' ');
-      AppendEscaped(t.var, &out);
-      out.push_back(' ');
-      AppendEscaped(t.source, &out);
-      out.push_back('\n');
-    }
-    for (const PendingTaintFinding& w : f.taint_pending) {
-      out.append("W " + std::to_string(w.line) + " " +
-                 std::to_string(w.guard_param) + " ");
-      AppendEscaped(w.rule, &out);
-      out.push_back(' ');
-      AppendEscaped(w.guard_callee, &out);
-      out.push_back(' ');
-      AppendEscaped(w.message, &out);
-      out.push_back('\n');
-    }
-    for (const Finding& g : f.findings) {
-      out.append("G " + std::to_string(g.line) + " ");
-      AppendEscaped(g.rule, &out);
-      out.push_back(' ');
-      AppendEscaped(g.message, &out);
-      out.push_back('\n');
-    }
-    for (const auto& [line, rules] : f.allowances) {
-      out.append("L " + std::to_string(line));
-      for (const std::string& rule : rules) out.append(" " + rule);
-      out.push_back('\n');
-    }
-    for (const std::string& cls : f.heavy_classes) {
-      out.append("H ");
-      AppendEscaped(cls, &out);
-      out.push_back('\n');
-    }
-    out.append("E\n");
-  }
-  return out;
-}
-
-Result<std::vector<FileSummary>> DeserializeSummaries(
-    const std::string& text) {
-  std::istringstream lines(text);
-  std::string line;
-  const std::string expected_header =
-      std::string(kCacheMagic) + " " + std::to_string(AnalyzerCacheVersion());
-  if (!std::getline(lines, line) || line != expected_header) {
-    return Status::Corruption("cache written by a different analyzer");
-  }
-  std::vector<FileSummary> files;
-  FileSummary* cur = nullptr;
-  FunctionSummary* fn = nullptr;
-  DeclInfo* decl = nullptr;
-  int lineno = 1;
-  auto bad = [&lineno](const std::string& why) {
-    return Status::Corruption("cache line " + std::to_string(lineno) + ": " +
-                              why);
-  };
-  while (std::getline(lines, line)) {
-    ++lineno;
-    if (line.empty()) continue;
-    std::istringstream fields(line);
-    std::string tag;
-    fields >> tag;
-    if (tag == "F") {
-      std::string path, hash;
-      if (!(fields >> path >> hash)) return bad("truncated F");
-      files.emplace_back();
-      cur = &files.back();
-      fn = nullptr;
-      decl = nullptr;
-      ALICOCO_ASSIGN_OR_RETURN(cur->path, Unescape(path));
-      try {
-        cur->content_hash = std::stoull(hash);
-      } catch (...) {
-        return bad("bad hash");
-      }
-      continue;
-    }
-    if (cur == nullptr) return bad("record before F");
-    if (tag == "E") {
-      cur = nullptr;
-      fn = nullptr;
-      decl = nullptr;
-    } else if (tag == "I") {
-      int ln = 0, angled = 0;
-      std::string path;
-      if (!(fields >> ln >> angled >> path)) return bad("truncated I");
-      IncludeSite inc{ln, angled != 0, ""};
-      ALICOCO_ASSIGN_OR_RETURN(inc.path, Unescape(path));
-      cur->includes.push_back(std::move(inc));
-    } else if (tag == "M") {
-      std::string cls, member;
-      if (!(fields >> cls >> member)) return bad("truncated M");
-      MutexMemberDecl m;
-      ALICOCO_ASSIGN_OR_RETURN(m.class_name, Unescape(cls));
-      ALICOCO_ASSIGN_OR_RETURN(m.member, Unescape(member));
-      cur->mutexes.push_back(std::move(m));
-    } else if (tag == "B") {
-      std::string cls, member, mutex;
-      if (!(fields >> cls >> member >> mutex)) return bad("truncated B");
-      GuardedMemberDecl g;
-      ALICOCO_ASSIGN_OR_RETURN(g.class_name, Unescape(cls));
-      ALICOCO_ASSIGN_OR_RETURN(g.member, Unescape(member));
-      ALICOCO_ASSIGN_OR_RETURN(g.mutex, Unescape(mutex));
-      cur->guarded_members.push_back(std::move(g));
-    } else if (tag == "U") {
-      std::string name, cls;
-      if (!(fields >> name >> cls)) return bad("truncated U");
-      cur->functions.emplace_back();
-      fn = &cur->functions.back();
-      ALICOCO_ASSIGN_OR_RETURN(fn->name, Unescape(name));
-      ALICOCO_ASSIGN_OR_RETURN(fn->class_name, Unescape(cls));
-    } else if (tag == "A") {
-      if (fn == nullptr) return bad("A before U");
-      int ln = 0, plain = 0;
-      std::string name, expr, held;
-      if (!(fields >> ln >> plain >> name >> expr >> held)) {
-        return bad("truncated A");
-      }
-      Acquisition a;
-      a.line = ln;
-      a.is_plain_member = plain != 0;
-      ALICOCO_ASSIGN_OR_RETURN(a.name, Unescape(name));
-      ALICOCO_ASSIGN_OR_RETURN(a.expr, Unescape(expr));
-      ALICOCO_ASSIGN_OR_RETURN(a.held, ParseHeld(held));
-      fn->acquisitions.push_back(std::move(a));
-    } else if (tag == "C") {
-      if (fn == nullptr) return bad("C before U");
-      int ln = 0, kind = 0;
-      std::string callee, qualifier, arg0, held;
-      if (!(fields >> ln >> kind >> callee >> qualifier >> arg0 >> held)) {
-        return bad("truncated C");
-      }
-      if (kind < 0 || kind > static_cast<int>(CallKind::kMember)) {
-        return bad("bad call kind");
-      }
-      CallInfo c;
-      c.line = ln;
-      c.kind = static_cast<CallKind>(kind);
-      ALICOCO_ASSIGN_OR_RETURN(c.callee, Unescape(callee));
-      ALICOCO_ASSIGN_OR_RETURN(c.qualifier, Unescape(qualifier));
-      ALICOCO_ASSIGN_OR_RETURN(c.arg0, Unescape(arg0));
-      ALICOCO_ASSIGN_OR_RETURN(c.held, ParseHeld(held));
-      fn->calls.push_back(std::move(c));
-    } else if (tag == "R") {
-      if (fn == nullptr) return bad("R before U");
-      int ln = 0;
-      std::string name, held;
-      if (!(fields >> ln >> name >> held)) return bad("truncated R");
-      MemberRef r;
-      r.line = ln;
-      ALICOCO_ASSIGN_OR_RETURN(r.name, Unescape(name));
-      ALICOCO_ASSIGN_OR_RETURN(r.held, ParseHeld(held));
-      fn->member_refs.push_back(std::move(r));
-    } else if (tag == "V") {
-      if (fn == nullptr) return bad("V before U");
-      int ln = 0;
-      size_t nargs = 0;
-      std::string callee;
-      if (!(fields >> ln >> callee >> nargs)) return bad("truncated V");
-      // Plausibility cap: a V record with an absurd argument count is
-      // corruption, not a request to loop that many times.
-      if (nargs > 4096) return bad("implausible V arg count");
-      ViewReturnCall v;
-      v.line = ln;
-      ALICOCO_ASSIGN_OR_RETURN(v.callee, Unescape(callee));
-      for (size_t k = 0; k < nargs; ++k) {
-        std::string owner;
-        int is_temp = 0;
-        if (!(fields >> owner >> is_temp)) return bad("truncated V arg");
-        ViewArg a;
-        ALICOCO_ASSIGN_OR_RETURN(a.owner, Unescape(owner));
-        a.is_temp = is_temp != 0;
-        v.args.push_back(std::move(a));
-      }
-      fn->view_returns.push_back(std::move(v));
-    } else if (tag == "D") {
-      int ln = 0, checked = 0, has_body = 0, returns_tainted = 0;
-      std::string name, cls;
-      if (!(fields >> ln >> checked >> has_body >> returns_tainted >> name >>
-            cls)) {
-        return bad("truncated D");
-      }
-      DeclInfo d;
-      d.line = ln;
-      d.checked = checked != 0;
-      d.has_body = has_body != 0;
-      d.returns_tainted = returns_tainted != 0;
-      ALICOCO_ASSIGN_OR_RETURN(d.name, Unescape(name));
-      ALICOCO_ASSIGN_OR_RETURN(d.class_name, Unescape(cls));
-      cur->decls.push_back(std::move(d));
-      decl = &cur->decls.back();
-    } else if (tag == "P") {
-      if (decl == nullptr) return bad("P before D");
-      int by_value = 0, moved = 0, escapes = 0, sink_mask = 0, taint_out = 0;
-      std::string type, name;
-      if (!(fields >> by_value >> moved >> escapes >> sink_mask >> taint_out >>
-            type >> name)) {
-        return bad("truncated P");
-      }
-      if (sink_mask < 0 || sink_mask > 3) return bad("bad P sink mask");
-      ParamInfo p;
-      p.by_value = by_value != 0;
-      p.moved = moved != 0;
-      p.escapes_return = escapes != 0;
-      p.taint_sink_mask = static_cast<uint8_t>(sink_mask);
-      p.taint_out = taint_out != 0;
-      ALICOCO_ASSIGN_OR_RETURN(p.type, Unescape(type));
-      ALICOCO_ASSIGN_OR_RETURN(p.name, Unescape(name));
-      decl->params.push_back(std::move(p));
-    } else if (tag == "T") {
-      int ln = 0, kind = 0, arg_index = 0, origin = 0, guard_param = 0,
-          source_line = 0;
-      uint32_t param_mask = 0;
-      std::string caller, caller_class, callee, qualifier, var, source;
-      if (!(fields >> ln >> kind >> arg_index >> origin >> guard_param >>
-            source_line >> param_mask >> caller >> caller_class >> callee >>
-            qualifier >> var >> source)) {
-        return bad("truncated T");
-      }
-      if (kind < 0 || kind > static_cast<int>(CallKind::kMember)) {
-        return bad("bad T call kind");
-      }
-      if (origin < 0 || origin > static_cast<int>(TaintOrigin::kCalleeReturn)) {
-        return bad("bad T origin");
-      }
-      TaintCallArg t;
-      t.line = ln;
-      t.kind = static_cast<CallKind>(kind);
-      t.arg_index = arg_index;
-      t.origin = static_cast<TaintOrigin>(origin);
-      t.guard_param = guard_param;
-      t.source_line = source_line;
-      t.param_mask = param_mask;
-      ALICOCO_ASSIGN_OR_RETURN(t.caller, Unescape(caller));
-      ALICOCO_ASSIGN_OR_RETURN(t.caller_class, Unescape(caller_class));
-      ALICOCO_ASSIGN_OR_RETURN(t.callee, Unescape(callee));
-      ALICOCO_ASSIGN_OR_RETURN(t.qualifier, Unescape(qualifier));
-      ALICOCO_ASSIGN_OR_RETURN(t.var, Unescape(var));
-      ALICOCO_ASSIGN_OR_RETURN(t.source, Unescape(source));
-      cur->taint_calls.push_back(std::move(t));
-    } else if (tag == "W") {
-      int ln = 0, guard_param = 0;
-      std::string rule, guard, message;
-      if (!(fields >> ln >> guard_param >> rule >> guard >> message)) {
-        return bad("truncated W");
-      }
-      PendingTaintFinding w;
-      w.line = ln;
-      w.guard_param = guard_param;
-      ALICOCO_ASSIGN_OR_RETURN(w.rule, Unescape(rule));
-      ALICOCO_ASSIGN_OR_RETURN(w.guard_callee, Unescape(guard));
-      ALICOCO_ASSIGN_OR_RETURN(w.message, Unescape(message));
-      cur->taint_pending.push_back(std::move(w));
-    } else if (tag == "Q") {
-      if (decl == nullptr) return bad("Q before D");
-      std::string req;
-      if (!(fields >> req)) return bad("truncated Q");
-      std::string unescaped;
-      ALICOCO_ASSIGN_OR_RETURN(unescaped, Unescape(req));
-      decl->requires_locks.push_back(std::move(unescaped));
-    } else if (tag == "H") {
-      std::string cls;
-      if (!(fields >> cls)) return bad("truncated H");
-      std::string unescaped;
-      ALICOCO_ASSIGN_OR_RETURN(unescaped, Unescape(cls));
-      cur->heavy_classes.push_back(std::move(unescaped));
-    } else if (tag == "S") {
-      int ln = 0;
-      std::string callee;
-      if (!(fields >> ln >> callee)) return bad("truncated S");
-      CallStatement s;
-      s.line = ln;
-      ALICOCO_ASSIGN_OR_RETURN(s.callee, Unescape(callee));
-      cur->call_statements.push_back(std::move(s));
-    } else if (tag == "G") {
-      int ln = 0;
-      std::string rule, message;
-      if (!(fields >> ln >> rule >> message)) return bad("truncated G");
-      Finding f;
-      f.file = cur->path;
-      f.line = ln;
-      ALICOCO_ASSIGN_OR_RETURN(f.rule, Unescape(rule));
-      ALICOCO_ASSIGN_OR_RETURN(f.message, Unescape(message));
-      cur->findings.push_back(std::move(f));
-    } else if (tag == "L") {
-      int ln = 0;
-      if (!(fields >> ln)) return bad("truncated L");
-      std::string rule;
-      while (fields >> rule) cur->allowances[ln].insert(rule);
-    } else {
-      return bad("unknown tag '" + tag + "'");
-    }
-  }
-  if (cur != nullptr) return bad("truncated cache (missing E)");
-  return files;
 }
 
 }  // namespace alicoco::lint

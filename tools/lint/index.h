@@ -5,14 +5,8 @@
 // lock acquisitions and calls, checked-return declarations, bare
 // statement-expression call sites, per-file rule findings, and inline
 // `lint:allow` lines. The cross-file passes (tools/lint/passes/) consume
-// summaries only, never tokens, which is what makes the content-hash
-// cache sound: a warm run loads summaries for unchanged files and skips
-// the lexer entirely.
-//
-// Nothing here reads a wall clock. Build cost is charged to an injectable
-// LintClock (summarizing a file costs its byte count, a cache hit costs a
-// small flat amount), so tests can assert the cold/warm speedup without
-// timing flake, and the determinism gate stays intact.
+// summaries only, never tokens. Every run is cold: each file is read and
+// summarized from source.
 
 #ifndef ALICOCO_TOOLS_LINT_INDEX_H_
 #define ALICOCO_TOOLS_LINT_INDEX_H_
@@ -234,7 +228,6 @@ struct FunctionSummary {
 /// Everything the cross-file passes need to know about one file.
 struct FileSummary {
   std::string path;  ///< repo-relative, forward slashes
-  uint64_t content_hash = 0;
   std::vector<IncludeSite> includes;
   std::vector<MutexMemberDecl> mutexes;
   std::vector<GuardedMemberDecl> guarded_members;
@@ -251,43 +244,10 @@ struct FileSummary {
   std::vector<std::string> heavy_classes;
 };
 
-/// Injectable cost clock. The index charges units of simulated time as
-/// work happens; the CLI uses the default accumulator for `--stats`, and
-/// tests read it to assert the warm-cache speedup deterministically.
-class LintClock {
- public:
-  virtual ~LintClock() = default;
-  virtual void AdvanceUs(uint64_t us) = 0;
-  virtual uint64_t NowUs() const = 0;
-};
-
-/// Default LintClock: a plain accumulator starting at zero.
-class SimulatedClock : public LintClock {
- public:
-  void AdvanceUs(uint64_t us) override { now_us_ += us; }
-  uint64_t NowUs() const override { return now_us_; }
-
- private:
-  uint64_t now_us_ = 0;
-};
-
 struct IndexStats {
-  size_t files = 0;        ///< files in the index
-  size_t lexed = 0;        ///< summarized from source this build
-  size_t cache_hits = 0;   ///< summaries loaded from the cache
+  size_t files = 0;  ///< files in the index
   uint64_t bytes_lexed = 0;
-  uint64_t cost_us = 0;    ///< simulated cost charged to the clock
 };
-
-/// FNV-1a 64-bit, the cache's change detector.
-uint64_t HashContent(const std::string& contents);
-
-/// A fingerprint of the analyzer itself: the hash of every rule id, every
-/// pass id, and a hand-bumped summary-format revision. Part of the cache
-/// header, so upgrading the lint binary (new rule, new pass, changed
-/// summary shape) invalidates every cached FileSummary instead of serving
-/// findings computed by an older analyzer.
-uint64_t AnalyzerCacheVersion();
 
 /// Lexes `contents` once and extracts the full FileSummary, running every
 /// per-file registry rule along the way. Exposed for unit tests; Build is
@@ -297,38 +257,19 @@ FileSummary SummarizeSource(const std::string& path,
 
 class ProjectIndex {
  public:
-  struct Options {
-    /// Summary cache; empty disables caching. Loaded before the walk and
-    /// rewritten after it, so run N+1 re-lexes only what run N didn't see.
-    std::string cache_path;
-    /// Cost accounting; may be nullptr.
-    LintClock* cost_clock = nullptr;
-  };
-
   /// Walks `subdirs` under `root` (skipping any directory literally named
   /// "fixtures"), summarizing every .h/.hpp/.cc/.cpp in sorted order.
   static Result<ProjectIndex> Build(const std::string& root,
-                                    const std::vector<std::string>& subdirs,
-                                    const Options& options);
+                                    const std::vector<std::string>& subdirs);
 
   const std::vector<FileSummary>& files() const { return files_; }
   const FileSummary* Find(const std::string& path) const;
   const IndexStats& stats() const { return stats_; }
-  /// Paths summarized from source this build (cache misses), sorted.
-  const std::vector<std::string>& changed() const { return changed_; }
 
  private:
   std::vector<FileSummary> files_;
-  std::vector<std::string> changed_;
   IndexStats stats_;
 };
-
-/// Cache (de)serialization, exposed for the invalidation tests. The
-/// format is a versioned line protocol; any parse hiccup discards the
-/// cache (a stale or torn cache must never poison an analysis).
-std::string SerializeSummaries(const std::vector<FileSummary>& files);
-Result<std::vector<FileSummary>> DeserializeSummaries(
-    const std::string& text);
 
 }  // namespace alicoco::lint
 

@@ -2,10 +2,8 @@
 //
 //   alicoco_lint --root <repo-root> [--suppressions FILE | --no-suppressions]
 //   alicoco_lint --root <repo-root> <repo-relative-file>...
-//   alicoco_lint --root <repo-root> --project src [--sarif OUT] [--cache F]
-//                [--changed-only] [--layers FILE] [--stats]
-//   alicoco_lint --root <repo-root> --project src --self-bench OUT
-//                [--bench-baseline FILE] [--max-regress R]
+//   alicoco_lint --root <repo-root> --project src [--sarif OUT]
+//                [--layers FILE] [--stats]
 //   alicoco_lint --list-rules
 //   alicoco_lint --explain <rule-id>
 //
@@ -14,24 +12,16 @@
 // file arguments the whole first-party tree is scanned per-file.
 //
 // `--project DIR` switches to whole-program mode: the subtree is indexed
-// once and the cross-file passes (include-cycle, layer-violation,
-// lock-order-cycle, discarded-result, the interprocedural tier:
-// guarded-by-violation, blocking-under-lock, view-escapes-call, and the
-// taint tier: tainted-alloc-size, unchecked-mul-overflow, tainted-index)
-// run
-// alongside every per-file rule. `--cache` makes repeat runs incremental;
-// `--changed-only` additionally restricts the report to files the cache
-// saw change. `--sarif` writes the findings as a SARIF 2.1.0 document for
-// CI upload.
+// from source on every run, and the cross-file passes of every tier
+// (include-graph, lock-order, discarded-result, dataflow, interprocedural,
+// taint; `--list-rules` names each pass) run alongside every per-file
+// rule. `--sarif` writes the findings as a SARIF 2.1.0 document for CI
+// upload; `--stats` prints the index and tier sizes to stderr.
 //
 // `--explain <rule-id>` prints the rule's rationale plus a minimal
 // bad/good example pair, from the same registries the SARIF writer and
-// --list-rules use. `--self-bench OUT` runs the analyzer over the project
-// twice — cold (cache deleted) then warm — and writes the simulated cost
-// figures as BENCH JSON; with `--bench-baseline`, warm cost regressions
-// beyond `--max-regress` (default 0.25) fail the run.
+// --list-rules use.
 
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -99,52 +89,6 @@ int ExplainRule(const std::string& id) {
   return 0;
 }
 
-/// One cold-vs-warm benchmark figure set for BENCH_lint.json.
-struct BenchFigures {
-  size_t files = 0;
-  uint64_t bytes_lexed = 0;
-  uint64_t cold_cost_us = 0;
-  uint64_t warm_cost_us = 0;
-  uint64_t interproc_cost_us = 0;
-  uint64_t taint_cost_us = 0;
-};
-
-std::string WriteBenchJson(const BenchFigures& b) {
-  std::ostringstream out;
-  out << "{\n"
-      << "  \"schema\": \"alicoco.bench_lint.v1\",\n"
-      << "  \"files\": " << b.files << ",\n"
-      << "  \"bytes_lexed\": " << b.bytes_lexed << ",\n"
-      << "  \"cold_cost_us\": " << b.cold_cost_us << ",\n"
-      << "  \"warm_cost_us\": " << b.warm_cost_us << ",\n"
-      << "  \"interproc_cost_us\": " << b.interproc_cost_us << ",\n"
-      << "  \"taint_cost_us\": " << b.taint_cost_us << "\n"
-      << "}\n";
-  return out.str();
-}
-
-/// Pulls one `"key": <number>` out of a baseline BENCH_lint.json. The
-/// schema is first-party and flat, so a line scan is enough.
-bool ReadJsonNumber(const std::string& text, const std::string& key,
-                    uint64_t* out) {
-  size_t pos = text.find("\"" + key + "\"");
-  if (pos == std::string::npos) return false;
-  pos = text.find(':', pos);
-  if (pos == std::string::npos) return false;
-  ++pos;
-  while (pos < text.size() && text[pos] == ' ') ++pos;
-  uint64_t value = 0;
-  bool any = false;
-  while (pos < text.size() && text[pos] >= '0' && text[pos] <= '9') {
-    value = value * 10 + static_cast<uint64_t>(text[pos] - '0');
-    ++pos;
-    any = true;
-  }
-  if (!any) return false;
-  *out = value;
-  return true;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -152,15 +96,10 @@ int main(int argc, char** argv) {
   std::string suppressions_path;
   std::string project_dir;
   std::string sarif_path;
-  std::string cache_path;
   std::string layers_path;
   std::string explain_rule;
-  std::string self_bench_path;
-  std::string bench_baseline_path;
-  double max_regress = 0.25;
   bool use_suppressions = true;
   bool list_rules = false;
-  bool changed_only = false;
   bool print_stats = false;
   std::vector<std::string> files;
 
@@ -176,20 +115,10 @@ int main(int argc, char** argv) {
       project_dir = argv[++i];
     } else if (arg == "--sarif" && i + 1 < argc) {
       sarif_path = argv[++i];
-    } else if (arg == "--cache" && i + 1 < argc) {
-      cache_path = argv[++i];
     } else if (arg == "--layers" && i + 1 < argc) {
       layers_path = argv[++i];
     } else if (arg == "--explain" && i + 1 < argc) {
       explain_rule = argv[++i];
-    } else if (arg == "--self-bench" && i + 1 < argc) {
-      self_bench_path = argv[++i];
-    } else if (arg == "--bench-baseline" && i + 1 < argc) {
-      bench_baseline_path = argv[++i];
-    } else if (arg == "--max-regress" && i + 1 < argc) {
-      max_regress = std::atof(argv[++i]);
-    } else if (arg == "--changed-only") {
-      changed_only = true;
     } else if (arg == "--stats") {
       print_stats = true;
     } else if (arg == "--list-rules") {
@@ -198,11 +127,8 @@ int main(int argc, char** argv) {
       std::cout << "usage: alicoco_lint [--root DIR] [--suppressions FILE] "
                    "[--no-suppressions] [--list-rules]\n"
                    "                    [--project DIR] [--sarif OUT] "
-                   "[--cache FILE] [--changed-only]\n"
-                   "                    [--layers FILE] [--stats] "
-                   "[--explain RULE] [file...]\n"
-                   "                    [--self-bench OUT "
-                   "[--bench-baseline FILE] [--max-regress R]]\n";
+                   "[--layers FILE] [--stats]\n"
+                   "                    [--explain RULE] [file...]\n";
       return 0;
     } else if (!arg.empty() && arg[0] == '-') {
       std::cerr << "alicoco_lint: unknown flag '" << arg << "'\n";
@@ -224,11 +150,8 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  if (project_dir.empty() &&
-      (!sarif_path.empty() || !cache_path.empty() || changed_only ||
-       !layers_path.empty() || !self_bench_path.empty())) {
-    std::cerr << "alicoco_lint: --sarif/--cache/--changed-only/--layers/"
-                 "--self-bench require --project\n";
+  if (project_dir.empty() && (!sarif_path.empty() || !layers_path.empty())) {
+    std::cerr << "alicoco_lint: --sarif/--layers require --project\n";
     return 2;
   }
 
@@ -245,97 +168,11 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (!self_bench_path.empty()) {
-    // Self-benchmark: analyze the project cold (cache removed), then warm
-    // (every summary served from the cache just written). Costs are
-    // simulated units from the deterministic clock, so the figures are
-    // machine-independent and byte-stable for the regression gate.
-    const std::string bench_cache = self_bench_path + ".cache";
-    std::error_code ec;
-    std::filesystem::remove(bench_cache, ec);
-
-    alicoco::lint::ProjectOptions options;
-    options.project_dir = project_dir;
-    options.layers_path = layers_path;
-    options.cache_path = bench_cache;
-    options.suppressions = &suppressions;
-
-    BenchFigures figures;
-    alicoco::lint::SimulatedClock cold_clock;
-    options.cost_clock = &cold_clock;
-    auto cold = alicoco::lint::AnalyzeProject(root, options);
-    if (!cold.ok()) return Fail(cold.status());
-    figures.files = cold->stats.files;
-    figures.bytes_lexed = cold->stats.bytes_lexed;
-    figures.cold_cost_us = cold_clock.NowUs();
-    figures.interproc_cost_us = cold->interproc.cost_us;
-    figures.taint_cost_us = cold->taint.cost_us;
-
-    alicoco::lint::SimulatedClock warm_clock;
-    options.cost_clock = &warm_clock;
-    auto warm = alicoco::lint::AnalyzeProject(root, options);
-    if (!warm.ok()) return Fail(warm.status());
-    figures.warm_cost_us = warm_clock.NowUs();
-    std::filesystem::remove(bench_cache, ec);
-
-    std::ofstream out(self_bench_path, std::ios::binary | std::ios::trunc);
-    if (!out) {
-      return Fail(alicoco::Status::IOError("cannot write bench JSON: " +
-                                           self_bench_path));
-    }
-    out << WriteBenchJson(figures);
-    std::cerr << "alicoco_lint: self-bench " << figures.files << " files, "
-              << "cold " << figures.cold_cost_us << "us, warm "
-              << figures.warm_cost_us << "us (interproc "
-              << figures.interproc_cost_us << "us, taint "
-              << figures.taint_cost_us << "us)\n";
-
-    if (!bench_baseline_path.empty()) {
-      std::ifstream baseline_in(bench_baseline_path, std::ios::binary);
-      if (!baseline_in) {
-        return Fail(alicoco::Status::IOError("cannot read bench baseline: " +
-                                             bench_baseline_path));
-      }
-      std::ostringstream buf;
-      buf << baseline_in.rdbuf();
-      uint64_t base_cold = 0, base_warm = 0;
-      if (!ReadJsonNumber(buf.str(), "cold_cost_us", &base_cold) ||
-          !ReadJsonNumber(buf.str(), "warm_cost_us", &base_warm)) {
-        return Fail(alicoco::Status::InvalidArgument(
-            "bench baseline missing cold_cost_us/warm_cost_us: " +
-            bench_baseline_path));
-      }
-      const auto limit = [&](uint64_t base) {
-        return static_cast<uint64_t>(static_cast<double>(base) *
-                                     (1.0 + max_regress));
-      };
-      bool regressed = false;
-      if (base_cold != 0 && figures.cold_cost_us > limit(base_cold)) {
-        std::cerr << "alicoco_lint: cold cost regressed: "
-                  << figures.cold_cost_us << "us > " << base_cold
-                  << "us * " << (1.0 + max_regress) << "\n";
-        regressed = true;
-      }
-      if (base_warm != 0 && figures.warm_cost_us > limit(base_warm)) {
-        std::cerr << "alicoco_lint: warm cost regressed: "
-                  << figures.warm_cost_us << "us > " << base_warm
-                  << "us * " << (1.0 + max_regress) << "\n";
-        regressed = true;
-      }
-      if (regressed) return 1;
-    }
-    return 0;
-  }
-
   std::vector<alicoco::lint::Finding> findings;
   if (!project_dir.empty()) {
-    alicoco::lint::SimulatedClock cost_clock;
     alicoco::lint::ProjectOptions options;
     options.project_dir = project_dir;
     options.layers_path = layers_path;
-    options.cache_path = cache_path;
-    options.changed_only = changed_only;
-    options.cost_clock = &cost_clock;
     options.suppressions = &suppressions;
     auto report = alicoco::lint::AnalyzeProject(root, options);
     if (!report.ok()) return Fail(report.status());
@@ -351,18 +188,15 @@ int main(int argc, char** argv) {
     if (print_stats) {
       const alicoco::lint::IndexStats& stats = report->stats;
       std::cerr << "alicoco_lint: " << stats.files << " files, "
-                << stats.lexed << " summarized, " << stats.cache_hits
-                << " cache hits, " << stats.bytes_lexed << " bytes lexed, "
-                << stats.cost_us << " cost units\n";
+                << stats.bytes_lexed << " bytes lexed\n";
       const alicoco::lint::InterprocStats& ip = report->interproc;
       std::cerr << "alicoco_lint: interproc " << ip.functions
                 << " functions, " << ip.sccs << " sccs, " << ip.edges
-                << " edges, " << ip.may_block << " may-block, " << ip.cost_us
-                << " cost units\n";
+                << " edges, " << ip.may_block << " may-block\n";
       const alicoco::lint::TaintStats& ts = report->taint;
       std::cerr << "alicoco_lint: taint " << ts.call_args << " call args, "
                 << ts.pending << " pending, " << ts.sink_params
-                << " sink params, " << ts.cost_us << " cost units\n";
+                << " sink params\n";
     }
   } else if (files.empty()) {
     auto result = alicoco::lint::AnalyzeTree(root, &suppressions);

@@ -366,9 +366,6 @@ Interproc::Interproc(const ProjectIndex& index)
   stats_.sccs = components.size();
   stats_.edges = edge_set.size();
   stats_.may_block = blocking_.size();
-  // Simulated cost: both fixpoints are linear sweeps over functions and
-  // resolved edges per round; charge one unit each.
-  stats_.cost_us = stats_.functions + 2 * stats_.edges;
 }
 
 std::set<std::string> Interproc::HeldKeys(const FnRef& ref,

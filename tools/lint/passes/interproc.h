@@ -24,7 +24,6 @@
 #ifndef ALICOCO_TOOLS_LINT_PASSES_INTERPROC_H_
 #define ALICOCO_TOOLS_LINT_PASSES_INTERPROC_H_
 
-#include <cstdint>
 #include <map>
 #include <set>
 #include <string>
@@ -87,13 +86,12 @@ const char* BlockingSeedKind(const std::string& callee);
 /// held lock as the argument, or inside an ALICOCO_REQUIRES function).
 bool IsWaitSeedKind(const char* kind);
 
-/// Aggregate statistics for `--stats` and the self-benchmark.
+/// Aggregate statistics for `--stats`.
 struct InterprocStats {
   size_t functions = 0;  ///< function summaries fed to the fixpoints
   size_t sccs = 0;       ///< call-graph condensation components
   size_t edges = 0;      ///< resolved caller->callee key edges
   size_t may_block = 0;  ///< functions the bottom-up fixpoint marked
-  uint64_t cost_us = 0;  ///< simulated cost charged for the interproc tier
 };
 
 /// The computed interprocedural facts. Build once per analysis; the three

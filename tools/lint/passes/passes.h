@@ -86,14 +86,11 @@ std::vector<Finding> RunBlockingLockPass(const ProjectIndex& index,
 /// definition of F returns a view aliasing that parameter.
 std::vector<Finding> RunViewEscapePass(const ProjectIndex& index);
 
-/// Size/cost counters of the cross-file taint tier, for `--stats` and the
-/// self-bench. Cost is simulated (proportional to the records processed),
-/// never wall-clock, like every other figure in the analyzer.
+/// Size counters of the cross-file taint tier, for `--stats`.
 struct TaintStats {
   size_t call_args = 0;    ///< suspect call-site arguments examined
   size_t pending = 0;      ///< guard-checked local sink hits
   size_t sink_params = 0;  ///< parameters proven to reach a sink
-  uint64_t cost_us = 0;
 };
 
 /// Pass 8 — taint flow across calls. Resolves the taint_calls /
@@ -112,7 +109,7 @@ std::vector<Finding> RunTaintPass(const ProjectIndex& index,
 /// findings sorted by (file, line, rule, message). The interprocedural
 /// tier (call-graph condensation + fixpoints) is built once and shared by
 /// the passes that need it; when `interproc_stats` is non-null it
-/// receives that tier's size/cost counters for `--stats`.
+/// receives that tier's size counters for `--stats`.
 std::vector<Finding> RunAllPasses(const ProjectIndex& index,
                                   const Layers& layers,
                                   InterprocStats* interproc_stats = nullptr,
@@ -122,9 +119,9 @@ std::vector<Finding> RunAllPasses(const ProjectIndex& index,
 // Intraprocedural dataflow checks.
 //
 // These run at summarize time (per file), so their findings are stored in
-// the FileSummary and ride the content-hash cache exactly like per-file
-// rule findings. Each check consumes the function's CFG; none of them
-// reports anything on a function whose CFG builder fell back.
+// the FileSummary exactly like per-file rule findings. Each check consumes
+// the function's CFG; none of them reports anything on a function whose
+// CFG builder fell back.
 
 /// use-after-move: `std::move(x)` poisons `x` until it is reassigned /
 /// cleared / rebound; a use while poisoned on ANY path (merged over

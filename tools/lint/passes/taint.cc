@@ -1366,8 +1366,6 @@ std::vector<Finding> RunTaintPass(const ProjectIndex& index,
         if (m != 0) ++stats->sink_params;
       }
     }
-    stats->cost_us = 2 * call_args + pending + 3 * rounds +
-                     stats->sink_params;
   }
   return findings;
 }

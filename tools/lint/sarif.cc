@@ -1,10 +1,7 @@
 #include "tools/lint/sarif.h"
 
-#include <cctype>
 #include <cstdio>
-#include <map>
 #include <string_view>
-#include <utility>
 
 #include "tools/lint/passes/passes.h"
 
@@ -32,224 +29,6 @@ void AppendJsonString(const std::string& s, std::string* out) {
   }
   out->push_back('"');
 }
-
-// ---------------------------------------------------------------------------
-// Minimal JSON reader — only what ParseSarif needs.
-
-struct JsonValue {
-  enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
-  Kind kind = Kind::kNull;
-  bool boolean = false;
-  double number = 0;
-  std::string str;
-  std::vector<JsonValue> array;
-  std::vector<std::pair<std::string, JsonValue>> object;
-
-  const JsonValue* Find(const std::string& key) const {
-    for (const auto& [k, v] : object) {
-      if (k == key) return &v;
-    }
-    return nullptr;
-  }
-};
-
-class JsonReader {
- public:
-  explicit JsonReader(const std::string& text) : text_(text) {}
-
-  Result<JsonValue> Parse() {
-    ALICOCO_ASSIGN_OR_RETURN(JsonValue value, ParseValue());
-    SkipSpace();
-    if (pos_ != text_.size()) {
-      return Status::Corruption("trailing bytes after JSON document");
-    }
-    return value;
-  }
-
- private:
-  void SkipSpace() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_])) != 0) {
-      ++pos_;
-    }
-  }
-
-  Status Fail(const std::string& why) const {
-    return Status::Corruption("SARIF JSON byte " + std::to_string(pos_) +
-                              ": " + why);
-  }
-
-  Result<JsonValue> ParseValue() {
-    SkipSpace();
-    if (pos_ >= text_.size()) return Fail("unexpected end");
-    // A SARIF document is ~6 levels deep; a crafted file of nothing but
-    // '[' must hit a corruption error, not exhaust the stack.
-    if (depth_ >= kMaxDepth) return Fail("nesting too deep");
-    char c = text_[pos_];
-    if (c == '{' || c == '[') {
-      ++depth_;
-      Result<JsonValue> out = c == '{' ? ParseObject() : ParseArray();
-      --depth_;
-      return out;
-    }
-    if (c == '"') return ParseString();
-    if (c == 't' || c == 'f' || c == 'n') return ParseKeyword();
-    return ParseNumber();
-  }
-
-  Result<JsonValue> ParseObject() {
-    JsonValue out;
-    out.kind = JsonValue::Kind::kObject;
-    ++pos_;  // '{'
-    SkipSpace();
-    if (pos_ < text_.size() && text_[pos_] == '}') {
-      ++pos_;
-      return out;
-    }
-    for (;;) {
-      ALICOCO_ASSIGN_OR_RETURN(JsonValue key, ParseString());
-      SkipSpace();
-      if (pos_ >= text_.size() || text_[pos_] != ':') return Fail("want ':'");
-      ++pos_;
-      ALICOCO_ASSIGN_OR_RETURN(JsonValue value, ParseValue());
-      out.object.emplace_back(std::move(key.str), std::move(value));
-      SkipSpace();
-      if (pos_ >= text_.size()) return Fail("unterminated object");
-      if (text_[pos_] == ',') {
-        ++pos_;
-        SkipSpace();
-        continue;
-      }
-      if (text_[pos_] == '}') {
-        ++pos_;
-        return out;
-      }
-      return Fail("want ',' or '}'");
-    }
-  }
-
-  Result<JsonValue> ParseArray() {
-    JsonValue out;
-    out.kind = JsonValue::Kind::kArray;
-    ++pos_;  // '['
-    SkipSpace();
-    if (pos_ < text_.size() && text_[pos_] == ']') {
-      ++pos_;
-      return out;
-    }
-    for (;;) {
-      ALICOCO_ASSIGN_OR_RETURN(JsonValue value, ParseValue());
-      out.array.push_back(std::move(value));
-      SkipSpace();
-      if (pos_ >= text_.size()) return Fail("unterminated array");
-      if (text_[pos_] == ',') {
-        ++pos_;
-        continue;
-      }
-      if (text_[pos_] == ']') {
-        ++pos_;
-        return out;
-      }
-      return Fail("want ',' or ']'");
-    }
-  }
-
-  Result<JsonValue> ParseString() {
-    SkipSpace();
-    if (pos_ >= text_.size() || text_[pos_] != '"') return Fail("want '\"'");
-    ++pos_;
-    JsonValue out;
-    out.kind = JsonValue::Kind::kString;
-    while (pos_ < text_.size()) {
-      char c = text_[pos_++];
-      if (c == '"') return out;
-      if (c != '\\') {
-        out.str.push_back(c);
-        continue;
-      }
-      if (pos_ >= text_.size()) return Fail("dangling escape");
-      char e = text_[pos_++];
-      switch (e) {
-        case '"': out.str.push_back('"'); break;
-        case '\\': out.str.push_back('\\'); break;
-        case '/': out.str.push_back('/'); break;
-        case 'n': out.str.push_back('\n'); break;
-        case 't': out.str.push_back('\t'); break;
-        case 'r': out.str.push_back('\r'); break;
-        case 'b': out.str.push_back('\b'); break;
-        case 'f': out.str.push_back('\f'); break;
-        case 'u': {
-          if (pos_ + 4 > text_.size()) return Fail("short \\u escape");
-          unsigned code = 0;
-          for (int i = 0; i < 4; ++i) {
-            char h = text_[pos_++];
-            code <<= 4;
-            if (h >= '0' && h <= '9') {
-              code |= static_cast<unsigned>(h - '0');
-            } else if (h >= 'a' && h <= 'f') {
-              code |= static_cast<unsigned>(h - 'a' + 10);
-            } else if (h >= 'A' && h <= 'F') {
-              code |= static_cast<unsigned>(h - 'A' + 10);
-            } else {
-              return Fail("bad \\u escape");
-            }
-          }
-          // The writer only emits \u for C0 control bytes.
-          out.str.push_back(static_cast<char>(code));
-          break;
-        }
-        default:
-          return Fail("unknown escape");
-      }
-    }
-    return Fail("unterminated string");
-  }
-
-  Result<JsonValue> ParseKeyword() {
-    JsonValue out;
-    if (text_.compare(pos_, 4, "true") == 0) {
-      out.kind = JsonValue::Kind::kBool;
-      out.boolean = true;
-      pos_ += 4;
-      return out;
-    }
-    if (text_.compare(pos_, 5, "false") == 0) {
-      out.kind = JsonValue::Kind::kBool;
-      pos_ += 5;
-      return out;
-    }
-    if (text_.compare(pos_, 4, "null") == 0) {
-      pos_ += 4;
-      return out;
-    }
-    return Fail("unknown keyword");
-  }
-
-  Result<JsonValue> ParseNumber() {
-    size_t start = pos_;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) != 0 ||
-            text_[pos_] == '-' || text_[pos_] == '+' || text_[pos_] == '.' ||
-            text_[pos_] == 'e' || text_[pos_] == 'E')) {
-      ++pos_;
-    }
-    if (pos_ == start) return Fail("want a value");
-    JsonValue out;
-    out.kind = JsonValue::Kind::kNumber;
-    try {
-      out.number = std::stod(text_.substr(start, pos_ - start));
-    } catch (...) {
-      return Fail("bad number");
-    }
-    return out;
-  }
-
-  static constexpr int kMaxDepth = 64;
-
-  const std::string& text_;
-  size_t pos_ = 0;
-  int depth_ = 0;
-};
 
 }  // namespace
 
@@ -304,62 +83,6 @@ std::string WriteSarif(const std::vector<Finding>& findings) {
   out.append(findings.empty() ? "]\n" : "\n      ]\n");
   out.append("    }\n  ]\n}\n");
   return out;
-}
-
-Result<std::vector<Finding>> ParseSarif(const std::string& text) {
-  ALICOCO_ASSIGN_OR_RETURN(JsonValue root, JsonReader(text).Parse());
-  if (root.kind != JsonValue::Kind::kObject) {
-    return Status::Corruption("SARIF root is not an object");
-  }
-  const JsonValue* version = root.Find("version");
-  if (version == nullptr || version->str != "2.1.0") {
-    return Status::Corruption("missing or unsupported SARIF version");
-  }
-  const JsonValue* runs = root.Find("runs");
-  if (runs == nullptr || runs->kind != JsonValue::Kind::kArray ||
-      runs->array.empty()) {
-    return Status::Corruption("SARIF document has no runs");
-  }
-  const JsonValue& run = runs->array[0];
-  const JsonValue* tool = run.Find("tool");
-  if (tool == nullptr || tool->Find("driver") == nullptr) {
-    return Status::Corruption("SARIF run has no tool.driver");
-  }
-  const JsonValue* results = run.Find("results");
-  if (results == nullptr || results->kind != JsonValue::Kind::kArray) {
-    return Status::Corruption("SARIF run has no results array");
-  }
-
-  std::vector<Finding> findings;
-  for (const JsonValue& result : results->array) {
-    Finding f;
-    const JsonValue* rule_id = result.Find("ruleId");
-    const JsonValue* message = result.Find("message");
-    if (rule_id == nullptr || message == nullptr ||
-        message->Find("text") == nullptr) {
-      return Status::Corruption("SARIF result missing ruleId/message.text");
-    }
-    f.rule = rule_id->str;
-    f.message = message->Find("text")->str;
-    const JsonValue* locations = result.Find("locations");
-    if (locations == nullptr || locations->array.empty()) {
-      return Status::Corruption("SARIF result has no locations");
-    }
-    const JsonValue* physical = locations->array[0].Find("physicalLocation");
-    if (physical == nullptr) {
-      return Status::Corruption("SARIF location has no physicalLocation");
-    }
-    const JsonValue* artifact = physical->Find("artifactLocation");
-    const JsonValue* region = physical->Find("region");
-    if (artifact == nullptr || artifact->Find("uri") == nullptr ||
-        region == nullptr || region->Find("startLine") == nullptr) {
-      return Status::Corruption("SARIF physicalLocation incomplete");
-    }
-    f.file = artifact->Find("uri")->str;
-    f.line = static_cast<int>(region->Find("startLine")->number);
-    findings.push_back(std::move(f));
-  }
-  return findings;
 }
 
 }  // namespace alicoco::lint

@@ -1,11 +1,9 @@
-// SARIF 2.1.0 output for alicoco_lint, plus a minimal reader.
+// SARIF 2.1.0 output for alicoco_lint.
 //
-// The writer emits the interchange subset CI artifact viewers consume:
-// one run, the full rule catalog (per-file rules and cross-file passes)
-// under tool.driver.rules, and one result per finding with a physical
-// location. The reader parses exactly that subset back into Findings so
-// tests can assert writer -> reader is the identity; it is not a general
-// SARIF consumer.
+// The writer emits the interchange subset CI artifact viewers and code
+// scanning consume: one run, the full rule catalog (per-file rules and
+// cross-file passes) under tool.driver.rules, and one result per finding
+// with a physical location.
 
 #ifndef ALICOCO_TOOLS_LINT_SARIF_H_
 #define ALICOCO_TOOLS_LINT_SARIF_H_
@@ -13,7 +11,6 @@
 #include <string>
 #include <vector>
 
-#include "common/status.h"
 #include "tools/lint/rules.h"
 
 namespace alicoco::lint {
@@ -22,11 +19,6 @@ namespace alicoco::lint {
 /// for a given finding list: fixed key order, two-space indentation,
 /// rules sorted registry-first then passes.
 std::string WriteSarif(const std::vector<Finding>& findings);
-
-/// Reads back the subset WriteSarif emits: runs[0].results[*] with
-/// ruleId, message.text, and the first physical location. Errors on
-/// malformed JSON or a document missing the required SARIF spine.
-Result<std::vector<Finding>> ParseSarif(const std::string& text);
 
 }  // namespace alicoco::lint
 
