@@ -1,20 +1,16 @@
 // Shared setup for the table/figure reproduction harnesses: a bench-scale
-// world configuration and wall-clock reporting on the observability layer.
-// Every harness prints the paper's rows plus the measured values on the
-// synthetic world; stage timings additionally land as spans in the bench
-// tracer and as latency histograms in the bench registry, so any harness
-// can be dumped via obs::ExportPrometheusText / ExportTraceJsonl.
+// world configuration and a printing wall-clock stage timer. Every
+// harness prints the paper's rows plus the measured values on the
+// synthetic world.
 
 #ifndef ALICOCO_BENCH_BENCH_UTIL_H_
 #define ALICOCO_BENCH_BENCH_UTIL_H_
 
+#include <chrono>
 #include <cstdio>
-#include <string>
 
 #include "datagen/resources.h"
 #include "datagen/world.h"
-#include "obs/metrics.h"
-#include "obs/trace.h"
 
 namespace alicoco::bench {
 
@@ -38,40 +34,25 @@ inline datagen::WorldConfig BenchWorldConfig() {
   return cfg;
 }
 
-/// Process-wide tracer shared by every harness stage timer.
-inline obs::Tracer& BenchTracer() {
-  static obs::Tracer tracer;
-  return tracer;
-}
-
-/// Process-wide metrics registry for harness instrumentation.
-inline obs::Registry& BenchRegistry() {
-  static obs::Registry registry;
-  return registry;
-}
-
-/// RAII wall-clock stage timer: prints "[stage] ... Ns" on destruction.
-/// Built on the observability layer: each timed stage is a span named
-/// `bench.<stage>` in BenchTracer() and an observation in the
-/// `bench.stage_ms` histogram of BenchRegistry().
+/// RAII wall-clock stage timer: prints "[stage] ..." on construction and
+/// "[stage] done in Ns" on destruction.
 class StageTimer {
  public:
   explicit StageTimer(const char* stage)
-      : stage_(stage), span_(&BenchTracer(), std::string("bench.") + stage) {
+      : stage_(stage), start_(std::chrono::steady_clock::now()) {
     std::printf("[%s] ...\n", stage);
     std::fflush(stdout);
   }
   ~StageTimer() {
-    double elapsed_ms =
-        static_cast<double>(span_.ElapsedUs()) / 1000.0;
-    BenchRegistry().GetHistogram("bench.stage_ms")->Observe(elapsed_ms);
-    std::printf("[%s] done in %.1fs\n", stage_, elapsed_ms / 1000.0);
+    std::chrono::duration<double> elapsed =
+        std::chrono::steady_clock::now() - start_;
+    std::printf("[%s] done in %.1fs\n", stage_, elapsed.count());
     std::fflush(stdout);
   }
 
  private:
   const char* stage_;
-  obs::ScopedSpan span_;
+  std::chrono::steady_clock::time_point start_;
 };
 
 }  // namespace alicoco::bench

@@ -28,8 +28,8 @@
 // The whole mode compiles away when ALICOCO_LOCK_STATS is 0 (CMake option
 // ALICOCO_LOCK_STATS, default ON); with it compiled in but no sink
 // installed, a named mutex pays one atomic load per lock() and an unnamed
-// one a single pointer check — bench/obs_report measures and gates that
-// disabled-mode cost at <1% of pipeline wall time.
+// one a single pointer check. perfbench's timing pass runs in that
+// disabled mode, so its clean timings include the cost.
 
 #ifndef ALICOCO_COMMON_MUTEX_H_
 #define ALICOCO_COMMON_MUTEX_H_

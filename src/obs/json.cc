@@ -44,8 +44,8 @@ class JsonParser {
   Result<JsonValue> ParseValue() {
     SkipSpace();
     if (pos_ >= text_.size()) return Error("unexpected end of input");
-    // A profile document is a few levels deep; a crafted file of nothing
-    // but '[' must hit a corruption error, not exhaust the stack.
+    // The documents read here are a few levels deep; a crafted file of
+    // nothing but '[' must hit a corruption error, not exhaust the stack.
     if (depth_ >= kMaxDepth) return Error("nesting too deep");
     char c = text_[pos_];
     if (c == '{' || c == '[') {
@@ -143,7 +143,7 @@ class JsonParser {
               return Error("bad \\u escape digit");
             }
           }
-          // Profile strings are ASCII; anything else degrades to '?'.
+          // Strings are read as ASCII; anything else degrades to '?'.
           out.str.push_back(code < 0x80 ? static_cast<char>(code) : '?');
           break;
         }
@@ -199,7 +199,7 @@ class JsonParser {
       out.number = std::stod(text_.substr(start, pos_ - start));
     } catch (...) {
       // stod throws on out-of-range exponents like 1e999999999; a corrupt
-      // profile must parse-fail, not unwind through the caller.
+      // document must parse-fail, not unwind through the caller.
       return Error("number out of range");
     }
     return out;
@@ -216,15 +216,6 @@ class JsonParser {
 
 Result<JsonValue> ParseJson(const std::string& text) {
   return JsonParser(text).Parse();
-}
-
-Result<double> JsonRequireNumber(const JsonValue& object,
-                                 const std::string& key) {
-  const JsonValue* v = object.Find(key);
-  if (v == nullptr || v->kind != JsonValue::Kind::kNumber) {
-    return Status::Corruption("missing numeric field '" + key + "'");
-  }
-  return v->number;
 }
 
 Result<std::string> JsonRequireString(const JsonValue& object,

@@ -1,12 +1,12 @@
-// Minimal JSON reader shared by the profile schemas.
+// Minimal JSON reader for the repo's own small JSON documents (perfbench
+// reads its reference.json with it).
 //
-// Just enough of RFC 8259 for the BENCH_*.json formats: objects, arrays,
-// strings, numbers, true/false/null. Key order is preserved, duplicate
-// keys keep their first occurrence in Find, and unknown fields are the
-// caller's business to ignore — which is what lets the schemas grow
-// without breaking committed baselines. Writing stays with each schema
-// (obs/pipeline_profile.h, obs/prof/bench_profile.h); only reading is
-// shared here.
+// Just enough of RFC 8259: objects, arrays, strings, numbers,
+// true/false/null. Key order is preserved, duplicate keys keep their
+// first occurrence in Find, and unknown fields are the caller's business
+// to ignore. Strings are read as ASCII: a \u escape above 0x7F reads as
+// '?'. Nesting deeper than 64 levels is a parse error, not a stack
+// overflow.
 
 #ifndef ALICOCO_OBS_JSON_H_
 #define ALICOCO_OBS_JSON_H_
@@ -40,10 +40,7 @@ struct JsonValue {
 /// error, with the byte offset in the message.
 [[nodiscard]] Result<JsonValue> ParseJson(const std::string& text);
 
-/// Field accessors for schema readers: Corruption when the key is absent
-/// or holds the wrong kind.
-[[nodiscard]] Result<double> JsonRequireNumber(const JsonValue& object,
-                                               const std::string& key);
+/// Field accessor: Corruption when the key is absent or not a string.
 [[nodiscard]] Result<std::string> JsonRequireString(const JsonValue& object,
                                                     const std::string& key);
 

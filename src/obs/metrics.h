@@ -4,10 +4,9 @@
 // The paper's production system "monitors dynamic-edge quality regularly"
 // (AliCoCo Section 6); this layer is the repo's equivalent: every pipeline
 // stage, serving path, and worker pool reports through one registry that
-// the exporters (obs/exporters.h) turn into Prometheus text or the
-// BENCH_pipeline.json profile. Instruments returned by a Registry are
-// owned by it and remain valid for its lifetime, so hot paths hold the
-// pointer and never re-resolve the name.
+// the exporter (obs/exporters.h) turns into Prometheus text. Instruments
+// returned by a Registry are owned by it and remain valid for its
+// lifetime, so hot paths hold the pointer and never re-resolve the name.
 //
 //   obs::Registry registry;
 //   obs::Counter* mined = registry.GetCounter("pipeline.mining.accepted");

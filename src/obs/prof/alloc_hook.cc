@@ -196,11 +196,11 @@ void operator delete[](void* ptr, const std::nothrow_t&,
 
 namespace alicoco::obs::prof {
 
-// Observable allocation probes for tests and the obs_report overhead
-// measurement. They live in this TU — the one sanctioned home of raw
-// new/delete expressions — so callers stay RAII-clean, and they are
-// out-of-line with volatile pointers so no optimizer may elide the
-// allocation (new/delete pairs are legally removable since C++14).
+// Observable allocation probes for tests. They live in this TU — the one
+// sanctioned home of raw new/delete expressions — so callers stay
+// RAII-clean, and they are out-of-line with volatile pointers so no
+// optimizer may elide the allocation (new/delete pairs are legally
+// removable since C++14).
 
 void HeapProbeAlloc(std::size_t bytes) {
   char* volatile p = new char[bytes];
@@ -215,11 +215,6 @@ void HeapProbeAllocAligned(std::size_t bytes) {
   if (count == 0) count = 1;
   Wide* volatile p = new Wide[count];
   delete[] p;
-}
-
-void HeapProbeMalloc(std::size_t bytes) {
-  void* volatile p = std::malloc(bytes);
-  std::free(p);
 }
 
 }  // namespace alicoco::obs::prof

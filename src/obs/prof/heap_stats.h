@@ -85,13 +85,10 @@ uint64_t PeakRssBytes();
 /// Observable allocation probes, defined in alloc_hook.cc (link error
 /// without the hook — probing an unhooked binary is a bug). Each performs
 /// one un-elidable allocate/free pair: through operator new[]/delete[]
-/// (`HeapProbeAlloc`), through the over-aligned operator set
-/// (`HeapProbeAllocAligned`, 64-byte alignment), or through plain
-/// malloc/free bypassing the hook (`HeapProbeMalloc`, the subtraction
-/// baseline for overhead measurement).
+/// (`HeapProbeAlloc`) or through the over-aligned operator set
+/// (`HeapProbeAllocAligned`, 64-byte alignment).
 void HeapProbeAlloc(std::size_t bytes);
 void HeapProbeAllocAligned(std::size_t bytes);
-void HeapProbeMalloc(std::size_t bytes);
 
 }  // namespace alicoco::obs::prof
 

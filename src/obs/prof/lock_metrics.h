@@ -4,7 +4,7 @@
 // exporter's label syntax (`lock.wait_us{mutex=thread_pool.mu}` etc.), so
 // contention shows up next to the pipeline's own metrics in the same
 // Prometheus scrape / JSON dump. In parallel, process totals accumulate
-// in plain atomics for the stage-attribution deltas in bench_profile —
+// in plain atomics for obs_report's per-stage attribution deltas —
 // reading a registry histogram takes its lock, reading an atomic does
 // not, and the attribution path runs between pipeline stages where we
 // want zero perturbation.

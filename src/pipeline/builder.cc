@@ -21,7 +21,6 @@
 #include "mining/concept_miner.h"
 #include "mining/distant_supervision.h"
 #include "obs/pool_metrics.h"
-#include "obs/prof/bench_profile.h"
 #include "text/tokenizer.h"
 
 namespace alicoco::pipeline {
@@ -87,9 +86,6 @@ Result<kg::ConceptNet> AliCoCoBuilder::Build(BuildReport* report) {
   std::optional<obs::ScopedSpan> stage_span;
   auto begin_stage = [&](const char* stage) {
     stage_span.emplace(tracer, std::string("pipeline.") + stage);
-    if (config_.stage_profiler != nullptr) {
-      config_.stage_profiler->BeginStage(stage);
-    }
   };
   auto stage_count = [&](const char* stage, const char* name, size_t value) {
     if (metrics != nullptr) {
@@ -687,7 +683,6 @@ Result<kg::ConceptNet> AliCoCoBuilder::Build(BuildReport* report) {
     ALICOCO_LOG(Info) << audit.Summary();
   }
 
-  if (config_.stage_profiler != nullptr) config_.stage_profiler->Finish();
   return net;
 }
 

@@ -2,7 +2,8 @@
 //
 // Input: the raw side of a World — corpora, the seed dictionary (the
 // "existing knowledge sources" of Section 4.1), gold labels standing in for
-// the paper's human annotators. Output: a freshly built ConceptNet:
+// the paper's human annotators. Output: a freshly built ConceptNet, in
+// nine stages (each one `pipeline.<stage>` span when traced):
 //
 //   1. taxonomy + schema        (expert-defined, Section 3)
 //   2. seed primitive concepts  (ontology matching, Section 4.1)
@@ -11,6 +12,8 @@
 //   5. e-commerce concepts      (generation + classification + audit, 5.2)
 //   6. concept tagging          (fuzzy-CRF NER -> interpretation links, 5.3)
 //   7. item association         (knowledge-aware matching, Section 6)
+//   8. relation inference       (commonsense relations, Section 10)
+//   9. validation               (kg::Validator structural audit)
 //
 // Every stage reports counts; quality control follows the paper: mined
 // batches are sample-audited against the oracle and only added above an
@@ -35,10 +38,6 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "tagging/concept_tagger.h"
-
-namespace alicoco::obs::prof {
-class StageProfiler;
-}  // namespace alicoco::obs::prof
 
 namespace alicoco::pipeline {
 
@@ -93,11 +92,6 @@ struct PipelineConfig {
   /// no-op. Neither is owned; both must outlive Build().
   obs::Tracer* tracer = nullptr;
   obs::Registry* metrics = nullptr;
-  /// Profiling tier (src/obs/prof). When set, Build() cuts a stage
-  /// attribution window at every stage boundary (wall/cpu/lock-wait/
-  /// queue-wait/alloc deltas — see obs/prof/bench_profile.h) and closes
-  /// the last window before returning. Not owned; may be null.
-  obs::prof::StageProfiler* stage_profiler = nullptr;
 };
 
 /// Per-stage accounting.

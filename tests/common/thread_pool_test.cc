@@ -109,7 +109,8 @@ class TimingObserver : public ThreadPoolObserver {
 TEST(ThreadPoolTest, ShutdownDrainsQueueWithTruthfulObserverAccounting) {
   // Destroying the pool without Wait() must still run every queued task,
   // and the observer must see each one exactly once with sane timings —
-  // the queue_wait numbers feed stage attribution in bench/obs_report.
+  // the queue_wait numbers feed the pool's per-task queue-wait quantiles
+  // that obs_report and perfbench print.
   TimingObserver observer;
   std::atomic<int> ran{0};
   {

@@ -16,7 +16,7 @@
 #include "common/rng.h"
 #include "kg/persistence.h"
 #include "nn/serialize.h"
-#include "obs/pipeline_profile.h"
+#include "obs/json.h"
 
 namespace alicoco {
 namespace {
@@ -77,10 +77,10 @@ TEST(CorpusReplayTest, NnCheckpointsFailCleanly) {
   }
 }
 
-TEST(CorpusReplayTest, PipelineProfilesFailCleanly) {
-  for (const fs::path& file : CorpusFiles("profile")) {
-    auto parsed = obs::PipelineProfile::FromJson(ReadAll(file));
-    EXPECT_FALSE(parsed.ok()) << file << " parsed a corrupt profile";
+TEST(CorpusReplayTest, JsonDocumentsFailCleanly) {
+  for (const fs::path& file : CorpusFiles("json")) {
+    auto parsed = obs::ParseJson(ReadAll(file));
+    EXPECT_FALSE(parsed.ok()) << file << " parsed a corrupt document";
     EXPECT_TRUE(parsed.status().IsCorruption())
         << file << ": " << parsed.status().ToString();
   }

@@ -10,9 +10,10 @@
 #   2. plain RelWithDebInfo build + full ctest, then the suite again with
 #      ALICOCO_SIMD=scalar so the portable kernel tier stays covered on
 #      AVX2 hardware
-#   3. pipeline profile gate (obs_report vs committed BENCH_pipeline.json)
-#      + profiling-tier gate: per-stage cpu attribution vs the committed
-#      BENCH_profile.json, collapsed-stack smoke, disabled-overhead <1%
+#   3. instrumented pipeline smoke: one probed obs_report run must exit 0
+#      and leave a collapsed-stack profile, a trace and a Prometheus dump
+#      carrying all nine per-stage attribution series (no timing gate:
+#      clean timing is perfbench's, see BENCHMARK.json)
 #   4. kernel smoke gate (bench_micro vs committed BENCH_kernels.json)
 #   5. ASan+UBSan build + full ctest   (DCHECKs forced on), then an
 #      explicit corrupted-checkpoint corpus replay: every deserializer
@@ -50,31 +51,25 @@ step "forced-scalar kernel tier + tests"
 # on top of them) even on AVX2 hardware where CPUID would pick SIMD.
 ALICOCO_SIMD=scalar ctest --preset default
 
-step "pipeline profile gate"
-# Re-runs the instrumented bench pipeline and compares per-stage wall time
-# against the committed baseline; a stage beyond 2x baseline + slack fails.
-# The generous ratio + slack absorb machine-to-machine variance while still
-# catching order-of-magnitude stage regressions.
+step "instrumented pipeline smoke"
+# One probed run of the bench pipeline with every probe attached. Its
+# times are perturbed by the probes, so nothing here compares them; the
+# step checks that the run completes and that attribution reaches its
+# outputs.
 mkdir -p build/obs
-build/bench/obs_report --out build/obs/BENCH_pipeline.json --outdir build/obs \
-  --baseline BENCH_pipeline.json --max-regress 2.0 --slack-ms 500 \
-  --profile-out build/obs/BENCH_profile.json \
-  --profile-baseline BENCH_profile.json --overhead-limit 1.0
-
-step "profiling tier smoke"
-# The run above must leave a non-empty collapsed-stack dump (flamegraph
-# input) and a profile whose schema the tooling can re-read.
+build/bench/obs_report --outdir build/obs
 test -s build/obs/profile.collapsed
-python3 - <<'PY'
-import json
-prof = json.load(open("build/obs/BENCH_profile.json"))
-assert prof["schema"] == "alicoco.bench_profile.v1", prof["schema"]
-assert len(prof["stages"]) >= 9, [s["name"] for s in prof["stages"]]
-PY
+test -s build/obs/trace.jsonl
+test -s build/obs/metrics.prom
+stages="$(grep -c '^attribution_allocs{stage="' build/obs/metrics.prom || true)"
+if [ "${stages}" -ne 9 ]; then
+  echo "expected 9 attribution_allocs series in metrics.prom, found ${stages}"
+  exit 1
+fi
 
 step "kernel smoke gate"
 # Deterministic kernel/fused-op/parallel-train timings vs the committed
-# BENCH_kernels.json, with the same 2x + slack rule as the pipeline gate.
+# BENCH_kernels.json: a kernel beyond 2x baseline + slack fails.
 build/bench/bench_micro --kernels-out build/obs/BENCH_kernels.json \
   --baseline BENCH_kernels.json --max-regress 2.0 --slack-us 200
 
@@ -93,7 +88,7 @@ UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
 step "corrupted-checkpoint corpus replay (ASan)"
 # Replays tests/corpus/ — truncated, bit-flipped, and oversized-count
 # inputs for every deserializer (kg snapshot, nn checkpoint + quantized
-# store, pipeline profile) — under ASan explicitly, so a corrupt-input
+# store, JSON reader) — under ASan explicitly, so a corrupt-input
 # regression is named by the gate that catches it.
 ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" \
 UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
