@@ -1,6 +1,6 @@
 // Substrate micro-benchmarks (google-benchmark): the hot paths every
-// harness exercises — GEMM kernels, graph ops, CRF lattices, BM25 scoring,
-// segmenter matching, and concept-net queries.
+// harness exercises — GEMM kernels, graph ops, CRF lattices, the matcher's
+// pyramid layer, BM25 scoring, segmenter matching, and concept-net queries.
 //
 // Besides the interactive google-benchmark mode, `--kernels-out FILE` runs
 // a fixed kernel smoke suite and writes BENCH_kernels.json; adding
@@ -20,6 +20,7 @@
 
 #include "common/thread_pool.h"
 #include "kg/concept_net.h"
+#include "matching/match_pyramid.h"
 #include "nn/crf.h"
 #include "nn/kernels.h"
 #include "nn/layers.h"
@@ -385,6 +386,32 @@ std::vector<std::pair<std::string, double>> RunKernelSuite() {
       store.ZeroGrad();
       nn::Graph g;
       g.Backward(crf.NegLogLikelihood(&g, g.Input(e), gold));
+    });
+  }
+
+  // One knowledge-matcher pyramid layer (matching/knowledge_matcher.cc):
+  // the 8 x 6 match matrix of an 8-row knowledge sequence against a 6-word
+  // title, then its best-alignment stats and 3 x 3 grid pool. Forward-only
+  // as in Score, and forward + backward as in training.
+  {
+    nn::ParameterStore store;
+    nn::Parameter* kw = store.Create(
+        "kw", 8, 20, nn::ParameterStore::Init::kGaussian, &rng, 0.5f);
+    nn::Parameter* title = store.Create(
+        "title", 6, 20, nn::ParameterStore::Init::kGaussian, &rng, 0.5f);
+    auto layer = [&](nn::Graph* g) {
+      nn::Graph::Var match = g->MatMulTransB(g->Use(kw), g->Use(title));
+      nn::Graph::Var stats = matching::BestAlignmentStats(g, match);
+      return g->ConcatCols({matching::DynamicGridPool(g, match, 3), stats});
+    };
+    add("pyramid_layer_fwd_8x6", [&] {
+      nn::Graph g(nn::Graph::kForwardOnly);
+      benchmark::DoNotOptimize(g.Value(layer(&g)).data());
+    });
+    add("pyramid_layer_fb_8x6", [&] {
+      store.ZeroGrad();
+      nn::Graph g;
+      g.Backward(g.MeanAll(layer(&g)));
     });
   }
 

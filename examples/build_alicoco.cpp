@@ -54,7 +54,7 @@ int main(int argc, char** argv) {
   }
   pipeline::AliCoCoBuilder builder(&world, &resources, cfg);
   pipeline::BuildReport report;
-  std::printf("running the 7-stage construction pipeline...\n\n");
+  std::printf("running the nine-stage construction pipeline...\n\n");
   auto net = builder.Build(&report);
   if (!net.ok()) {
     std::printf("pipeline failed: %s\n", net.status().ToString().c_str());

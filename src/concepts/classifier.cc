@@ -227,7 +227,7 @@ std::vector<float> ConceptClassifier::KnowledgeOverlapFeatures(
 double ConceptClassifier::Score(const std::vector<std::string>& tokens) const {
   ALICOCO_CHECK(trained_);
   if (tokens.empty()) return 0.0;
-  nn::Graph g;
+  nn::Graph g(nn::Graph::kForwardOnly);
   float x = g.Value(Logit(&g, tokens, /*train=*/false, nullptr)).At(0, 0);
   return 1.0 / (1.0 + std::exp(-static_cast<double>(x)));
 }

@@ -106,7 +106,7 @@ void ProjectionModel::Train(const std::vector<LabeledPair>& data) {
 
 double ProjectionModel::Score(const std::string& hypo,
                               const std::string& hyper) const {
-  nn::Graph g;
+  nn::Graph g(nn::Graph::kForwardOnly);
   nn::Graph::Var logit =
       Logit(&g, PhraseEmbedding(hypo), PhraseEmbedding(hyper));
   float x = g.Value(logit).At(0, 0);

@@ -1,5 +1,7 @@
 #include "matching/knowledge_matcher.h"
 
+#include <algorithm>
+
 #include "common/logging.h"
 #include "matching/match_pyramid.h"
 
@@ -46,6 +48,27 @@ void KnowledgeMatcher::BuildModel() {
         &store_, "gloss_proj", res_.gloss_encoder->dim(), d, &init_rng_);
     class_emb_ = std::make_unique<nn::Embedding>(
         &store_, "class_emb", res_.num_classes, d, &init_rng_);
+  }
+  // Per-id knowledge, looked up once here instead of once per Logit: the
+  // POS tag of every vocabulary token, and the gloss encoding of every
+  // token with a gloss (zero rows for the rest).
+  pos_of_id_.resize(static_cast<size_t>(vocab_.size()));
+  for (int id = 0; id < vocab_.size(); ++id) {
+    pos_of_id_[static_cast<size_t>(id)] =
+        static_cast<int>(res_.pos_tagger->Tag(vocab_.Token(id)));
+  }
+  if (kcfg_.use_knowledge) {
+    const int gloss_dim = res_.gloss_encoder->dim();
+    gloss_of_id_ = nn::Tensor(vocab_.size(), gloss_dim);
+    std::vector<std::string> gloss;
+    std::vector<float> vec;
+    for (int id = 0; id < vocab_.size(); ++id) {
+      gloss = res_.gloss_lookup(vocab_.Token(id));
+      if (gloss.empty()) continue;
+      vec = res_.gloss_encoder->Encode(gloss);
+      ALICOCO_CHECK_EQ(vec.size(), static_cast<size_t>(gloss_dim));
+      std::copy(vec.begin(), vec.end(), gloss_of_id_.Row(id));
+    }
   }
   for (int k = 0; k < kcfg_.pyramid_layers; ++k) {
     // Near-identity init: layer 0 starts as a plain dot-product matrix (the
@@ -137,10 +160,7 @@ nn::Graph::Var KnowledgeMatcher::Logit(nn::Graph* g,
                          const nn::Conv1D& cnn) {
     std::vector<int> pos_ids;
     pos_ids.reserve(ids.size());
-    for (int id : ids) {
-      pos_ids.push_back(
-          static_cast<int>(res_.pos_tagger->Tag(vocab_.Token(id))));
-    }
+    for (int id : ids) pos_ids.push_back(pos_of_id_[static_cast<size_t>(id)]);
     nn::Graph::Var words = emb_->Lookup(g, ids);
     nn::Graph::Var pos = pos_emb_->Lookup(g, pos_ids);
     nn::Graph::Var x = g->ConcatCols({words, pos});
@@ -165,22 +185,17 @@ nn::Graph::Var KnowledgeMatcher::Logit(nn::Graph* g,
   // linked-class embeddings when knowledge is on (Eq. 15-16).
   std::vector<nn::Graph::Var> kw_parts = {emb_->Lookup(g, concept_ids)};
   if (kcfg_.use_knowledge) {
-    std::vector<std::string> tokens = vocab_.Decode(concept_ids);
-    nn::Tensor gloss_mat(static_cast<int>(tokens.size()),
-                         res_.gloss_encoder->dim());
-    for (size_t w = 0; w < tokens.size(); ++w) {
-      auto gloss = res_.gloss_lookup(tokens[w]);
-      if (gloss.empty()) continue;
-      auto vec = res_.gloss_encoder->Encode(gloss);
-      ALICOCO_DCHECK_EQ(vec.size(),
-                        static_cast<size_t>(res_.gloss_encoder->dim()));
-      for (int k = 0; k < res_.gloss_encoder->dim(); ++k) {
-        gloss_mat.At(static_cast<int>(w), k) = vec[static_cast<size_t>(k)];
-      }
+    nn::Tensor gloss_mat(static_cast<int>(concept_ids.size()),
+                         gloss_of_id_.cols());
+    for (size_t w = 0; w < concept_ids.size(); ++w) {
+      const float* src = gloss_of_id_.Row(concept_ids[w]);
+      std::copy(src, src + gloss_of_id_.cols(),
+                gloss_mat.Row(static_cast<int>(w)));
     }
     kw_parts.push_back(
         g->Tanh(gloss_proj_->Apply(g, g->Input(std::move(gloss_mat)))));
-    std::vector<int> classes = res_.concept_classes(tokens);
+    std::vector<int> classes =
+        res_.concept_classes(vocab_.Decode(concept_ids));
     if (!classes.empty()) {
       for (int& cid : classes) {
         ALICOCO_CHECK(cid >= 0 && cid < res_.num_classes);
@@ -201,13 +216,8 @@ nn::Graph::Var KnowledgeMatcher::Logit(nn::Graph* g,
         pyramid_q_.empty() ? g->MatMul(kw, g->Use(pyramid_[k]))
                            : g->MatMulQuant(kw, *pyramid_q_[k]);
     nn::Graph::Var match = g->MatMulTransB(proj, t_words);
-    nn::Graph::Var col_best = g->MaxRows(match);                // 1 x l
-    nn::Graph::Var row_best = g->MaxRows(g->Transpose(match));  // 1 x m'
-    nn::Graph::Var stats = g->ConcatCols(
-        {g->MaxRows(g->Transpose(col_best)),   // best overall (cols)
-         g->MeanRows(g->Transpose(col_best)),  // mean col best
-         g->MaxRows(g->Transpose(row_best)),   // best overall (rows)
-         g->MeanRows(g->Transpose(row_best))});
+    // Stats before the grid: see match_pyramid.h.
+    nn::Graph::Var stats = BestAlignmentStats(g, match);
     layer_feats.push_back(
         g->ConcatCols({DynamicGridPool(g, match, kcfg_.pool_grid), stats}));
   }

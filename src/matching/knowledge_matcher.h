@@ -35,7 +35,9 @@ struct KnowledgeMatcherConfig {
   int pool_grid = 3;
 };
 
-/// External knowledge plumbing; pointers must outlive the matcher.
+/// External knowledge plumbing; pointers must outlive the matcher. The POS
+/// tagger and the gloss resources are read once per vocabulary token when
+/// training builds the model; concept_classes is called on every Logit.
 struct KnowledgeResources {
   const text::PosTagger* pos_tagger = nullptr;  ///< required
   /// Required when use_knowledge: gloss vectors for concept words.
@@ -72,6 +74,10 @@ class KnowledgeMatcher : public NeuralMatcherBase {
  private:
   KnowledgeMatcherConfig kcfg_;
   KnowledgeResources res_;
+  /// Filled by BuildModel, indexed by vocabulary id: POS tag ids, and
+  /// gloss encodings (vocab x gloss dim; empty without knowledge).
+  std::vector<int> pos_of_id_;
+  nn::Tensor gloss_of_id_;
 
   std::unique_ptr<nn::Embedding> emb_;
   std::unique_ptr<nn::Embedding> pos_emb_;

@@ -191,7 +191,7 @@ double NeuralMatcherBase::Score(const std::vector<std::string>& concept_tokens,
   ALICOCO_CHECK(trained_) << name() << " scored before Train";
   std::chrono::steady_clock::time_point start;
   if (score_latency_us_ != nullptr) start = std::chrono::steady_clock::now();
-  nn::Graph g;
+  nn::Graph g(nn::Graph::kForwardOnly);
   nn::Graph::Var logit =
       Logit(&g, Encode(concept_tokens), Encode(item_tokens), false, nullptr);
   float x = g.Value(logit).At(0, 0);

@@ -169,7 +169,7 @@ std::vector<std::string> SequenceLabeler::Predict(
   ALICOCO_CHECK(trained_) << "Predict before Train";
   if (tokens.empty()) return {};
   std::vector<int> ids = vocab_.Encode(tokens);
-  nn::Graph g;
+  nn::Graph g(nn::Graph::kForwardOnly);
   nn::Graph::Var emissions =
       Emissions(&g, ids, /*train=*/false, nullptr);
   std::vector<int> path = crf_->Viterbi(g.Value(emissions));

@@ -43,13 +43,10 @@ size_t ParameterStore::TotalWeights() const {
   return total;
 }
 
-Graph::Var Graph::NewNode(Tensor value, std::function<void()> backward) {
-  auto node = std::make_unique<Node>();
+Graph::Var Graph::NewNode(Tensor value) {
   // Gradient buffers are materialized by Backward(); forward-only graphs
   // (prediction / scoring) never pay for them.
-  node->value = std::move(value);
-  node->backward = std::move(backward);
-  nodes_.push_back(std::move(node));
+  nodes_.push_back(Node{std::move(value), Tensor(), nullptr});
   return static_cast<Var>(nodes_.size() - 1);
 }
 
@@ -58,39 +55,38 @@ Graph::Var Graph::Input(Tensor value) { return NewNode(std::move(value)); }
 Graph::Var Graph::Use(Parameter* p) {
   ALICOCO_CHECK(p != nullptr);
   Var v = NewNode(p->value);
-  nodes_[v]->backward = [this, v, p] {
-    ParamGrad(p)->AddInPlace(nodes_[v]->grad);
-  };
+  SetBackward(v, [this, v, p] { ParamGrad(p)->AddInPlace(nodes_[v].grad); });
   return v;
 }
 
 Graph::Var Graph::Custom(
     Tensor value, std::function<void(const Tensor& out_grad)> backward) {
   Var v = NewNode(std::move(value));
-  nodes_[v]->backward = [this, v, backward = std::move(backward)] {
-    backward(nodes_[v]->grad);
-  };
+  SetBackward(v, [this, v, backward = std::move(backward)] {
+    backward(nodes_[v].grad);
+  });
   return v;
 }
 
 void Graph::AccumulateGrad(Var v, const Tensor& g) {
-  nodes_[v]->grad.AddInPlace(g);
+  nodes_[v].grad.AddInPlace(g);
 }
 
 void Graph::Backward(Var loss) {
+  ALICOCO_CHECK(!forward_only_) << "Backward on a forward-only graph";
   ALICOCO_CHECK(loss >= 0 && static_cast<size_t>(loss) < nodes_.size());
-  const Tensor& lv = nodes_[loss]->value;
+  const Tensor& lv = nodes_[loss].value;
   ALICOCO_CHECK(lv.rows() == 1 && lv.cols() == 1)
       << "Backward requires a scalar loss";
   for (Var v = loss; v >= 0; --v) {
-    Node* node = nodes_[v].get();
-    if (node->grad.empty()) {
-      node->grad = Tensor(node->value.rows(), node->value.cols());
+    Node& node = nodes_[v];
+    if (node.grad.empty()) {
+      node.grad = Tensor(node.value.rows(), node.value.cols());
     }
   }
-  nodes_[loss]->grad.At(0, 0) = 1.0f;
+  nodes_[loss].grad.At(0, 0) = 1.0f;
   for (Var v = loss; v >= 0; --v) {
-    if (nodes_[v]->backward) nodes_[v]->backward();
+    if (nodes_[v].backward) nodes_[v].backward();
   }
 }
 

@@ -3,7 +3,8 @@
 // Models build a fresh Graph per example (define-by-run), compose ops into a
 // scalar loss, call Backward(), and the gradients of every Parameter used in
 // the graph accumulate into Parameter::grad. An Optimizer then applies the
-// accumulated batch gradient.
+// accumulated batch gradient. Prediction and scoring build a forward-only
+// Graph instead, which computes the same values but records no tape.
 //
 // The op set covers exactly what the paper's architectures need: matmul and
 // elementwise math for MLPs, slicing/concat for LSTM gates, windowed concat
@@ -13,9 +14,11 @@
 #ifndef ALICOCO_NN_GRAPH_H_
 #define ALICOCO_NN_GRAPH_H_
 
+#include <deque>
 #include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -79,9 +82,17 @@ class Graph {
  public:
   using Var = int;
 
+  /// Selects the forward-only constructor.
+  struct ForwardOnly {};
+  static constexpr ForwardOnly kForwardOnly{};
+
   /// With a sink, every parameter gradient this graph produces goes to
   /// sink->GradFor(p) instead of p->grad.
   explicit Graph(GradientSink* sink = nullptr) : sink_(sink) {}
+  /// A graph that never runs Backward: every op computes the same value as
+  /// on a recording graph, but no backward closure is stored, and Backward
+  /// CHECK-fails. Scoring and prediction use it.
+  explicit Graph(ForwardOnly) : forward_only_(true) {}
   Graph(const Graph&) = delete;
   Graph& operator=(const Graph&) = delete;
 
@@ -92,8 +103,8 @@ class Graph {
   Var Use(Parameter* p);
 
   /// Value / gradient of a node (gradient valid after Backward).
-  const Tensor& Value(Var v) const { return nodes_[v]->value; }
-  const Tensor& Grad(Var v) const { return nodes_[v]->grad; }
+  const Tensor& Value(Var v) const { return nodes_[v].value; }
+  const Tensor& Grad(Var v) const { return nodes_[v].grad; }
 
   // ---- arithmetic ----
   Var MatMul(Var a, Var b);
@@ -183,11 +194,12 @@ class Graph {
   /// targets (targets same shape as logits, constant). Returns 1x1.
   Var SigmoidCrossEntropyWithLogits(Var logits, Tensor targets);
 
-  /// Escape hatch for ops with hand-derived gradients (the CRF losses):
-  /// creates a node with `value` whose backward invokes `backward` with the
-  /// node's output gradient. The closure must push gradients to its inputs
-  /// via AccumulateGrad, and to parameters via ParamGrad (never directly
-  /// through Parameter::grad, which would bypass the sink).
+  /// Escape hatch for ops with hand-derived gradients (the CRF losses, the
+  /// matcher's pyramid readouts): creates a node with `value` whose
+  /// backward invokes `backward` with the node's output gradient. The
+  /// closure must push gradients to its inputs via AccumulateGrad, and to
+  /// parameters via ParamGrad (never directly through Parameter::grad,
+  /// which would bypass the sink). A forward-only graph drops `backward`.
   Var Custom(Tensor value,
              std::function<void(const Tensor& out_grad)> backward);
 
@@ -203,6 +215,7 @@ class Graph {
 
   /// Runs reverse-mode accumulation from `loss` (must be 1x1). Parameter
   /// gradients accumulate (call ParameterStore::ZeroGrad between batches).
+  /// CHECK-fails on a forward-only graph.
   void Backward(Var loss);
 
   /// Number of nodes (diagnostics).
@@ -215,8 +228,13 @@ class Graph {
     std::function<void()> backward;  // may be empty (constants)
   };
 
-  Var NewNode(Tensor value, std::function<void()> backward = nullptr);
-  Tensor& GradRef(Var v) { return nodes_[v]->grad; }
+  Var NewNode(Tensor value);
+  /// Installs the backward closure of node `v`. A forward-only graph drops
+  /// it before it becomes a std::function (which would heap-allocate).
+  template <typename F>
+  void SetBackward(Var v, F&& backward) {
+    if (!forward_only_) nodes_[v].backward = std::forward<F>(backward);
+  }
   /// Shared implementation of the fused affine family; `act` selects the
   /// fused activation (0 = none, 1 = tanh, 2 = relu).
   Var AffineAct(Var x, Parameter* w, Parameter* b, int act);
@@ -225,7 +243,10 @@ class Graph {
                      int act);
 
   GradientSink* sink_ = nullptr;
-  std::vector<std::unique_ptr<Node>> nodes_;
+  bool forward_only_ = false;
+  // A deque, so a node never moves: ops hold `const Tensor&` into earlier
+  // nodes across NewNode.
+  std::deque<Node> nodes_;
 };
 
 }  // namespace alicoco::nn

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "nn/graph.h"
 #include "nn/kernels.h"
@@ -10,29 +11,29 @@
 namespace alicoco::nn {
 
 Graph::Var Graph::MatMul(Var a, Var b) {
-  const Tensor& av = nodes_[a]->value;
-  const Tensor& bv = nodes_[b]->value;
+  const Tensor& av = nodes_[a].value;
+  const Tensor& bv = nodes_[b].value;
   Var out = NewNode(MatMulValue(av, bv));
-  nodes_[out]->backward = [this, out, a, b] {
-    const Tensor& g = nodes_[out]->grad;
+  SetBackward(out, [this, out, a, b] {
+    const Tensor& g = nodes_[out].grad;
     // dA += g * B^T ; dB += A^T * g
-    MatMulTransBAccum(g, nodes_[b]->value, &nodes_[a]->grad);
-    MatMulTransAAccum(nodes_[a]->value, g, &nodes_[b]->grad);
-  };
+    MatMulTransBAccum(g, nodes_[b].value, &nodes_[a].grad);
+    MatMulTransAAccum(nodes_[a].value, g, &nodes_[b].grad);
+  });
   return out;
 }
 
 Graph::Var Graph::Add(Var a, Var b) {
-  const Tensor& av = nodes_[a]->value;
-  const Tensor& bv = nodes_[b]->value;
+  const Tensor& av = nodes_[a].value;
+  const Tensor& bv = nodes_[b].value;
   Tensor v = av;
   if (bv.SameShape(av)) {
     v.AddInPlace(bv);
     Var out = NewNode(std::move(v));
-    nodes_[out]->backward = [this, out, a, b] {
-      nodes_[a]->grad.AddInPlace(nodes_[out]->grad);
-      nodes_[b]->grad.AddInPlace(nodes_[out]->grad);
-    };
+    SetBackward(out, [this, out, a, b] {
+      nodes_[a].grad.AddInPlace(nodes_[out].grad);
+      nodes_[b].grad.AddInPlace(nodes_[out].grad);
+    });
     return out;
   }
   if (bv.rows() == 1 && bv.cols() == av.cols()) {  // row broadcast
@@ -42,16 +43,16 @@ Graph::Var Graph::Add(Var a, Var b) {
       for (int j = 0; j < v.cols(); ++j) row[j] += brow[j];
     }
     Var out = NewNode(std::move(v));
-    nodes_[out]->backward = [this, out, a, b] {
-      const Tensor& g = nodes_[out]->grad;
-      nodes_[a]->grad.AddInPlace(g);
-      Tensor& bg = nodes_[b]->grad;
+    SetBackward(out, [this, out, a, b] {
+      const Tensor& g = nodes_[out].grad;
+      nodes_[a].grad.AddInPlace(g);
+      Tensor& bg = nodes_[b].grad;
       for (int i = 0; i < g.rows(); ++i) {
         const float* grow = g.Row(i);
         float* bgrow = bg.Row(0);
         for (int j = 0; j < g.cols(); ++j) bgrow[j] += grow[j];
       }
-    };
+    });
     return out;
   }
   ALICOCO_CHECK(bv.rows() == 1 && bv.cols() == 1)
@@ -62,127 +63,127 @@ Graph::Var Graph::Add(Var a, Var b) {
     for (int j = 0; j < v.cols(); ++j) row[j] += s;
   }
   Var out = NewNode(std::move(v));
-  nodes_[out]->backward = [this, out, a, b] {
-    const Tensor& g = nodes_[out]->grad;
-    nodes_[a]->grad.AddInPlace(g);
+  SetBackward(out, [this, out, a, b] {
+    const Tensor& g = nodes_[out].grad;
+    nodes_[a].grad.AddInPlace(g);
     float acc = 0.0f;
     for (int i = 0; i < g.rows(); ++i) {
       const float* grow = g.Row(i);
       for (int j = 0; j < g.cols(); ++j) acc += grow[j];
     }
-    nodes_[b]->grad.At(0, 0) += acc;
-  };
+    nodes_[b].grad.At(0, 0) += acc;
+  });
   return out;
 }
 
 Graph::Var Graph::Sub(Var a, Var b) {
-  const Tensor& av = nodes_[a]->value;
-  const Tensor& bv = nodes_[b]->value;
+  const Tensor& av = nodes_[a].value;
+  const Tensor& bv = nodes_[b].value;
   ALICOCO_CHECK(av.SameShape(bv)) << "Sub requires same shapes";
   Tensor v = av;
   v.Axpy(-1.0f, bv);
   Var out = NewNode(std::move(v));
-  nodes_[out]->backward = [this, out, a, b] {
-    nodes_[a]->grad.AddInPlace(nodes_[out]->grad);
-    nodes_[b]->grad.Axpy(-1.0f, nodes_[out]->grad);
-  };
+  SetBackward(out, [this, out, a, b] {
+    nodes_[a].grad.AddInPlace(nodes_[out].grad);
+    nodes_[b].grad.Axpy(-1.0f, nodes_[out].grad);
+  });
   return out;
 }
 
 Graph::Var Graph::Mul(Var a, Var b) {
-  const Tensor& av = nodes_[a]->value;
-  const Tensor& bv = nodes_[b]->value;
+  const Tensor& av = nodes_[a].value;
+  const Tensor& bv = nodes_[b].value;
   ALICOCO_CHECK(av.SameShape(bv)) << "Mul requires same shapes";
   Tensor v(av.rows(), av.cols());
   for (size_t i = 0; i < v.size(); ++i) v.data()[i] = av.data()[i] * bv.data()[i];
   Var out = NewNode(std::move(v));
-  nodes_[out]->backward = [this, out, a, b] {
-    const Tensor& g = nodes_[out]->grad;
-    const Tensor& av2 = nodes_[a]->value;
-    const Tensor& bv2 = nodes_[b]->value;
-    Tensor& ag = nodes_[a]->grad;
-    Tensor& bg = nodes_[b]->grad;
+  SetBackward(out, [this, out, a, b] {
+    const Tensor& g = nodes_[out].grad;
+    const Tensor& av2 = nodes_[a].value;
+    const Tensor& bv2 = nodes_[b].value;
+    Tensor& ag = nodes_[a].grad;
+    Tensor& bg = nodes_[b].grad;
     for (size_t i = 0; i < g.size(); ++i) {
       ag.data()[i] += g.data()[i] * bv2.data()[i];
       bg.data()[i] += g.data()[i] * av2.data()[i];
     }
-  };
+  });
   return out;
 }
 
 Graph::Var Graph::ScalarMul(Var a, float s) {
-  Tensor v = nodes_[a]->value;
+  Tensor v = nodes_[a].value;
   v.Scale(s);
   Var out = NewNode(std::move(v));
-  nodes_[out]->backward = [this, out, a, s] {
-    nodes_[a]->grad.Axpy(s, nodes_[out]->grad);
-  };
+  SetBackward(out, [this, out, a, s] {
+    nodes_[a].grad.Axpy(s, nodes_[out].grad);
+  });
   return out;
 }
 
 Graph::Var Graph::AddScalar(Var a, float s) {
-  Tensor v = nodes_[a]->value;
+  Tensor v = nodes_[a].value;
   for (size_t i = 0; i < v.size(); ++i) v.data()[i] += s;
   Var out = NewNode(std::move(v));
-  nodes_[out]->backward = [this, out, a] {
-    nodes_[a]->grad.AddInPlace(nodes_[out]->grad);
-  };
+  SetBackward(out, [this, out, a] {
+    nodes_[a].grad.AddInPlace(nodes_[out].grad);
+  });
   return out;
 }
 
 Graph::Var Graph::Sigmoid(Var a) {
-  Tensor v = nodes_[a]->value;
+  Tensor v = nodes_[a].value;
   for (size_t i = 0; i < v.size(); ++i) {
     float x = v.data()[i];
     v.data()[i] = x >= 0 ? 1.0f / (1.0f + std::exp(-x))
                          : std::exp(x) / (1.0f + std::exp(x));
   }
   Var out = NewNode(std::move(v));
-  nodes_[out]->backward = [this, out, a] {
-    const Tensor& y = nodes_[out]->value;
-    const Tensor& g = nodes_[out]->grad;
-    Tensor& ag = nodes_[a]->grad;
+  SetBackward(out, [this, out, a] {
+    const Tensor& y = nodes_[out].value;
+    const Tensor& g = nodes_[out].grad;
+    Tensor& ag = nodes_[a].grad;
     for (size_t i = 0; i < g.size(); ++i) {
       float yi = y.data()[i];
       ag.data()[i] += g.data()[i] * yi * (1.0f - yi);
     }
-  };
+  });
   return out;
 }
 
 Graph::Var Graph::Tanh(Var a) {
-  Tensor v = nodes_[a]->value;
+  Tensor v = nodes_[a].value;
   for (size_t i = 0; i < v.size(); ++i) v.data()[i] = std::tanh(v.data()[i]);
   Var out = NewNode(std::move(v));
-  nodes_[out]->backward = [this, out, a] {
-    const Tensor& y = nodes_[out]->value;
-    const Tensor& g = nodes_[out]->grad;
-    Tensor& ag = nodes_[a]->grad;
+  SetBackward(out, [this, out, a] {
+    const Tensor& y = nodes_[out].value;
+    const Tensor& g = nodes_[out].grad;
+    Tensor& ag = nodes_[a].grad;
     for (size_t i = 0; i < g.size(); ++i) {
       float yi = y.data()[i];
       ag.data()[i] += g.data()[i] * (1.0f - yi * yi);
     }
-  };
+  });
   return out;
 }
 
 Graph::Var Graph::Relu(Var a) {
-  Tensor v = nodes_[a]->value;
+  Tensor v = nodes_[a].value;
   for (size_t i = 0; i < v.size(); ++i) v.data()[i] = std::max(0.0f, v.data()[i]);
   Var out = NewNode(std::move(v));
-  nodes_[out]->backward = [this, out, a] {
-    const Tensor& x = nodes_[a]->value;
-    const Tensor& g = nodes_[out]->grad;
-    Tensor& ag = nodes_[a]->grad;
+  SetBackward(out, [this, out, a] {
+    const Tensor& x = nodes_[a].value;
+    const Tensor& g = nodes_[out].grad;
+    Tensor& ag = nodes_[a].grad;
     for (size_t i = 0; i < g.size(); ++i) {
       if (x.data()[i] > 0) ag.data()[i] += g.data()[i];
     }
-  };
+  });
   return out;
 }
 
 Graph::Var Graph::SoftmaxRows(Var a) {
-  const Tensor& x = nodes_[a]->value;
+  const Tensor& x = nodes_[a].value;
   Tensor v(x.rows(), x.cols());
   for (int i = 0; i < x.rows(); ++i) {
     const float* xr = x.Row(i);
@@ -197,10 +198,10 @@ Graph::Var Graph::SoftmaxRows(Var a) {
     for (int j = 0; j < x.cols(); ++j) vr[j] /= total;
   }
   Var out = NewNode(std::move(v));
-  nodes_[out]->backward = [this, out, a] {
-    const Tensor& y = nodes_[out]->value;
-    const Tensor& g = nodes_[out]->grad;
-    Tensor& ag = nodes_[a]->grad;
+  SetBackward(out, [this, out, a] {
+    const Tensor& y = nodes_[out].value;
+    const Tensor& g = nodes_[out].grad;
+    Tensor& ag = nodes_[a].grad;
     for (int i = 0; i < y.rows(); ++i) {
       const float* yr = y.Row(i);
       const float* gr = g.Row(i);
@@ -211,52 +212,51 @@ Graph::Var Graph::SoftmaxRows(Var a) {
         agr[j] += yr[j] * (gr[j] - dot);
       }
     }
-  };
+  });
   return out;
 }
 
 Graph::Var Graph::Transpose(Var a) {
-  const Tensor& x = nodes_[a]->value;
+  const Tensor& x = nodes_[a].value;
   Tensor v(x.cols(), x.rows());
   for (int i = 0; i < x.rows(); ++i) {
     for (int j = 0; j < x.cols(); ++j) v.At(j, i) = x.At(i, j);
   }
   Var out = NewNode(std::move(v));
-  nodes_[out]->backward = [this, out, a] {
-    const Tensor& g = nodes_[out]->grad;
-    Tensor& ag = nodes_[a]->grad;
+  SetBackward(out, [this, out, a] {
+    const Tensor& g = nodes_[out].grad;
+    Tensor& ag = nodes_[a].grad;
     for (int i = 0; i < g.rows(); ++i) {
       for (int j = 0; j < g.cols(); ++j) ag.At(j, i) += g.At(i, j);
     }
-  };
+  });
   return out;
 }
 
 Graph::Var Graph::ConcatCols(const std::vector<Var>& vars) {
   ALICOCO_CHECK(!vars.empty());
-  int rows = nodes_[vars[0]]->value.rows();
+  int rows = nodes_[vars[0]].value.rows();
   int cols = 0;
   for (Var v : vars) {
-    ALICOCO_CHECK(nodes_[v]->value.rows() == rows)
+    ALICOCO_CHECK(nodes_[v].value.rows() == rows)
         << "ConcatCols row mismatch";
-    cols += nodes_[v]->value.cols();
+    cols += nodes_[v].value.cols();
   }
   Tensor out_t(rows, cols);
   int off = 0;
   for (Var v : vars) {
-    const Tensor& x = nodes_[v]->value;
+    const Tensor& x = nodes_[v].value;
     for (int i = 0; i < rows; ++i) {
       std::copy(x.Row(i), x.Row(i) + x.cols(), out_t.Row(i) + off);
     }
     off += x.cols();
   }
   Var out = NewNode(std::move(out_t));
-  std::vector<Var> parents = vars;
-  nodes_[out]->backward = [this, out, parents] {
-    const Tensor& g = nodes_[out]->grad;
+  SetBackward(out, [this, out, parents = vars] {
+    const Tensor& g = nodes_[out].grad;
     int off2 = 0;
     for (Var v : parents) {
-      Tensor& vg = nodes_[v]->grad;
+      Tensor& vg = nodes_[v].grad;
       for (int i = 0; i < g.rows(); ++i) {
         const float* grow = g.Row(i) + off2;
         float* vrow = vg.Row(i);
@@ -264,35 +264,34 @@ Graph::Var Graph::ConcatCols(const std::vector<Var>& vars) {
       }
       off2 += vg.cols();
     }
-  };
+  });
   return out;
 }
 
 Graph::Var Graph::ConcatRows(const std::vector<Var>& vars) {
   ALICOCO_CHECK(!vars.empty());
-  int cols = nodes_[vars[0]]->value.cols();
+  int cols = nodes_[vars[0]].value.cols();
   int rows = 0;
   for (Var v : vars) {
-    ALICOCO_CHECK(nodes_[v]->value.cols() == cols)
+    ALICOCO_CHECK(nodes_[v].value.cols() == cols)
         << "ConcatRows col mismatch";
-    rows += nodes_[v]->value.rows();
+    rows += nodes_[v].value.rows();
   }
   Tensor out_t(rows, cols);
   int off = 0;
   for (Var v : vars) {
-    const Tensor& x = nodes_[v]->value;
+    const Tensor& x = nodes_[v].value;
     for (int i = 0; i < x.rows(); ++i) {
       std::copy(x.Row(i), x.Row(i) + cols, out_t.Row(off + i));
     }
     off += x.rows();
   }
   Var out = NewNode(std::move(out_t));
-  std::vector<Var> parents = vars;
-  nodes_[out]->backward = [this, out, parents] {
-    const Tensor& g = nodes_[out]->grad;
+  SetBackward(out, [this, out, parents = vars] {
+    const Tensor& g = nodes_[out].grad;
     int off2 = 0;
     for (Var v : parents) {
-      Tensor& vg = nodes_[v]->grad;
+      Tensor& vg = nodes_[v].grad;
       for (int i = 0; i < vg.rows(); ++i) {
         const float* grow = g.Row(off2 + i);
         float* vrow = vg.Row(i);
@@ -300,53 +299,53 @@ Graph::Var Graph::ConcatRows(const std::vector<Var>& vars) {
       }
       off2 += vg.rows();
     }
-  };
+  });
   return out;
 }
 
 Graph::Var Graph::SliceRows(Var a, int begin, int count) {
-  const Tensor& x = nodes_[a]->value;
+  const Tensor& x = nodes_[a].value;
   ALICOCO_CHECK(begin >= 0 && count >= 0 && begin + count <= x.rows());
   Tensor v(count, x.cols());
   for (int i = 0; i < count; ++i) {
     std::copy(x.Row(begin + i), x.Row(begin + i) + x.cols(), v.Row(i));
   }
   Var out = NewNode(std::move(v));
-  nodes_[out]->backward = [this, out, a, begin, count] {
-    const Tensor& g = nodes_[out]->grad;
-    Tensor& ag = nodes_[a]->grad;
+  SetBackward(out, [this, out, a, begin, count] {
+    const Tensor& g = nodes_[out].grad;
+    Tensor& ag = nodes_[a].grad;
     for (int i = 0; i < count; ++i) {
       const float* grow = g.Row(i);
       float* arow = ag.Row(begin + i);
       for (int j = 0; j < g.cols(); ++j) arow[j] += grow[j];
     }
-  };
+  });
   return out;
 }
 
 Graph::Var Graph::SliceCols(Var a, int begin, int count) {
-  const Tensor& x = nodes_[a]->value;
+  const Tensor& x = nodes_[a].value;
   ALICOCO_CHECK(begin >= 0 && count >= 0 && begin + count <= x.cols());
   Tensor v(x.rows(), count);
   for (int i = 0; i < x.rows(); ++i) {
     std::copy(x.Row(i) + begin, x.Row(i) + begin + count, v.Row(i));
   }
   Var out = NewNode(std::move(v));
-  nodes_[out]->backward = [this, out, a, begin, count] {
-    const Tensor& g = nodes_[out]->grad;
-    Tensor& ag = nodes_[a]->grad;
+  SetBackward(out, [this, out, a, begin, count] {
+    const Tensor& g = nodes_[out].grad;
+    Tensor& ag = nodes_[a].grad;
     for (int i = 0; i < g.rows(); ++i) {
       const float* grow = g.Row(i);
       float* arow = ag.Row(i) + begin;
       for (int j = 0; j < count; ++j) arow[j] += grow[j];
     }
-  };
+  });
   return out;
 }
 
 Graph::Var Graph::ConcatWindow(Var a, int k) {
   ALICOCO_CHECK(k >= 1 && k % 2 == 1) << "ConcatWindow requires odd k";
-  const Tensor& x = nodes_[a]->value;
+  const Tensor& x = nodes_[a].value;
   int t = x.rows(), d = x.cols();
   int half = k / 2;
   Tensor v(t, k * d);
@@ -360,10 +359,10 @@ Graph::Var Graph::ConcatWindow(Var a, int k) {
     }
   }
   Var out = NewNode(std::move(v));
-  nodes_[out]->backward = [this, out, a, k, half, t, d] {
+  SetBackward(out, [this, out, a, k, half, t, d] {
     (void)k;
-    const Tensor& g = nodes_[out]->grad;
-    Tensor& ag = nodes_[a]->grad;
+    const Tensor& g = nodes_[out].grad;
+    Tensor& ag = nodes_[a].grad;
     for (int i = 0; i < t; ++i) {
       for (int w = -half; w <= half; ++w) {
         int src = i + w;
@@ -373,52 +372,52 @@ Graph::Var Graph::ConcatWindow(Var a, int k) {
         for (int j = 0; j < d; ++j) arow[j] += grow[j];
       }
     }
-  };
+  });
   return out;
 }
 
 Graph::Var Graph::SumAll(Var a) {
-  const Tensor& x = nodes_[a]->value;
+  const Tensor& x = nodes_[a].value;
   Tensor v(1, 1);
   float acc = 0.0f;
   for (size_t i = 0; i < x.size(); ++i) acc += x.data()[i];
   v.At(0, 0) = acc;
   Var out = NewNode(std::move(v));
-  nodes_[out]->backward = [this, out, a] {
-    float g = nodes_[out]->grad.At(0, 0);
-    Tensor& ag = nodes_[a]->grad;
+  SetBackward(out, [this, out, a] {
+    float g = nodes_[out].grad.At(0, 0);
+    Tensor& ag = nodes_[a].grad;
     for (size_t i = 0; i < ag.size(); ++i) ag.data()[i] += g;
-  };
+  });
   return out;
 }
 
 Graph::Var Graph::MeanAll(Var a) {
-  const Tensor& x = nodes_[a]->value;
+  const Tensor& x = nodes_[a].value;
   float inv = 1.0f / static_cast<float>(x.size());
   return ScalarMul(SumAll(a), inv);
 }
 
 Graph::Var Graph::SumRows(Var a) {
-  const Tensor& x = nodes_[a]->value;
+  const Tensor& x = nodes_[a].value;
   Tensor v(1, x.cols());
   for (int i = 0; i < x.rows(); ++i) {
     const float* xr = x.Row(i);
     for (int j = 0; j < x.cols(); ++j) v.At(0, j) += xr[j];
   }
   Var out = NewNode(std::move(v));
-  nodes_[out]->backward = [this, out, a] {
-    const Tensor& g = nodes_[out]->grad;
-    Tensor& ag = nodes_[a]->grad;
+  SetBackward(out, [this, out, a] {
+    const Tensor& g = nodes_[out].grad;
+    Tensor& ag = nodes_[a].grad;
     for (int i = 0; i < ag.rows(); ++i) {
       float* arow = ag.Row(i);
       for (int j = 0; j < ag.cols(); ++j) arow[j] += g.At(0, j);
     }
-  };
+  });
   return out;
 }
 
 Graph::Var Graph::SumCols(Var a) {
-  const Tensor& x = nodes_[a]->value;
+  const Tensor& x = nodes_[a].value;
   Tensor v(x.rows(), 1);
   for (int i = 0; i < x.rows(); ++i) {
     const float* xr = x.Row(i);
@@ -427,26 +426,26 @@ Graph::Var Graph::SumCols(Var a) {
     v.At(i, 0) = acc;
   }
   Var out = NewNode(std::move(v));
-  nodes_[out]->backward = [this, out, a] {
-    const Tensor& g = nodes_[out]->grad;
-    Tensor& ag = nodes_[a]->grad;
+  SetBackward(out, [this, out, a] {
+    const Tensor& g = nodes_[out].grad;
+    Tensor& ag = nodes_[a].grad;
     for (int i = 0; i < ag.rows(); ++i) {
       float gi = g.At(i, 0);
       float* arow = ag.Row(i);
       for (int j = 0; j < ag.cols(); ++j) arow[j] += gi;
     }
-  };
+  });
   return out;
 }
 
 Graph::Var Graph::MeanRows(Var a) {
-  const Tensor& x = nodes_[a]->value;
+  const Tensor& x = nodes_[a].value;
   ALICOCO_CHECK(x.rows() > 0);
   return ScalarMul(SumRows(a), 1.0f / static_cast<float>(x.rows()));
 }
 
 Graph::Var Graph::MaxRows(Var a) {
-  const Tensor& x = nodes_[a]->value;
+  const Tensor& x = nodes_[a].value;
   ALICOCO_CHECK(x.rows() > 0);
   Tensor v(1, x.cols());
   std::vector<int> argmax(static_cast<size_t>(x.cols()), 0);
@@ -461,13 +460,13 @@ Graph::Var Graph::MaxRows(Var a) {
     v.At(0, j) = best;
   }
   Var out = NewNode(std::move(v));
-  nodes_[out]->backward = [this, out, a, argmax] {
-    const Tensor& g = nodes_[out]->grad;
-    Tensor& ag = nodes_[a]->grad;
+  SetBackward(out, [this, out, a, argmax = std::move(argmax)] {
+    const Tensor& g = nodes_[out].grad;
+    Tensor& ag = nodes_[a].grad;
     for (int j = 0; j < g.cols(); ++j) {
       ag.At(argmax[static_cast<size_t>(j)], j) += g.At(0, j);
     }
-  };
+  });
   return out;
 }
 
@@ -484,41 +483,40 @@ Graph::Var Graph::EmbeddingLookup(Parameter* table,
               v.Row(static_cast<int>(i)));
   }
   Var out = NewNode(std::move(v));
-  std::vector<int> ids_copy = ids;
-  nodes_[out]->backward = [this, out, table, ids_copy, d] {
-    const Tensor& g = nodes_[out]->grad;
+  SetBackward(out, [this, out, table, ids_copy = ids, d] {
+    const Tensor& g = nodes_[out].grad;
     Tensor* tg = ParamGrad(table);
     for (size_t i = 0; i < ids_copy.size(); ++i) {
       const float* grow = g.Row(static_cast<int>(i));
       float* trow = tg->Row(ids_copy[i]);
       for (int j = 0; j < d; ++j) trow[j] += grow[j];
     }
-  };
+  });
   return out;
 }
 
 Graph::Var Graph::Dropout(Var a, float p, bool train, Rng* rng) {
   if (!train || p <= 0.0f) return a;
   ALICOCO_CHECK(p < 1.0f && rng != nullptr);
-  const Tensor& x = nodes_[a]->value;
+  const Tensor& x = nodes_[a].value;
   float scale = 1.0f / (1.0f - p);
   std::vector<float> mask(x.size());
   for (auto& m : mask) m = rng->Bernoulli(p) ? 0.0f : scale;
   Tensor v(x.rows(), x.cols());
   for (size_t i = 0; i < x.size(); ++i) v.data()[i] = x.data()[i] * mask[i];
   Var out = NewNode(std::move(v));
-  nodes_[out]->backward = [this, out, a, mask] {
-    const Tensor& g = nodes_[out]->grad;
-    Tensor& ag = nodes_[a]->grad;
+  SetBackward(out, [this, out, a, mask = std::move(mask)] {
+    const Tensor& g = nodes_[out].grad;
+    Tensor& ag = nodes_[a].grad;
     for (size_t i = 0; i < g.size(); ++i) ag.data()[i] += g.data()[i] * mask[i];
-  };
+  });
   return out;
 }
 
 Graph::Var Graph::AdditiveAttention(Var a, Var b, Var v) {
-  const Tensor& at = nodes_[a]->value;
-  const Tensor& bt = nodes_[b]->value;
-  const Tensor& vt = nodes_[v]->value;
+  const Tensor& at = nodes_[a].value;
+  const Tensor& bt = nodes_[b].value;
+  const Tensor& vt = nodes_[v].value;
   int m = at.rows(), l = bt.rows(), d = at.cols();
   ALICOCO_CHECK(bt.cols() == d && vt.rows() == d && vt.cols() == 1)
       << "AdditiveAttention shapes";
@@ -542,12 +540,12 @@ Graph::Var Graph::AdditiveAttention(Var a, Var b, Var v) {
     }
   }
   Var out = NewNode(std::move(out_t));
-  nodes_[out]->backward = [this, out, a, b, v, tanh_cache, m, l, d] {
-    const Tensor& g = nodes_[out]->grad;
-    const Tensor& vt2 = nodes_[v]->value;
-    Tensor& ag = nodes_[a]->grad;
-    Tensor& bg = nodes_[b]->grad;
-    Tensor& vg = nodes_[v]->grad;
+  SetBackward(out, [this, out, a, b, v, tanh_cache, m, l, d] {
+    const Tensor& g = nodes_[out].grad;
+    const Tensor& vt2 = nodes_[v].value;
+    Tensor& ag = nodes_[a].grad;
+    Tensor& bg = nodes_[b].grad;
+    Tensor& vg = nodes_[v].grad;
     for (int i = 0; i < m; ++i) {
       float* agr = ag.Row(i);
       for (int j = 0; j < l; ++j) {
@@ -565,13 +563,13 @@ Graph::Var Graph::AdditiveAttention(Var a, Var b, Var v) {
         }
       }
     }
-  };
+  });
   return out;
 }
 
 Graph::Var Graph::AffineAct(Var x, Parameter* w, Parameter* b, int act) {
   ALICOCO_DCHECK(w != nullptr && b != nullptr);
-  const Tensor& xv = nodes_[x]->value;
+  const Tensor& xv = nodes_[x].value;
   const int rows = xv.rows(), in = xv.cols(), out_dim = w->value.cols();
   ALICOCO_DCHECK_EQ(w->value.rows(), in)
       << "Affine: x " << rows << "x" << in << " vs W " << w->value.rows()
@@ -593,9 +591,9 @@ Graph::Var Graph::AffineAct(Var x, Parameter* w, Parameter* b, int act) {
       break;
   }
   Var out = NewNode(std::move(v));
-  nodes_[out]->backward = [this, out, x, w, b, act, rows, in, out_dim] {
-    const Tensor& g = nodes_[out]->grad;
-    const Tensor& y = nodes_[out]->value;
+  SetBackward(out, [this, out, x, w, b, act, rows, in, out_dim] {
+    const Tensor& g = nodes_[out].grad;
+    const Tensor& y = nodes_[out].value;
     // Pre-activation gradient (aliases g for the identity case).
     Tensor pre;
     const float* gp = g.data();
@@ -614,9 +612,9 @@ Graph::Var Graph::AffineAct(Var x, Parameter* w, Parameter* b, int act) {
       }
       gp = pp;
     }
-    const Tensor& xv2 = nodes_[x]->value;
+    const Tensor& xv2 = nodes_[x].value;
     kernels::GemmTransBAccum(rows, out_dim, in, gp, w->value.data(),
-                             nodes_[x]->grad.data());
+                             nodes_[x].grad.data());
     kernels::GemmTransAAccum(rows, in, out_dim, xv2.data(), gp,
                              ParamGrad(w)->data());
     float* bg = ParamGrad(b)->data();
@@ -624,14 +622,14 @@ Graph::Var Graph::AffineAct(Var x, Parameter* w, Parameter* b, int act) {
       const float* gr = gp + static_cast<size_t>(i) * out_dim;
       for (int j = 0; j < out_dim; ++j) bg[j] += gr[j];
     }
-  };
+  });
   return out;
 }
 
 Graph::Var Graph::AffineQuantAct(Var x, const quant::QuantizedTensor& wt,
                                  Parameter* b, int act) {
   ALICOCO_DCHECK(b != nullptr);
-  const Tensor& xv = nodes_[x]->value;
+  const Tensor& xv = nodes_[x].value;
   const int rows = xv.rows(), in = xv.cols(), out_dim = wt.rows();
   ALICOCO_DCHECK_EQ(wt.cols(), in)
       << "AffineQuant: x " << rows << "x" << in << " vs W^T " << wt.rows()
@@ -653,10 +651,10 @@ Graph::Var Graph::AffineQuantAct(Var x, const quant::QuantizedTensor& wt,
       break;
   }
   Var out = NewNode(std::move(v));
-  nodes_[out]->backward = [] {
+  SetBackward(out, [] {
     ALICOCO_CHECK(false) << "quantized ops are inference-only; Backward is "
                             "not supported through AffineQuant";
-  };
+  });
   return out;
 }
 
@@ -676,17 +674,17 @@ Graph::Var Graph::AffineQuantRelu(Var x, const quant::QuantizedTensor& wt,
 }
 
 Graph::Var Graph::MatMulQuant(Var a, const quant::QuantizedTensor& wt) {
-  const Tensor& av = nodes_[a]->value;
+  const Tensor& av = nodes_[a].value;
   ALICOCO_DCHECK_EQ(wt.cols(), av.cols())
       << "MatMulQuant: a " << av.rows() << "x" << av.cols() << " vs W^T "
       << wt.rows() << "x" << wt.cols();
   Tensor v(av.rows(), wt.rows());
   quant::GemmTransW(av, wt, &v);
   Var out = NewNode(std::move(v));
-  nodes_[out]->backward = [] {
+  SetBackward(out, [] {
     ALICOCO_CHECK(false) << "quantized ops are inference-only; Backward is "
                             "not supported through MatMulQuant";
-  };
+  });
   return out;
 }
 
@@ -702,10 +700,10 @@ Graph::Var Graph::EmbeddingLookupQuant(const quant::QuantizedTensor& table,
     table.DequantizeRow(id, v.Row(static_cast<int>(i)));
   }
   Var out = NewNode(std::move(v));
-  nodes_[out]->backward = [] {
+  SetBackward(out, [] {
     ALICOCO_CHECK(false) << "quantized ops are inference-only; Backward is "
                             "not supported through EmbeddingLookupQuant";
-  };
+  });
   return out;
 }
 
@@ -722,8 +720,8 @@ Graph::Var Graph::AffineRelu(Var x, Parameter* w, Parameter* b) {
 }
 
 Graph::Var Graph::MatMulTransB(Var a, Var b) {
-  const Tensor& av = nodes_[a]->value;
-  const Tensor& bv = nodes_[b]->value;
+  const Tensor& av = nodes_[a].value;
+  const Tensor& bv = nodes_[b].value;
   const int m = av.rows(), k = av.cols(), n = bv.rows();
   ALICOCO_DCHECK_EQ(bv.cols(), k)
       << "MatMulTransB shapes " << m << "x" << k << " * (" << n << "x"
@@ -731,23 +729,23 @@ Graph::Var Graph::MatMulTransB(Var a, Var b) {
   Tensor v(m, n);
   kernels::GemmTransBAccum(m, k, n, av.data(), bv.data(), v.data());
   Var out = NewNode(std::move(v));
-  nodes_[out]->backward = [this, out, a, b, m, k, n] {
-    const Tensor& g = nodes_[out]->grad;
+  SetBackward(out, [this, out, a, b, m, k, n] {
+    const Tensor& g = nodes_[out].grad;
     // dA += g * B ; dB += g^T * A
-    kernels::GemmAccum(m, n, k, g.data(), nodes_[b]->value.data(),
-                       nodes_[a]->grad.data());
-    kernels::GemmTransAAccum(m, n, k, g.data(), nodes_[a]->value.data(),
-                             nodes_[b]->grad.data());
-  };
+    kernels::GemmAccum(m, n, k, g.data(), nodes_[b].value.data(),
+                       nodes_[a].grad.data());
+    kernels::GemmTransAAccum(m, n, k, g.data(), nodes_[a].value.data(),
+                             nodes_[b].grad.data());
+  });
   return out;
 }
 
 Graph::Var Graph::LstmStep(Var x, Var h_prev, Var c_prev, Parameter* wx,
                            Parameter* wh, Parameter* b) {
   ALICOCO_DCHECK(wx != nullptr && wh != nullptr && b != nullptr);
-  const Tensor& xv = nodes_[x]->value;
-  const Tensor& hv = nodes_[h_prev]->value;
-  const Tensor& cv = nodes_[c_prev]->value;
+  const Tensor& xv = nodes_[x].value;
+  const Tensor& hv = nodes_[h_prev].value;
+  const Tensor& cv = nodes_[c_prev].value;
   const int rows = xv.rows(), in = xv.cols(), hidden = wh->value.rows();
   const int gate_cols = 4 * hidden;
   ALICOCO_DCHECK(wx->value.rows() == in && wx->value.cols() == gate_cols)
@@ -796,14 +794,14 @@ Graph::Var Graph::LstmStep(Var x, Var h_prev, Var c_prev, Parameter* wx,
     }
   }
   Var out = NewNode(std::move(v));
-  nodes_[out]->backward = [this, out, x, h_prev, c_prev, wx, wh, b, acts,
+  SetBackward(out, [this, out, x, h_prev, c_prev, wx, wh, b, acts,
                            tanh_c, rows, in, hidden, gate_cols] {
-    const Tensor& g = nodes_[out]->grad;
-    const Tensor& xv2 = nodes_[x]->value;
-    const Tensor& hv2 = nodes_[h_prev]->value;
-    const Tensor& cv2 = nodes_[c_prev]->value;
+    const Tensor& g = nodes_[out].grad;
+    const Tensor& xv2 = nodes_[x].value;
+    const Tensor& hv2 = nodes_[h_prev].value;
+    const Tensor& cv2 = nodes_[c_prev].value;
     Tensor dgates(rows, gate_cols);
-    Tensor& cg = nodes_[c_prev]->grad;
+    Tensor& cg = nodes_[c_prev].grad;
     for (int r = 0; r < rows; ++r) {
       const float* gr = g.Row(r);
       const float* gate = acts->Row(r);
@@ -826,9 +824,9 @@ Graph::Var Graph::LstmStep(Var x, Var h_prev, Var c_prev, Parameter* wx,
       }
     }
     kernels::GemmTransBAccum(rows, gate_cols, in, dgates.data(),
-                             wx->value.data(), nodes_[x]->grad.data());
+                             wx->value.data(), nodes_[x].grad.data());
     kernels::GemmTransBAccum(rows, gate_cols, hidden, dgates.data(),
-                             wh->value.data(), nodes_[h_prev]->grad.data());
+                             wh->value.data(), nodes_[h_prev].grad.data());
     kernels::GemmTransAAccum(rows, in, gate_cols, xv2.data(), dgates.data(),
                              ParamGrad(wx)->data());
     kernels::GemmTransAAccum(rows, hidden, gate_cols, hv2.data(),
@@ -838,12 +836,12 @@ Graph::Var Graph::LstmStep(Var x, Var h_prev, Var c_prev, Parameter* wx,
       const float* dg = dgates.Row(r);
       for (int j = 0; j < gate_cols; ++j) bg[j] += dg[j];
     }
-  };
+  });
   return out;
 }
 
 Graph::Var Graph::SigmoidCrossEntropyWithLogits(Var logits, Tensor targets) {
-  const Tensor& x = nodes_[logits]->value;
+  const Tensor& x = nodes_[logits].value;
   ALICOCO_CHECK(x.SameShape(targets));
   // loss = mean( max(x,0) - x*z + log(1+exp(-|x|)) )
   Tensor v(1, 1);
@@ -857,18 +855,18 @@ Graph::Var Graph::SigmoidCrossEntropyWithLogits(Var logits, Tensor targets) {
   v.At(0, 0) = static_cast<float>(acc / static_cast<double>(x.size()));
   Var out = NewNode(std::move(v));
   auto tgt = std::make_shared<Tensor>(std::move(targets));
-  nodes_[out]->backward = [this, out, logits, tgt] {
-    float g = nodes_[out]->grad.At(0, 0) /
+  SetBackward(out, [this, out, logits, tgt] {
+    float g = nodes_[out].grad.At(0, 0) /
               static_cast<float>(tgt->size());
-    const Tensor& x2 = nodes_[logits]->value;
-    Tensor& lg = nodes_[logits]->grad;
+    const Tensor& x2 = nodes_[logits].value;
+    Tensor& lg = nodes_[logits].grad;
     for (size_t i = 0; i < x2.size(); ++i) {
       float xi = x2.data()[i];
       float sig = xi >= 0 ? 1.0f / (1.0f + std::exp(-xi))
                           : std::exp(xi) / (1.0f + std::exp(xi));
       lg.data()[i] += g * (sig - tgt->data()[i]);
     }
-  };
+  });
   return out;
 }
 

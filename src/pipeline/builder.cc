@@ -497,6 +497,10 @@ Result<kg::ConceptNet> AliCoCoBuilder::Build(BuildReport* report) {
     }
   }
 
+  // Sub-stage spans: train (dataset, training, quantization), calibrate,
+  // score (candidate scoring and link writes).
+  std::optional<obs::ScopedSpan> train_span(
+      std::in_place, tracer, "pipeline.item_association.train");
   matching::KnowledgeResources know_res;
   know_res.pos_tagger = &world_->pos_tagger();
   know_res.gloss_encoder = &resources_->gloss_encoder();
@@ -533,6 +537,7 @@ Result<kg::ConceptNet> AliCoCoBuilder::Build(BuildReport* report) {
   if (config_.association_quant != nn::quant::QuantMode::kNone) {
     matcher.EnableQuantizedInference(config_.association_quant);
   }
+  train_span.reset();
 
   // Calibrate the acceptance threshold on the held-out split so dynamic
   // edges meet the target precision AT DEPLOYMENT PRIOR: the calibration
@@ -540,6 +545,8 @@ Result<kg::ConceptNet> AliCoCoBuilder::Build(BuildReport* report) {
   // far more rarely, so positives are down-weighted accordingly.
   double assoc_threshold = 1.0;
   {
+    obs::ScopedSpan calibrate_span(tracer,
+                                   "pipeline.item_association.calibrate");
     std::vector<std::pair<double, int>> scored;
     scored.reserve(md.test.size());
     size_t positives = 0;
@@ -593,6 +600,7 @@ Result<kg::ConceptNet> AliCoCoBuilder::Build(BuildReport* report) {
   // read-only on the matcher and the net, so concepts fan out over a
   // thread pool; links are written sequentially afterwards.
   {
+    obs::ScopedSpan score_span(tracer, "pipeline.item_association.score");
     size_t num_concepts = net.ec_concepts().size();
     std::vector<std::vector<std::pair<double, kg::ItemId>>> per_concept(
         num_concepts);

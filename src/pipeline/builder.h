@@ -11,7 +11,8 @@
 //   4. hypernym discovery       (patterns + projection learning, 4.2)
 //   5. e-commerce concepts      (generation + classification + audit, 5.2)
 //   6. concept tagging          (fuzzy-CRF NER -> interpretation links, 5.3)
-//   7. item association         (knowledge-aware matching, Section 6)
+//   7. item association         (knowledge-aware matching, Section 6;
+//                                sub-spans train, calibrate, score)
 //   8. relation inference       (commonsense relations, Section 10)
 //   9. validation               (kg::Validator structural audit)
 //

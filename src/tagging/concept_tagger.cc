@@ -169,7 +169,7 @@ std::vector<std::string> ConceptTagger::Predict(
     const std::vector<std::string>& tokens) const {
   ALICOCO_CHECK(trained_);
   if (tokens.empty()) return {};
-  nn::Graph g;
+  nn::Graph g(nn::Graph::kForwardOnly);
   nn::Graph::Var emissions = Emissions(&g, tokens, false, nullptr);
   std::vector<int> path = crf_->Viterbi(g.Value(emissions));
   std::vector<std::string> out;

@@ -1,9 +1,10 @@
 // Quantized-inference tests for the neural matchers (DESIGN.md §5): every
 // matcher scored through int8 / fp16 weights must stay within the
 // documented tolerance of its own fp32 scores, reverting to fp32 must be
-// exact, quantized checkpoints must reload bit-for-bit, and concurrent
-// quantized scoring through a thread pool must be race-free (this suite
-// runs under the TSan preset — the name matches the ci.sh regex).
+// exact, quantized checkpoints must reload bit-for-bit, the forward-only
+// Score must equal the recorded Logit, and concurrent fp32 and int8
+// scoring through a thread pool must be race-free (this suite runs under
+// the TSan preset — the name matches the ci.sh regex).
 
 #include <gtest/gtest.h>
 
@@ -235,17 +236,90 @@ TEST(QuantizedMatchingTest, WrongModelCheckpointRejected) {
   EXPECT_EQ(re2.quantized_mode(), nn::quant::QuantMode::kNone);
 }
 
-TEST(QuantizedMatchingRaceTest, ConcurrentQuantizedScoring) {
-  // Score() is const and the quantized store is read-only after
-  // EnableQuantizedInference; hammer it from the pool to let TSan check
-  // that claim on the shared QuantizedTensor buffers.
+// Exposes the knowledge matcher's Logit: RecordedScore scores a pair on a
+// recording graph, and every Logit call notes its graph's node count.
+class ProbedKnowledgeMatcher : public KnowledgeMatcher {
+ public:
+  using KnowledgeMatcher::KnowledgeMatcher;
+
+  double RecordedScore(const std::vector<std::string>& concept_tokens,
+                       const std::vector<std::string>& item_tokens) const {
+    nn::Graph g;
+    nn::Graph::Var logit = KnowledgeMatcher::Logit(
+        &g, Encode(concept_tokens), Encode(item_tokens), false, nullptr);
+    const float x = g.Value(logit).At(0, 0);
+    return 1.0 / (1.0 + std::exp(-static_cast<double>(x)));
+  }
+
+  size_t last_graph_nodes() const { return last_graph_nodes_; }
+
+ protected:
+  nn::Graph::Var Logit(nn::Graph* g, const std::vector<int>& concept_ids,
+                       const std::vector<int>& item_ids, bool train,
+                       Rng* rng) const override {
+    nn::Graph::Var logit =
+        KnowledgeMatcher::Logit(g, concept_ids, item_ids, train, rng);
+    last_graph_nodes_ = g->num_nodes();
+    return logit;
+  }
+
+ private:
+  mutable size_t last_graph_nodes_ = 0;
+};
+
+TEST(ForwardOnlyScoreTest, EqualsRecordedLogitAndKeepsTheGraphSmall) {
+  Fixture& f = SharedFixture();
+  KnowledgeMatcherConfig cfg;
+  cfg.base.epochs = 1;
+  ProbedKnowledgeMatcher model(cfg, f.KnowRes(), &f.resources.embeddings(),
+                               &f.resources.vocab());
+  model.Train(f.dataset);
+
+  const size_t n = std::min<size_t>(f.dataset.test.size(), 64);
+  for (nn::quant::QuantMode mode :
+       {nn::quant::QuantMode::kNone, nn::quant::QuantMode::kInt8}) {
+    model.EnableQuantizedInference(mode);
+    for (size_t i = 0; i < n; ++i) {
+      const auto& ex = f.dataset.test[i];
+      EXPECT_EQ(model.Score(ex.concept_tokens, ex.item_tokens, ex.item_id),
+                model.RecordedScore(ex.concept_tokens, ex.item_tokens))
+          << nn::quant::QuantModeName(mode) << " example " << i;
+    }
+  }
+  model.EnableQuantizedInference(nn::quant::QuantMode::kNone);
+
+  // A 3-token concept against a 6-token title: the composed pyramid
+  // readouts made this graph 209 nodes.
+  const MatchingExample* pair = nullptr;
+  for (const auto& ex : f.dataset.test) {
+    if (ex.concept_tokens.size() == 3 && ex.item_tokens.size() >= 6) {
+      pair = &ex;
+      break;
+    }
+  }
+  ASSERT_NE(pair, nullptr);
+  const std::vector<std::string> title(pair->item_tokens.begin(),
+                                       pair->item_tokens.begin() + 6);
+  model.Score(pair->concept_tokens, title, pair->item_id);
+  EXPECT_GT(model.last_graph_nodes(), 0u);
+  EXPECT_LT(model.last_graph_nodes(), 60u);
+}
+
+class QuantizedMatchingRaceTest
+    : public ::testing::TestWithParam<nn::quant::QuantMode> {};
+
+TEST_P(QuantizedMatchingRaceTest, ConcurrentQuantizedScoring) {
+  // Score() is const: the quantized store, the per-id knowledge tables and
+  // the fp32 parameters are read-only after training, and every call
+  // builds its own forward-only graph. Hammer it from the pool to let TSan
+  // check that claim on the shared buffers.
   Fixture& f = SharedFixture();
   KnowledgeMatcherConfig cfg;
   cfg.base.epochs = 1;
   KnowledgeMatcher model(cfg, f.KnowRes(), &f.resources.embeddings(),
                          &f.resources.vocab());
   model.Train(f.dataset);
-  model.EnableQuantizedInference(nn::quant::QuantMode::kInt8);
+  model.EnableQuantizedInference(GetParam());
 
   const size_t n = std::min<size_t>(f.dataset.test.size(), 64);
   std::vector<double> serial(n), parallel(n);
@@ -262,6 +336,16 @@ TEST(QuantizedMatchingRaceTest, ConcurrentQuantizedScoring) {
     EXPECT_EQ(parallel[i], serial[i]) << "example " << i;
   }
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Modes, QuantizedMatchingRaceTest,
+    ::testing::Values(nn::quant::QuantMode::kNone,
+                      nn::quant::QuantMode::kInt8),
+    [](const ::testing::TestParamInfo<nn::quant::QuantMode>& info) {
+      return std::string(info.param == nn::quant::QuantMode::kNone
+                             ? "fp32"
+                             : nn::quant::QuantModeName(info.param));
+    });
 
 }  // namespace
 }  // namespace alicoco::matching

@@ -159,6 +159,41 @@ TEST(GraphTest, BackwardTwiceAccumulates) {
   EXPECT_FLOAT_EQ(p->grad.At(0, 0), 0.0f);
 }
 
+TEST(GraphTest, ForwardOnlyGraphComputesTheSameValues) {
+  Rng rng(9);
+  ParameterStore store;
+  Parameter* table =
+      store.Create("table", 6, 4, ParameterStore::Init::kXavier, &rng);
+  Parameter* w = store.Create("w", 4, 4, ParameterStore::Init::kXavier, &rng);
+  Parameter* b = store.Create("b", 1, 4, ParameterStore::Init::kGaussian,
+                              &rng, 0.2f);
+  Parameter* v = store.Create("v", 4, 1, ParameterStore::Init::kXavier, &rng);
+  auto build = [&](Graph* g) {
+    Graph::Var x = g->EmbeddingLookup(table, {3, 1, 5});
+    Graph::Var h = g->AffineTanh(x, w, b);
+    Graph::Var att = g->AdditiveAttention(h, x, g->Use(v));
+    return g->SoftmaxRows(g->ConcatCols({att, g->MatMulTransB(h, x)}));
+  };
+  Graph recording;
+  Graph forward_only(Graph::kForwardOnly);
+  const Tensor& want = recording.Value(build(&recording));
+  const Tensor& got = forward_only.Value(build(&forward_only));
+  ASSERT_TRUE(want.SameShape(got));
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(want.data()[i], got.data()[i]) << "entry " << i;
+  }
+  EXPECT_EQ(recording.num_nodes(), forward_only.num_nodes());
+}
+
+TEST(GraphTest, BackwardOnForwardOnlyGraphAborts) {
+  ParameterStore store;
+  Parameter* p =
+      store.Create("p", 1, 1, ParameterStore::Init::kZero, nullptr);
+  Graph g(Graph::kForwardOnly);
+  Graph::Var loss = g.ScalarMul(g.Use(p), 3.0f);
+  EXPECT_DEATH(g.Backward(loss), "forward-only");
+}
+
 TEST(ParameterStoreTest, DuplicateNameAborts) {
   ParameterStore store;
   store.Create("x", 1, 1, ParameterStore::Init::kZero, nullptr);

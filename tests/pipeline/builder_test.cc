@@ -173,6 +173,30 @@ TEST(PipelineTest, StageSpansFormOneTreeInExecutionOrder) {
   }
   EXPECT_EQ(epochs, 2u);  // cfg.mining_epochs
   EXPECT_EQ(epochs_under_mining, epochs);
+
+  // Stage 7 splits into train, calibrate and score, in that order, which
+  // together cover the stage.
+  const obs::SpanRecord& assoc = *stages[6];
+  std::vector<const obs::SpanRecord*> steps;
+  for (const obs::SpanRecord& s : spans) {
+    if (s.parent_id == assoc.id) steps.push_back(&s);
+  }
+  std::sort(steps.begin(), steps.end(),
+            [](const obs::SpanRecord* x, const obs::SpanRecord* y) {
+              return x->id < y->id;
+            });
+  std::vector<std::string> step_names;
+  uint64_t step_us = 0;
+  for (const obs::SpanRecord* s : steps) {
+    step_names.push_back(s->name);
+    step_us += s->duration_us;
+  }
+  EXPECT_EQ(step_names, (std::vector<std::string>{
+                            "pipeline.item_association.train",
+                            "pipeline.item_association.calibrate",
+                            "pipeline.item_association.score"}));
+  EXPECT_GE(static_cast<double>(step_us),
+            0.95 * static_cast<double>(assoc.duration_us));
 }
 
 TEST(PipelineTest, PublishesTheMetricsPerfbenchReads) {
