@@ -305,21 +305,18 @@ TEST(ForwardOnlyScoreTest, EqualsRecordedLogitAndKeepsTheGraphSmall) {
   EXPECT_LT(model.last_graph_nodes(), 60u);
 }
 
-class QuantizedMatchingRaceTest
-    : public ::testing::TestWithParam<nn::quant::QuantMode> {};
-
-TEST_P(QuantizedMatchingRaceTest, ConcurrentQuantizedScoring) {
-  // Score() is const: the quantized store, the per-id knowledge tables and
-  // the fp32 parameters are read-only after training, and every call
-  // builds its own forward-only graph. Hammer it from the pool to let TSan
-  // check that claim on the shared buffers.
+// Score() is const: the quantized store, the per-id knowledge tables and
+// the fp32 parameters are read-only after training, and every call builds
+// its own forward-only graph. Hammer it from the pool to let TSan check that
+// claim on the shared buffers, in the given inference mode.
+void ExpectConcurrentScoringMatchesSerial(nn::quant::QuantMode mode) {
   Fixture& f = SharedFixture();
   KnowledgeMatcherConfig cfg;
   cfg.base.epochs = 1;
   KnowledgeMatcher model(cfg, f.KnowRes(), &f.resources.embeddings(),
                          &f.resources.vocab());
   model.Train(f.dataset);
-  model.EnableQuantizedInference(GetParam());
+  model.EnableQuantizedInference(mode);
 
   const size_t n = std::min<size_t>(f.dataset.test.size(), 64);
   std::vector<double> serial(n), parallel(n);
@@ -333,19 +330,18 @@ TEST_P(QuantizedMatchingRaceTest, ConcurrentQuantizedScoring) {
     parallel[i] = model.Score(ex.concept_tokens, ex.item_tokens, ex.item_id);
   });
   for (size_t i = 0; i < n; ++i) {
-    EXPECT_EQ(parallel[i], serial[i]) << "example " << i;
+    EXPECT_EQ(parallel[i], serial[i])
+        << nn::quant::QuantModeName(mode) << " example " << i;
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Modes, QuantizedMatchingRaceTest,
-    ::testing::Values(nn::quant::QuantMode::kNone,
-                      nn::quant::QuantMode::kInt8),
-    [](const ::testing::TestParamInfo<nn::quant::QuantMode>& info) {
-      return std::string(info.param == nn::quant::QuantMode::kNone
-                             ? "fp32"
-                             : nn::quant::QuantModeName(info.param));
-    });
+TEST(QuantizedMatchingRaceTest, ConcurrentQuantizedScoring) {
+  ExpectConcurrentScoringMatchesSerial(nn::quant::QuantMode::kInt8);
+}
+
+TEST(QuantizedMatchingRaceTest, ConcurrentFp32Scoring) {
+  ExpectConcurrentScoringMatchesSerial(nn::quant::QuantMode::kNone);
+}
 
 }  // namespace
 }  // namespace alicoco::matching
