@@ -3,12 +3,14 @@
 // pyramid layer, BM25 scoring, segmenter matching, and concept-net queries.
 //
 // Besides the interactive google-benchmark mode, `--kernels-out FILE` runs
-// a fixed kernel smoke suite and writes BENCH_kernels.json; adding
+// a fixed kernel smoke suite and writes BENCH_kernels.json (each entry the
+// median of five timings); adding
 // `--baseline FILE [--max-regress X] [--slack-us US]` turns the run into a
 // regression gate against the committed baseline (tools/ci.sh).
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -265,10 +267,21 @@ double TimeUsPerIter(const std::function<void()>& fn) {
   }
 }
 
+// Each entry is the median of this many timings, so one host slow spell
+// cannot fail the gate on its own.
+constexpr int kKernelReps = 5;
+
+double MedianUsPerIter(const std::function<void()>& fn) {
+  std::vector<double> us;
+  for (int rep = 0; rep < kKernelReps; ++rep) us.push_back(TimeUsPerIter(fn));
+  std::nth_element(us.begin(), us.begin() + kKernelReps / 2, us.end());
+  return us[kKernelReps / 2];
+}
+
 std::vector<std::pair<std::string, double>> RunKernelSuite() {
   std::vector<std::pair<std::string, double>> out;
   auto add = [&](const std::string& name, const std::function<void()>& fn) {
-    out.emplace_back(name, TimeUsPerIter(fn));
+    out.emplace_back(name, MedianUsPerIter(fn));
     std::printf("  %-28s %10.2f us/iter\n", name.c_str(), out.back().second);
   };
 

@@ -42,11 +42,11 @@ NeedsAnswer NeedsQuestionAnswerer::BuildAnswer(kg::EcConceptId id,
   return answer;
 }
 
-std::vector<NeedsAnswer> NeedsQuestionAnswerer::AnswerAll(
-    const std::string& question, size_t max_items) const {
+std::vector<std::pair<double, uint32_t>> NeedsQuestionAnswerer::Rank(
+    const std::string& question, size_t limit) const {
   std::vector<std::string> tokens = text::Tokenize(question);
-  std::vector<NeedsAnswer> out;
-  if (tokens.empty()) return out;
+  std::vector<std::pair<double, uint32_t>> ranked;
+  if (tokens.empty()) return ranked;
 
   // Pass 1: direct surface containment — longest e-commerce-concept
   // surface found as a contiguous token span. Score = matched tokens /
@@ -100,25 +100,34 @@ std::vector<NeedsAnswer> NeedsQuestionAnswerer::AnswerAll(
     }
   }
 
-  std::vector<std::pair<double, uint32_t>> ranked;
   ranked.reserve(matched.size());
   for (const auto& [ec, score] : matched) ranked.emplace_back(score, ec);
-  std::sort(ranked.begin(), ranked.end(), [](const auto& a, const auto& b) {
-    if (a.first != b.first) return a.first > b.first;
-    return a.second < b.second;
-  });
-  for (const auto& [score, ec] : ranked) {
+  // A total order, so the best `limit` are those a full sort puts first.
+  limit = std::min(limit, ranked.size());
+  std::partial_sort(ranked.begin(), ranked.begin() + limit, ranked.end(),
+                    [](const auto& a, const auto& b) {
+                      if (a.first != b.first) return a.first > b.first;
+                      return a.second < b.second;
+                    });
+  ranked.resize(limit);
+  return ranked;
+}
+
+std::vector<NeedsAnswer> NeedsQuestionAnswerer::AnswerAll(
+    const std::string& question, size_t max_items) const {
+  std::vector<NeedsAnswer> out;
+  for (const auto& [score, ec] : Rank(question, 5)) {
     out.push_back(BuildAnswer(kg::EcConceptId(ec), score, max_items));
-    if (out.size() >= 5) break;
   }
   return out;
 }
 
 std::optional<NeedsAnswer> NeedsQuestionAnswerer::Answer(
     const std::string& question, size_t max_items) const {
-  auto all = AnswerAll(question, max_items);
-  if (all.empty()) return std::nullopt;
-  return all.front();
+  auto best = Rank(question, 1);
+  if (best.empty()) return std::nullopt;
+  return BuildAnswer(kg::EcConceptId(best[0].second), best[0].first,
+                     max_items);
 }
 
 }  // namespace alicoco::apps

@@ -9,8 +9,10 @@
 #ifndef ALICOCO_APPS_QUESTION_ANSWERING_H_
 #define ALICOCO_APPS_QUESTION_ANSWERING_H_
 
+#include <cstdint>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "kg/concept_net.h"
@@ -32,7 +34,8 @@ struct NeedsAnswer {
 /// net. Pure retrieval — no trained model, so it runs on any net.
 class NeedsQuestionAnswerer {
  public:
-  /// `net` must outlive the answerer.
+  /// `net` must outlive the answerer and must not change after it is
+  /// built.
   explicit NeedsQuestionAnswerer(const kg::ConceptNet* net);
 
   /// Answers a question. Recognition: the longest e-commerce-concept
@@ -47,6 +50,10 @@ class NeedsQuestionAnswerer {
                                      size_t max_items = 8) const;
 
  private:
+  /// The best `limit` recognized needs as (score, concept id), best first.
+  std::vector<std::pair<double, uint32_t>> Rank(const std::string& question,
+                                                size_t limit) const;
+
   NeedsAnswer BuildAnswer(kg::EcConceptId id, double score,
                           size_t max_items) const;
 

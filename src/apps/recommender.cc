@@ -67,6 +67,16 @@ CognitiveRecommender::CognitiveRecommender(const kg::ConceptNet* net,
                                            obs::Registry* metrics)
     : net_(net) {
   ALICOCO_CHECK(net != nullptr);
+  vote_weight_.reserve(net->num_ec_concepts());
+  row_begin_.reserve(net->num_ec_concepts() + 1);
+  row_begin_.push_back(0);
+  for (const kg::EcommerceConcept& ec : net->ec_concepts()) {
+    const auto ranked = net->ItemsForEcRanked(ec.id);
+    const double size = static_cast<double>(ranked.size());
+    vote_weight_.push_back(1.0 / std::log2(2.0 + size));
+    for (const auto& edge : ranked) ranked_items_.push_back(edge.first);
+    row_begin_.push_back(static_cast<uint32_t>(ranked_items_.size()));
+  }
   if (metrics != nullptr) {
     recommend_latency_us_ =
         metrics->GetHistogram("serving.recommender.recommend_latency_us");
@@ -84,35 +94,45 @@ CognitiveRecommender::Recommend(const datagen::UserHistory& user,
     start = std::chrono::steady_clock::now();
   }
   // Vote for concepts linked to the clicked items; damp by concept size so
-  // huge generic concepts don't dominate.
-  std::unordered_map<uint32_t, double> votes;
+  // huge generic concepts don't dominate. Each concept's votes add up in
+  // clicked-item and edge order.
+  std::vector<double> votes(vote_weight_.size(), 0.0);
+  std::vector<uint32_t> voted;  // concept ids, in order of first vote
   for (kg::ItemId item : user.clicked) {
     for (kg::EcConceptId ec : net_->EcConceptsForItem(item)) {
-      double size = static_cast<double>(net_->ItemsForEc(ec).size());
-      votes[ec.value] += 1.0 / std::log2(2.0 + size);
+      ALICOCO_CHECK_LT(size_t{ec.value}, vote_weight_.size())
+          << "concept added to the net after the recommender was built";
+      if (votes[ec.value] == 0.0) voted.push_back(ec.value);
+      votes[ec.value] += vote_weight_[ec.value];
     }
   }
+  // A total order, so the top cards do not depend on the vote order.
   std::vector<std::pair<double, uint32_t>> ranked;
-  ranked.reserve(votes.size());
-  for (const auto& [ec, v] : votes) ranked.emplace_back(v, ec);
-  std::sort(ranked.begin(), ranked.end(), [](const auto& a, const auto& b) {
-    if (a.first != b.first) return a.first > b.first;
-    return a.second < b.second;
-  });
+  ranked.reserve(voted.size());
+  for (uint32_t ec : voted) ranked.emplace_back(votes[ec], ec);
+  const size_t num_ranked = std::min(num_cards, ranked.size());
+  std::partial_sort(ranked.begin(), ranked.begin() + num_ranked, ranked.end(),
+                    [](const auto& a, const auto& b) {
+                      if (a.first != b.first) return a.first > b.first;
+                      return a.second < b.second;
+                    });
 
-  std::unordered_set<uint32_t> owned;
-  for (kg::ItemId item : user.clicked) owned.insert(item.value);
+  std::vector<uint32_t> owned;
+  owned.reserve(user.clicked.size());
+  for (kg::ItemId item : user.clicked) owned.push_back(item.value);
+  std::sort(owned.begin(), owned.end());
 
   std::vector<ConceptCard> cards;
-  for (size_t i = 0; i < ranked.size() && cards.size() < num_cards; ++i) {
+  cards.reserve(num_ranked);
+  for (size_t i = 0; i < num_ranked; ++i) {
     ConceptCard card;
     card.concept_id = kg::EcConceptId(ranked[i].second);
     card.score = ranked[i].first;
     // Highest-probability edges first (probabilistic associations).
-    for (const auto& [item, probability] :
-         net_->ItemsForEcRanked(card.concept_id)) {
-      (void)probability;
-      if (owned.count(item.value)) continue;
+    const uint32_t ec = card.concept_id.value;
+    for (uint32_t k = row_begin_[ec]; k < row_begin_[ec + 1]; ++k) {
+      const kg::ItemId item = ranked_items_[k];
+      if (std::binary_search(owned.begin(), owned.end(), item.value)) continue;
       card.items.push_back(item);
       if (card.items.size() >= items_per_card) break;
     }

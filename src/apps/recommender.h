@@ -11,6 +11,7 @@
 #ifndef ALICOCO_APPS_RECOMMENDER_H_
 #define ALICOCO_APPS_RECOMMENDER_H_
 
+#include <cstdint>
 #include <unordered_map>
 #include <vector>
 
@@ -41,6 +42,9 @@ class ItemCf {
 /// histogram plus request/card counters); pass nullptr to opt out.
 class CognitiveRecommender {
  public:
+  /// Builds the read table from `net` once. `net` must outlive the
+  /// recommender and must not change after it is built: the table is not
+  /// refreshed, and a vote for a concept added later fails a CHECK.
   explicit CognitiveRecommender(
       const kg::ConceptNet* net,
       obs::Registry* metrics = &obs::Registry::Default());
@@ -59,6 +63,13 @@ class CognitiveRecommender {
 
  private:
   const kg::ConceptNet* net_;
+  // The read table, indexed by e-commerce concept id: the vote weight
+  // 1 / log2(2 + |items|) that damps popular concepts, and the concept's
+  // items by descending edge probability (ItemsForEcRanked order) in
+  // ranked_items_[row_begin_[ec] .. row_begin_[ec + 1]).
+  std::vector<double> vote_weight_;
+  std::vector<uint32_t> row_begin_;
+  std::vector<kg::ItemId> ranked_items_;
   obs::Histogram* recommend_latency_us_ = nullptr;
   obs::Counter* requests_served_ = nullptr;
   obs::Counter* cards_returned_ = nullptr;

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
-#include <unordered_set>
+#include <optional>
 
 #include "common/logging.h"
 #include "eval/metrics.h"
@@ -13,6 +13,37 @@ SearchRelevance::SearchRelevance(const kg::ConceptNet* net,
                                  obs::Registry* metrics)
     : net_(net) {
   ALICOCO_CHECK(net != nullptr);
+  auto intern = [this](const std::string& term) {
+    return term_ids_
+        .try_emplace(term, static_cast<uint32_t>(term_ids_.size()))
+        .first->second;
+  };
+  // A primitive's closure surfaces, interned once however many items it
+  // tags.
+  std::vector<std::optional<std::vector<uint32_t>>> closure_terms(
+      net->num_primitive_concepts());
+  row_begin_.reserve(net->num_items() + 1);
+  row_begin_.push_back(0);
+  std::vector<uint32_t> row;
+  for (const kg::Item& item : net->items()) {
+    row.clear();
+    for (const std::string& token : item.title) row.push_back(intern(token));
+    for (kg::ConceptId prim : net->PrimitivesForItem(item.id)) {
+      std::optional<std::vector<uint32_t>>& closure =
+          closure_terms[prim.value];
+      if (!closure.has_value()) {
+        closure.emplace();
+        for (kg::ConceptId hyper : net->HypernymClosure(prim)) {
+          closure->push_back(intern(net->Get(hyper).surface));
+        }
+      }
+      row.insert(row.end(), closure->begin(), closure->end());
+    }
+    std::sort(row.begin(), row.end());
+    row.erase(std::unique(row.begin(), row.end()), row.end());
+    expanded_terms_.insert(expanded_terms_.end(), row.begin(), row.end());
+    row_begin_.push_back(static_cast<uint32_t>(expanded_terms_.size()));
+  }
   if (metrics != nullptr) {
     query_latency_us_ =
         metrics->GetHistogram("serving.search_relevance.query_latency_us");
@@ -46,12 +77,16 @@ std::vector<RelevanceQuery> SearchRelevance::BuildQueries(
   const auto& items = world.item_profiles();
   ALICOCO_CHECK(!items.empty());
 
-  // Precompute: item -> set of its category hypernym closure ids.
-  auto relevant_to = [&](const datagen::ItemProfile& item,
-                         kg::ConceptId query) {
-    if (item.category == query || item.head == query) return true;
-    auto closure = net_->HypernymClosure(item.category);
-    return std::find(closure.begin(), closure.end(), query) != closure.end();
+  // Precompute: item -> its category's hypernym closure, once per call.
+  std::vector<std::vector<kg::ConceptId>> closures;
+  closures.reserve(items.size());
+  for (const auto& item : items) {
+    closures.push_back(net_->HypernymClosure(item.category));
+  }
+  auto relevant_to = [&](size_t i, kg::ConceptId query) {
+    if (items[i].category == query || items[i].head == query) return true;
+    return std::find(closures[i].begin(), closures[i].end(), query) !=
+           closures[i].end();
   };
 
   for (kg::ConceptId qc : query_concepts) {
@@ -60,8 +95,8 @@ std::vector<RelevanceQuery> SearchRelevance::BuildQueries(
     q.query = net_->Get(qc).surface;
     // Gather relevant items first.
     std::vector<const datagen::ItemProfile*> rel, irrel;
-    for (const auto& item : items) {
-      (relevant_to(item, qc) ? rel : irrel).push_back(&item);
+    for (size_t i = 0; i < items.size(); ++i) {
+      (relevant_to(i, qc) ? rel : irrel).push_back(&items[i]);
     }
     if (rel.empty() || irrel.empty()) continue;
     rng.Shuffle(&rel);
@@ -83,19 +118,22 @@ std::vector<RelevanceQuery> SearchRelevance::BuildQueries(
 
 double SearchRelevance::Score(const std::string& query, kg::ItemId item,
                               bool expand_isa) const {
-  std::unordered_set<std::string> item_terms;
-  const auto& title = net_->Get(item).title;
-  item_terms.insert(title.begin(), title.end());
-  if (expand_isa) {
-    // Expand with the hypernym closure of the item's linked primitive
-    // concepts ("jacket" contributes "top").
-    for (kg::ConceptId prim : net_->PrimitivesForItem(item)) {
-      for (kg::ConceptId hyper : net_->HypernymClosure(prim)) {
-        item_terms.insert(net_->Get(hyper).surface);
-      }
-    }
+  ALICOCO_CHECK_LT(size_t{item.value} + 1, row_begin_.size())
+      << "item added to the net after the scorer was built";
+  if (!expand_isa) {
+    const auto& title = net_->Get(item).title;
+    return std::find(title.begin(), title.end(), query) != title.end() ? 1.0
+                                                                       : 0.0;
   }
-  return item_terms.count(query) ? 1.0 : 0.0;
+  // The row already holds the hypernym closure of the item's linked
+  // primitive concepts ("jacket" contributes "top").
+  auto term = term_ids_.find(query);
+  if (term == term_ids_.end()) return 0.0;
+  const uint32_t* row = expanded_terms_.data();
+  return std::binary_search(row + row_begin_[item.value],
+                            row + row_begin_[item.value + 1], term->second)
+             ? 1.0
+             : 0.0;
 }
 
 RelevanceReport SearchRelevance::Evaluate(

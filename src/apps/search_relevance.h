@@ -10,7 +10,9 @@
 #ifndef ALICOCO_APPS_SEARCH_RELEVANCE_H_
 #define ALICOCO_APPS_SEARCH_RELEVANCE_H_
 
+#include <cstdint>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/rng.h"
@@ -38,6 +40,9 @@ struct RelevanceReport {
 /// histogram plus query/pair counters); pass nullptr to opt out.
 class SearchRelevance {
  public:
+  /// Builds the read table from `net` once. `net` must outlive the scorer
+  /// and must not change after the scorer is built: the table is not
+  /// refreshed, and scoring an item added later fails a CHECK.
   explicit SearchRelevance(const kg::ConceptNet* net,
                            obs::Registry* metrics = &obs::Registry::Default());
 
@@ -51,7 +56,8 @@ class SearchRelevance {
 
   /// Match score of query vs item title: term overlap; when `expand_isa`,
   /// item terms are expanded with the hypernym closure of the item's
-  /// primitive concepts first.
+  /// primitive concepts first. With expansion it is one hash lookup of the
+  /// query and a binary search in the item's row of the read table.
   double Score(const std::string& query, kg::ItemId item,
                bool expand_isa) const;
 
@@ -61,6 +67,13 @@ class SearchRelevance {
 
  private:
   const kg::ConceptNet* net_;
+  // The read table. Every title token and hypernym surface is interned
+  // into an id owned here. Item i's row, expanded_terms_[row_begin_[i] ..
+  // row_begin_[i + 1]), holds the sorted, deduplicated ids of its title
+  // tokens and of the hypernym-closure surfaces of its primitive concepts.
+  std::unordered_map<std::string, uint32_t> term_ids_;
+  std::vector<uint32_t> row_begin_;
+  std::vector<uint32_t> expanded_terms_;
   obs::Histogram* query_latency_us_ = nullptr;
   obs::Counter* queries_served_ = nullptr;
   obs::Counter* pairs_judged_ = nullptr;

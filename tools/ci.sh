@@ -69,7 +69,8 @@ fi
 
 step "kernel smoke gate"
 # Deterministic kernel/fused-op/parallel-train timings vs the committed
-# BENCH_kernels.json: a kernel beyond 2x baseline + slack fails.
+# BENCH_kernels.json: each entry is the median of five timings, and one
+# beyond 2x baseline + slack fails.
 build/bench/bench_micro --kernels-out build/obs/BENCH_kernels.json \
   --baseline BENCH_kernels.json --max-regress 2.0 --slack-us 200
 
@@ -99,10 +100,11 @@ cmake --preset tsan >/dev/null
 cmake --build --preset tsan -j "${JOBS}"
 # The threaded surface: the thread pool (incl. the race stress suite), the
 # observability registry/tracer stress suite, the profiling-tier stress
-# suite (sample ring, instrumented mutex, flight recorder), and the
-# trainers that fan out over the pool. Running the full suite under TSan
-# works too but takes far longer for no extra thread coverage.
+# suite (sample ring, instrumented mutex, flight recorder), the trainers
+# that fan out over the pool, and the serving apps shared by concurrent
+# clients. Running the full suite under TSan works too but takes far
+# longer for no extra thread coverage.
 TSAN_OPTIONS="halt_on_error=1" \
-  ctest --preset tsan -R 'ThreadPool|ObsRace|ProfRace|LockStats|LockContentionMetrics|Training|Skipgram|Classifier|Matching|Tagger|Projection'
+  ctest --preset tsan -R 'ThreadPool|ObsRace|ProfRace|LockStats|LockContentionMetrics|Training|Skipgram|Classifier|Matching|Tagger|Projection|AppsRace'
 
 step "all green"
