@@ -401,6 +401,40 @@ std::vector<std::pair<std::string, double>> RunKernelSuite() {
       g.Backward(crf.NegLogLikelihood(&g, g.Input(e), gold));
     });
   }
+  // One training step in the mining labeler's shape (sequence_labeler.cc):
+  // embeddings -> BiLSTM -> projection -> CRF loss of a 6-token sentence,
+  // forward and backward in a warm graph arena.
+  {
+    nn::ParameterStore store;
+    nn::Embedding emb(&store, "emb", 500, 24, &rng);
+    nn::BiLstm bilstm(&store, "bilstm", 24, 24, &rng);
+    nn::Linear proj(&store, "proj", 48, 9, &rng);
+    nn::LinearChainCrf crf(&store, "crf", 9, &rng);
+    const std::vector<int> ids = {3, 41, 7, 250, 99, 12};
+    const std::vector<int> gold = {0, 1, 2, 0, 3, 4};
+    add("lstm_crf_train_step", [&] {
+      store.ZeroGrad();
+      nn::Graph g;
+      nn::Graph::Var emissions =
+          proj.Apply(&g, bilstm.Run(&g, emb.Lookup(&g, ids)));
+      g.Backward(crf.NegLogLikelihood(&g, emissions, gold));
+    });
+  }
+  // The optimizer's per-batch sweep over about the labeler's 24 k weights.
+  {
+    const int n = 24 * 1024;
+    nn::Tensor grad = nn::Tensor::Randn(1, n, 0.1f, &rng);
+    nn::Tensor m(1, n), v(1, n);
+    nn::Tensor w = nn::Tensor::Randn(1, n, 0.1f, &rng);
+    const float beta1 = 0.9f, beta2 = 0.999f;
+    const nn::kernels::AdamCoeffs coeffs{
+        beta1, 1.0f - beta1, beta2, 1.0f - beta2,
+        1.0f - beta1, 1.0f - beta2, 1e-3f, 1e-8f};
+    add("adam_update_24k", [&] {
+      nn::kernels::AdamUpdate(grad.size(), grad.data(), m.data(), v.data(),
+                              w.data(), coeffs);
+    });
+  }
 
   // One knowledge-matcher pyramid layer (matching/knowledge_matcher.cc):
   // the 8 x 6 match matrix of an 8-row knowledge sequence against a 6-word

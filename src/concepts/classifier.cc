@@ -151,6 +151,10 @@ nn::Graph::Var ConceptClassifier::Logit(nn::Graph* g,
   wx = g->Dropout(wx, 0.1f, train, rng);
   nn::Graph::Var w_states = word_attn_->Apply(g, word_bilstm_->Run(g, wx));
 
+  // Computed once: the overlap input of c2 and the skip input share it.
+  const std::vector<float> overlap_feats =
+      config_.use_knowledge ? KnowledgeOverlapFeatures(tokens)
+                            : std::vector<float>();
   nn::Graph::Var c2;
   if (config_.use_knowledge) {
     // Knowledge side: per-word gloss vectors, projected and self-attended;
@@ -169,8 +173,8 @@ nn::Graph::Var ConceptClassifier::Logit(nn::Graph* g,
     }
     nn::Graph::Var k_states = know_attn_->Apply(
         g, g->Tanh(know_proj_->Apply(g, g->Input(std::move(gloss_mat)))));
-    nn::Graph::Var overlap = g->Input(nn::Tensor::FromVector(
-        1, kKnowledgeFeatureDim, KnowledgeOverlapFeatures(tokens)));
+    nn::Graph::Var overlap = g->Input(
+        nn::Tensor::FromVector(1, kKnowledgeFeatureDim, overlap_feats));
     c2 = g->ConcatCols(
         {g->MaxRows(w_states), g->MaxRows(k_states), overlap});
   } else {
@@ -188,11 +192,9 @@ nn::Graph::Var ConceptClassifier::Logit(nn::Graph* g,
   }
   nn::Graph::Var logit = head_->Apply(g, g->ConcatCols(parts));
   if (config_.use_knowledge) {
-    logit = g->Add(logit,
-                   know_skip_->Apply(
-                       g, g->Input(nn::Tensor::FromVector(
-                              1, kKnowledgeFeatureDim,
-                              KnowledgeOverlapFeatures(tokens)))));
+    logit = g->Add(logit, know_skip_->Apply(
+                              g, g->Input(nn::Tensor::FromVector(
+                                     1, kKnowledgeFeatureDim, overlap_feats))));
   }
   return logit;
 }

@@ -3,12 +3,14 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <memory_resource>
+#include <utility>
 
 namespace alicoco::nn {
 namespace {
 constexpr double kNegInf = -1e30;
 
-double LogSumExp(const std::vector<double>& v) {
+double LogSumExp(const std::pmr::vector<double>& v) {
   double mx = kNegInf;
   for (double x : v) mx = std::max(mx, x);
   if (mx <= kNegInf / 2) return kNegInf;
@@ -29,9 +31,23 @@ LinearChainCrf::LinearChainCrf(ParameterStore* store, const std::string& name,
                        ParameterStore::Init::kGaussian, rng, 0.05f);
 }
 
+std::pmr::vector<unsigned char> LinearChainCrf::AllowedMask(
+    const std::vector<std::vector<int>>& sets,
+    std::pmr::memory_resource* mr) const {
+  const size_t ls = static_cast<size_t>(num_labels_);
+  std::pmr::vector<unsigned char> mask(sets.size() * ls, 0, mr);
+  for (size_t t = 0; t < sets.size(); ++t) {
+    for (int j : sets[t]) {
+      // A label outside [0, L) matches no state.
+      if (j >= 0 && j < num_labels_) mask[t * ls + static_cast<size_t>(j)] = 1;
+    }
+  }
+  return mask;
+}
+
 LinearChainCrf::Lattice LinearChainCrf::ForwardBackward(
-    const Tensor& emissions,
-    const std::vector<std::vector<int>>* allowed) const {
+    const Tensor& emissions, const unsigned char* allowed,
+    std::pmr::memory_resource* mr) const {
   // Scaled-domain forward-backward: exp(trans) is materialized once and the
   // per-step recurrences become matrix-vector products over it, so the
   // transcendental count drops from O(T*L^2) to O(T*L + L^2). Each step
@@ -42,19 +58,17 @@ LinearChainCrf::Lattice LinearChainCrf::ForwardBackward(
   int l = num_labels_;
   ALICOCO_CHECK(t_len > 0 && emissions.cols() == l);
   const size_t ls = static_cast<size_t>(l);
+  const size_t cells = static_cast<size_t>(t_len) * ls;
 
-  auto is_allowed = [&](int t, int j) {
-    if (allowed == nullptr) return true;
-    const auto& set = (*allowed)[static_cast<size_t>(t)];
-    return std::find(set.begin(), set.end(), j) != set.end();
-  };
   auto emit = [&](int t, int j) -> double {
-    return is_allowed(t, j) ? static_cast<double>(emissions.At(t, j))
-                            : kNegInf;
+    const bool ok = allowed == nullptr ||
+                    allowed[static_cast<size_t>(t) * ls +
+                            static_cast<size_t>(j)] != 0;
+    return ok ? static_cast<double>(emissions.At(t, j)) : kNegInf;
   };
 
   // exp_trans[i][j] = exp(trans[i][j]); row-major.
-  std::vector<double> exp_trans(ls * ls);
+  std::pmr::vector<double> exp_trans(ls * ls, mr);
   for (int i = 0; i < l; ++i) {
     for (int j = 0; j < l; ++j) {
       exp_trans[static_cast<size_t>(i) * ls + static_cast<size_t>(j)] =
@@ -62,111 +76,103 @@ LinearChainCrf::Lattice LinearChainCrf::ForwardBackward(
     }
   }
 
-  // alpha[t][j] (log domain), plus the scaled row u[t][j] =
-  // exp(alpha[t][j] - shift_a[t]) reused by the recurrence and the
-  // marginals.
-  std::vector<std::vector<double>> alpha(
-      static_cast<size_t>(t_len), std::vector<double>(ls, kNegInf));
-  std::vector<std::vector<double>> beta = alpha;
-  std::vector<std::vector<double>> ua = alpha;  // scaled alpha rows
-  std::vector<std::vector<double>> ub = alpha;  // scaled beta+emit rows
-  std::vector<double> shift_a(static_cast<size_t>(t_len), kNegInf);
-  std::vector<double> shift_b(static_cast<size_t>(t_len), kNegInf);
+  // Four T x L tables, row t at t * L: alpha[t][j] (log domain), beta, and
+  // the scaled rows ua[t][j] = exp(alpha[t][j] - shift_a[t]) and ub (beta
+  // + emit) reused by the recurrences and the marginals.
+  std::pmr::vector<double> alpha(cells, kNegInf, mr);
+  std::pmr::vector<double> beta(cells, kNegInf, mr);
+  std::pmr::vector<double> ua(cells, kNegInf, mr);
+  std::pmr::vector<double> ub(cells, kNegInf, mr);
+  std::pmr::vector<double> shift_a(static_cast<size_t>(t_len), kNegInf, mr);
+  std::pmr::vector<double> shift_b(static_cast<size_t>(t_len), kNegInf, mr);
+  auto row = [ls](std::pmr::vector<double>& table, int t) {
+    return table.data() + static_cast<size_t>(t) * ls;
+  };
 
-  auto scale_row = [l](const std::vector<double>& logs, double* shift,
-                       std::vector<double>* out) {
+  auto scale_row = [l](const double* logs, double* shift, double* out) {
     double mx = kNegInf;
-    for (int j = 0; j < l; ++j) mx = std::max(mx, logs[static_cast<size_t>(j)]);
+    for (int j = 0; j < l; ++j) mx = std::max(mx, logs[j]);
     *shift = mx;
     if (mx <= kNegInf / 2) {
-      std::fill(out->begin(), out->end(), 0.0);
+      std::fill(out, out + l, 0.0);
       return;
     }
     for (int j = 0; j < l; ++j) {
-      double x = logs[static_cast<size_t>(j)];
-      (*out)[static_cast<size_t>(j)] = x <= kNegInf / 2 ? 0.0
-                                                        : std::exp(x - mx);
+      double x = logs[j];
+      out[j] = x <= kNegInf / 2 ? 0.0 : std::exp(x - mx);
     }
   };
 
   for (int j = 0; j < l; ++j) {
-    alpha[0][static_cast<size_t>(j)] =
+    row(alpha, 0)[j] =
         static_cast<double>(start_->value.At(0, j)) + emit(0, j);
   }
-  scale_row(alpha[0], &shift_a[0], &ua[0]);
-  std::vector<double> scratch(ls);
+  scale_row(row(alpha, 0), &shift_a[0], row(ua, 0));
+  std::pmr::vector<double> scratch(ls, mr);
   for (int t = 1; t < t_len; ++t) {
-    const std::vector<double>& u = ua[static_cast<size_t>(t - 1)];
+    const double* u = row(ua, t - 1);
     const double shift = shift_a[static_cast<size_t>(t - 1)];
     // scratch[j] = sum_i u[i] * exp_trans[i][j]  (vector * matrix).
     std::fill(scratch.begin(), scratch.end(), 0.0);
     for (int i = 0; i < l; ++i) {
-      const double ui = u[static_cast<size_t>(i)];
+      const double ui = u[i];
       if (ui == 0.0) continue;
       const double* __restrict er = exp_trans.data() +
                                     static_cast<size_t>(i) * ls;
       double* __restrict sr = scratch.data();
       for (int j = 0; j < l; ++j) sr[j] += ui * er[j];
     }
+    double* at = row(alpha, t);
     for (int j = 0; j < l; ++j) {
       double ej = emit(t, j);
       double s = scratch[static_cast<size_t>(j)];
-      alpha[static_cast<size_t>(t)][static_cast<size_t>(j)] =
-          (ej <= kNegInf / 2 || s <= 0.0 || shift <= kNegInf / 2)
-              ? kNegInf
-              : shift + std::log(s) + ej;
+      at[j] = (ej <= kNegInf / 2 || s <= 0.0 || shift <= kNegInf / 2)
+                  ? kNegInf
+                  : shift + std::log(s) + ej;
     }
-    scale_row(alpha[static_cast<size_t>(t)], &shift_a[static_cast<size_t>(t)],
-              &ua[static_cast<size_t>(t)]);
+    scale_row(at, &shift_a[static_cast<size_t>(t)], row(ua, t));
   }
   for (int j = 0; j < l; ++j) {
     scratch[static_cast<size_t>(j)] =
-        alpha[static_cast<size_t>(t_len - 1)][static_cast<size_t>(j)] +
-        static_cast<double>(end_->value.At(0, j));
+        row(alpha, t_len - 1)[j] + static_cast<double>(end_->value.At(0, j));
   }
   double log_z = LogSumExp(scratch);
   ALICOCO_CHECK(log_z > kNegInf / 2) << "CRF lattice has no allowed path";
 
   // Backward pass; ub[t][j] = exp(emit(t, j) + beta[t][j] - shift_b[t]).
-  std::vector<double> logs(ls);
+  std::pmr::vector<double> logs(ls, mr);
   for (int j = 0; j < l; ++j) {
-    beta[static_cast<size_t>(t_len - 1)][static_cast<size_t>(j)] =
-        static_cast<double>(end_->value.At(0, j));
+    row(beta, t_len - 1)[j] = static_cast<double>(end_->value.At(0, j));
     logs[static_cast<size_t>(j)] =
-        beta[static_cast<size_t>(t_len - 1)][static_cast<size_t>(j)] +
-        emit(t_len - 1, j);
+        row(beta, t_len - 1)[j] + emit(t_len - 1, j);
   }
-  scale_row(logs, &shift_b[static_cast<size_t>(t_len - 1)],
-            &ub[static_cast<size_t>(t_len - 1)]);
+  scale_row(logs.data(), &shift_b[static_cast<size_t>(t_len - 1)],
+            row(ub, t_len - 1));
   for (int t = t_len - 2; t >= 0; --t) {
-    const std::vector<double>& w = ub[static_cast<size_t>(t + 1)];
+    const double* w = row(ub, t + 1);
     const double shift = shift_b[static_cast<size_t>(t + 1)];
+    double* bt = row(beta, t);
     for (int i = 0; i < l; ++i) {
       const double* __restrict er = exp_trans.data() +
                                     static_cast<size_t>(i) * ls;
-      const double* __restrict wr = w.data();
+      const double* __restrict wr = w;
       double acc = 0.0;
       for (int j = 0; j < l; ++j) acc += er[j] * wr[j];
-      beta[static_cast<size_t>(t)][static_cast<size_t>(i)] =
-          (acc <= 0.0 || shift <= kNegInf / 2) ? kNegInf
-                                               : shift + std::log(acc);
+      bt[i] = (acc <= 0.0 || shift <= kNegInf / 2) ? kNegInf
+                                                   : shift + std::log(acc);
     }
     for (int j = 0; j < l; ++j) {
-      logs[static_cast<size_t>(j)] =
-          beta[static_cast<size_t>(t)][static_cast<size_t>(j)] + emit(t, j);
+      logs[static_cast<size_t>(j)] = bt[j] + emit(t, j);
     }
-    scale_row(logs, &shift_b[static_cast<size_t>(t)],
-              &ub[static_cast<size_t>(t)]);
+    scale_row(logs.data(), &shift_b[static_cast<size_t>(t)], row(ub, t));
   }
 
-  Lattice lat;
-  lat.log_z = log_z;
-  lat.unary = Tensor(t_len, l);
-  lat.pair = Tensor(l, l);
+  Lattice lat{log_z, Tensor(t_len, l, mr), Tensor(l, l, mr)};
   for (int t = 0; t < t_len; ++t) {
+    const double* at = row(alpha, t);
+    const double* bt = row(beta, t);
     for (int j = 0; j < l; ++j) {
-      double lp = alpha[static_cast<size_t>(t)][static_cast<size_t>(j)] +
-                  beta[static_cast<size_t>(t)][static_cast<size_t>(j)] - log_z;
+      double lp = at[j] + bt[j] - log_z;
       lat.unary.At(t, j) = lp <= kNegInf / 2
                                ? 0.0f
                                : static_cast<float>(std::exp(lp));
@@ -181,14 +187,14 @@ LinearChainCrf::Lattice LinearChainCrf::ForwardBackward(
     const double sb = shift_b[static_cast<size_t>(t)];
     if (sa <= kNegInf / 2 || sb <= kNegInf / 2) continue;
     const double scale_t = std::exp(sa + sb - log_z);
-    const std::vector<double>& u = ua[static_cast<size_t>(t - 1)];
-    const std::vector<double>& w = ub[static_cast<size_t>(t)];
+    const double* u = row(ua, t - 1);
+    const double* w = row(ub, t);
     for (int i = 0; i < l; ++i) {
-      const double uf = u[static_cast<size_t>(i)] * scale_t;
+      const double uf = u[i] * scale_t;
       if (uf == 0.0) continue;
       const double* __restrict er = exp_trans.data() +
                                     static_cast<size_t>(i) * ls;
-      const double* __restrict wr = w.data();
+      const double* __restrict wr = w;
       float* __restrict pr = lat.pair.Row(i);
       for (int j = 0; j < l; ++j) {
         pr[j] += static_cast<float>(uf * er[j] * wr[j]);
@@ -198,32 +204,30 @@ LinearChainCrf::Lattice LinearChainCrf::ForwardBackward(
   return lat;
 }
 
-Graph::Var LinearChainCrf::LatticeLoss(
-    Graph* g, Graph::Var emissions,
-    const std::vector<std::vector<int>>& numerator_sets) {
+Graph::Var LinearChainCrf::LatticeLoss(Graph* g, Graph::Var emissions,
+                                        const unsigned char* numerator) {
   const Tensor& e = g->Value(emissions);
   int t_len = e.rows();
-  ALICOCO_CHECK(static_cast<int>(numerator_sets.size()) == t_len)
-      << "numerator set size mismatch";
-  Lattice full = ForwardBackward(e, nullptr);
-  Lattice restricted = ForwardBackward(e, &numerator_sets);
+  std::pmr::memory_resource* mr = g->arena();
+  Lattice full = ForwardBackward(e, nullptr, mr);
+  Lattice restricted = ForwardBackward(e, numerator, mr);
 
-  Tensor loss(1, 1);
+  Tensor loss(1, 1, mr);
   loss.At(0, 0) = static_cast<float>(full.log_z - restricted.log_z);
 
   // d loss / d emissions = unary_full - unary_restricted (x upstream grad);
   // same pattern for transitions, start, end.
-  Tensor d_emit = full.unary;
-  d_emit.Axpy(-1.0f, restricted.unary);
-  Tensor d_trans = full.pair;
-  d_trans.Axpy(-1.0f, restricted.pair);
-  Tensor d_start(1, num_labels_);
-  Tensor d_end(1, num_labels_);
+  Tensor d_start(1, num_labels_, mr);
+  Tensor d_end(1, num_labels_, mr);
   for (int j = 0; j < num_labels_; ++j) {
     d_start.At(0, j) = full.unary.At(0, j) - restricted.unary.At(0, j);
     d_end.At(0, j) =
         full.unary.At(t_len - 1, j) - restricted.unary.At(t_len - 1, j);
   }
+  Tensor d_emit = std::move(full.unary);
+  d_emit.Axpy(-1.0f, restricted.unary);
+  Tensor d_trans = std::move(full.pair);
+  d_trans.Axpy(-1.0f, restricted.pair);
 
   Parameter* trans = trans_;
   Parameter* start = start_;
@@ -235,7 +239,7 @@ Graph::Var LinearChainCrf::LatticeLoss(
        d_end = std::move(d_end)](const Tensor& out_grad) {
         float go = out_grad.At(0, 0);
         if (go == 0.0f) return;
-        Tensor scaled = d_emit;
+        Tensor scaled(d_emit, g->arena());
         scaled.Scale(go);
         g->AccumulateGrad(emissions, scaled);
         g->ParamGrad(trans)->Axpy(go, d_trans);
@@ -246,13 +250,16 @@ Graph::Var LinearChainCrf::LatticeLoss(
 
 Graph::Var LinearChainCrf::NegLogLikelihood(Graph* g, Graph::Var emissions,
                                             const std::vector<int>& gold) {
-  std::vector<std::vector<int>> sets;
-  sets.reserve(gold.size());
-  for (int y : gold) {
+  const size_t ls = static_cast<size_t>(num_labels_);
+  std::pmr::vector<unsigned char> numerator(gold.size() * ls, 0, g->arena());
+  for (size_t t = 0; t < gold.size(); ++t) {
+    const int y = gold[t];
     ALICOCO_CHECK(y >= 0 && y < num_labels_) << "gold label out of range";
-    sets.push_back({y});
+    numerator[t * ls + static_cast<size_t>(y)] = 1;
   }
-  return LatticeLoss(g, emissions, sets);
+  ALICOCO_CHECK(static_cast<int>(gold.size()) == g->Value(emissions).rows())
+      << "numerator set size mismatch";
+  return LatticeLoss(g, emissions, numerator.data());
 }
 
 Graph::Var LinearChainCrf::FuzzyNegLogLikelihood(
@@ -261,44 +268,48 @@ Graph::Var LinearChainCrf::FuzzyNegLogLikelihood(
   for (const auto& set : allowed) {
     ALICOCO_CHECK(!set.empty()) << "fuzzy CRF requires non-empty label sets";
   }
-  return LatticeLoss(g, emissions, allowed);
+  ALICOCO_CHECK(static_cast<int>(allowed.size()) ==
+                g->Value(emissions).rows())
+      << "numerator set size mismatch";
+  return LatticeLoss(g, emissions, AllowedMask(allowed, g->arena()).data());
 }
 
 std::vector<int> LinearChainCrf::Viterbi(const Tensor& emissions) const {
   int t_len = emissions.rows();
   int l = num_labels_;
   ALICOCO_CHECK(t_len > 0 && emissions.cols() == l);
-  std::vector<std::vector<double>> delta(
-      static_cast<size_t>(t_len), std::vector<double>(static_cast<size_t>(l)));
-  std::vector<std::vector<int>> back(
-      static_cast<size_t>(t_len), std::vector<int>(static_cast<size_t>(l), 0));
+  // T x L tables, row t at t * L.
+  const size_t ls = static_cast<size_t>(l);
+  std::vector<double> delta(static_cast<size_t>(t_len) * ls);
+  std::vector<int> back(static_cast<size_t>(t_len) * ls, 0);
   for (int j = 0; j < l; ++j) {
-    delta[0][static_cast<size_t>(j)] =
+    delta[static_cast<size_t>(j)] =
         static_cast<double>(start_->value.At(0, j)) +
         static_cast<double>(emissions.At(0, j));
   }
   for (int t = 1; t < t_len; ++t) {
+    const double* prev = delta.data() + static_cast<size_t>(t - 1) * ls;
+    double* cur = delta.data() + static_cast<size_t>(t) * ls;
+    int* bt = back.data() + static_cast<size_t>(t) * ls;
     for (int j = 0; j < l; ++j) {
       double best = kNegInf;
       int arg = 0;
       for (int i = 0; i < l; ++i) {
-        double s = delta[static_cast<size_t>(t - 1)][static_cast<size_t>(i)] +
-                   static_cast<double>(trans_->value.At(i, j));
+        double s = prev[i] + static_cast<double>(trans_->value.At(i, j));
         if (s > best) {
           best = s;
           arg = i;
         }
       }
-      delta[static_cast<size_t>(t)][static_cast<size_t>(j)] =
-          best + static_cast<double>(emissions.At(t, j));
-      back[static_cast<size_t>(t)][static_cast<size_t>(j)] = arg;
+      cur[j] = best + static_cast<double>(emissions.At(t, j));
+      bt[j] = arg;
     }
   }
+  const double* last = delta.data() + static_cast<size_t>(t_len - 1) * ls;
   double best = kNegInf;
   int arg = 0;
   for (int j = 0; j < l; ++j) {
-    double s = delta[static_cast<size_t>(t_len - 1)][static_cast<size_t>(j)] +
-               static_cast<double>(end_->value.At(0, j));
+    double s = last[j] + static_cast<double>(end_->value.At(0, j));
     if (s > best) {
       best = s;
       arg = j;
@@ -307,7 +318,7 @@ std::vector<int> LinearChainCrf::Viterbi(const Tensor& emissions) const {
   std::vector<int> path(static_cast<size_t>(t_len));
   path[static_cast<size_t>(t_len - 1)] = arg;
   for (int t = t_len - 1; t > 0; --t) {
-    arg = back[static_cast<size_t>(t)][static_cast<size_t>(arg)];
+    arg = back[static_cast<size_t>(t) * ls + static_cast<size_t>(arg)];
     path[static_cast<size_t>(t - 1)] = arg;
   }
   return path;

@@ -9,6 +9,7 @@
 #ifndef ALICOCO_NN_CRF_H_
 #define ALICOCO_NN_CRF_H_
 
+#include <memory_resource>
 #include <string>
 #include <vector>
 
@@ -39,21 +40,31 @@ class LinearChainCrf {
   int num_labels() const { return num_labels_; }
 
  private:
+  friend class LinearChainCrfTestPeer;
+
   struct Lattice {
     double log_z = 0;
     Tensor unary;  // T x L posterior marginals
     Tensor pair;   // L x L summed pairwise marginals
   };
 
-  /// Forward-backward in log space; `allowed` restricts the lattice when
-  /// non-null (disallowed states get -inf potential).
-  Lattice ForwardBackward(const Tensor& emissions,
-                          const std::vector<std::vector<int>>* allowed) const;
+  /// The T x L mask (row t at t * L, 1 = allowed) of per-step label sets.
+  std::pmr::vector<unsigned char> AllowedMask(
+      const std::vector<std::vector<int>>& sets,
+      std::pmr::memory_resource* mr) const;
 
-  /// Shared loss construction: log Z(full) - log Z(restricted-to-gold-or-
-  /// allowed), with gradient (marginals_full - marginals_restricted).
+  /// Forward-backward in log space; an `allowed` mask restricts the lattice
+  /// when non-null (disallowed states get -inf potential). The lattice and
+  /// every buffer of the pass come from `mr`.
+  Lattice ForwardBackward(const Tensor& emissions,
+                          const unsigned char* allowed,
+                          std::pmr::memory_resource* mr) const;
+
+  /// Shared loss construction: log Z(full) - log Z(restricted to the
+  /// `numerator` mask), with gradient (marginals_full -
+  /// marginals_restricted).
   Graph::Var LatticeLoss(Graph* g, Graph::Var emissions,
-                         const std::vector<std::vector<int>>& numerator_sets);
+                         const unsigned char* numerator);
 
   int num_labels_;
   Parameter* trans_;  // L x L: trans[i][j] = score of i -> j

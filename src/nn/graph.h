@@ -6,6 +6,14 @@
 // accumulated batch gradient. Prediction and scoring build a forward-only
 // Graph instead, which computes the same values but records no tape.
 //
+// Memory (DESIGN §5): a Graph draws its node storage, op values,
+// gradients, backward closures and their scratch from a bump arena that
+// belongs to its thread, and rewinds it on destruction. The arena keeps its
+// blocks, so once warm a thread builds graphs without calling malloc. A
+// graph nested inside another on the same thread gets an arena of its own.
+// Nothing outside a graph holds arena memory: Value() hands out a const
+// reference, and a copy of it lands on the heap (nn/tensor.h).
+//
 // The op set covers exactly what the paper's architectures need: matmul and
 // elementwise math for MLPs, slicing/concat for LSTM gates, windowed concat
 // for 1-D CNNs, softmax for attention, pooling, embedding gather, the
@@ -15,9 +23,13 @@
 #define ALICOCO_NN_GRAPH_H_
 
 #include <deque>
-#include <functional>
+#include <initializer_list>
 #include <memory>
+#include <memory_resource>
+#include <new>
+#include <span>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -76,8 +88,11 @@ class GradientSink {
   virtual Tensor* GradFor(Parameter* p) = 0;
 };
 
+class GraphArena;
+
 /// Dynamic computation graph. `Var` handles index nodes inside one graph and
-/// must not be mixed across graphs.
+/// must not be mixed across graphs. A graph must be destroyed on the thread
+/// that built it.
 class Graph {
  public:
   using Var = int;
@@ -88,13 +103,22 @@ class Graph {
 
   /// With a sink, every parameter gradient this graph produces goes to
   /// sink->GradFor(p) instead of p->grad.
-  explicit Graph(GradientSink* sink = nullptr) : sink_(sink) {}
+  explicit Graph(GradientSink* sink = nullptr)
+      : sink_(sink), nodes_(lease_.resource) {}
   /// A graph that never runs Backward: every op computes the same value as
   /// on a recording graph, but no backward closure is stored, and Backward
   /// CHECK-fails. Scoring and prediction use it.
-  explicit Graph(ForwardOnly) : forward_only_(true) {}
+  explicit Graph(ForwardOnly)
+      : forward_only_(true), nodes_(lease_.resource) {}
+  ~Graph();
   Graph(const Graph&) = delete;
   Graph& operator=(const Graph&) = delete;
+
+  /// This graph's arena. Ops, layers and losses in nn/ allocate scratch
+  /// from it (`Tensor(rows, cols, g->arena())`, pmr containers) when that
+  /// scratch is owned by a node or closure of this graph, or dies before
+  /// the graph does. Nothing allocated from it may outlive the graph.
+  std::pmr::memory_resource* arena() const { return lease_.resource; }
 
   /// Leaf holding a constant value (no gradient flows out of the graph).
   Var Input(Tensor value);
@@ -127,8 +151,14 @@ class Graph {
 
   // ---- shape ----
   Var Transpose(Var a);
-  Var ConcatCols(const std::vector<Var>& vars);
-  Var ConcatRows(const std::vector<Var>& vars);
+  Var ConcatCols(std::span<const Var> vars);
+  Var ConcatCols(std::initializer_list<Var> vars) {
+    return ConcatCols(std::span<const Var>(vars.begin(), vars.size()));
+  }
+  Var ConcatRows(std::span<const Var> vars);
+  Var ConcatRows(std::initializer_list<Var> vars) {
+    return ConcatRows(std::span<const Var>(vars.begin(), vars.size()));
+  }
   Var SliceRows(Var a, int begin, int count);
   Var SliceCols(Var a, int begin, int count);
   /// Row i of result = concat of rows [i-k/2, i+k/2] of a, zero-padded at the
@@ -192,16 +222,23 @@ class Graph {
   Var AdditiveAttention(Var a, Var b, Var v);
   /// Mean over elements of sigmoid cross-entropy between logits and 0/1
   /// targets (targets same shape as logits, constant). Returns 1x1.
-  Var SigmoidCrossEntropyWithLogits(Var logits, Tensor targets);
+  Var SigmoidCrossEntropyWithLogits(Var logits, const Tensor& targets);
 
   /// Escape hatch for ops with hand-derived gradients (the CRF losses, the
   /// matcher's pyramid readouts): creates a node with `value` whose
   /// backward invokes `backward` with the node's output gradient. The
   /// closure must push gradients to its inputs via AccumulateGrad, and to
   /// parameters via ParamGrad (never directly through Parameter::grad,
-  /// which would bypass the sink). A forward-only graph drops `backward`.
-  Var Custom(Tensor value,
-             std::function<void(const Tensor& out_grad)> backward);
+  /// which would bypass the sink). A forward-only graph drops `backward`;
+  /// a recording one moves it into the arena.
+  template <typename F>
+  Var Custom(Tensor value, F&& backward) {
+    Var v = NewNode(std::move(value));
+    SetBackward(v, [this, v, backward = std::forward<F>(backward)] {
+      backward(nodes_[v].grad);
+    });
+    return v;
+  }
 
   /// Adds `g` into the gradient buffer of node `v` (for Custom backwards).
   void AccumulateGrad(Var v, const Tensor& g);
@@ -225,15 +262,48 @@ class Graph {
   struct Node {
     Tensor value;
     Tensor grad;
-    std::function<void()> backward;  // may be empty (constants)
+    // The backward closure, an object in the arena; null for constants.
+    void (*backward)(void* closure);
+    void* closure;
+  };
+
+  // Takes a free arena of this thread on construction and rewinds it on
+  // destruction. It is the first member, so it is destroyed last: after
+  // every node, closure and container that lives in the arena.
+  struct ArenaLease {
+    ArenaLease();
+    ~ArenaLease();
+    ArenaLease(const ArenaLease&) = delete;
+    ArenaLease& operator=(const ArenaLease&) = delete;
+    GraphArena* owner;
+    std::pmr::memory_resource* resource;  // `owner`, seen as its base
+  };
+
+  // A closure destructor to run when the graph dies; a list in the arena.
+  struct Finalizer {
+    void (*destroy)(void* closure);
+    void* closure;
+    Finalizer* next;
   };
 
   Var NewNode(Tensor value);
-  /// Installs the backward closure of node `v`. A forward-only graph drops
-  /// it before it becomes a std::function (which would heap-allocate).
+  /// Moves the backward closure of node `v` into the arena, registering its
+  /// destructor when it has one. A forward-only graph drops it.
   template <typename F>
   void SetBackward(Var v, F&& backward) {
-    if (!forward_only_) nodes_[v].backward = std::forward<F>(backward);
+    if (forward_only_) return;
+    using Closure = std::decay_t<F>;
+    void* mem = arena()->allocate(sizeof(Closure), alignof(Closure));
+    auto* closure = ::new (mem) Closure(std::forward<F>(backward));
+    if constexpr (!std::is_trivially_destructible_v<Closure>) {
+      void* slot = arena()->allocate(sizeof(Finalizer), alignof(Finalizer));
+      finalizers_ = ::new (slot) Finalizer{
+          [](void* c) { static_cast<Closure*>(c)->~Closure(); }, closure,
+          finalizers_};
+    }
+    Node& node = nodes_[v];
+    node.backward = [](void* c) { (*static_cast<Closure*>(c))(); };
+    node.closure = closure;
   }
   /// Shared implementation of the fused affine family; `act` selects the
   /// fused activation (0 = none, 1 = tanh, 2 = relu).
@@ -242,11 +312,13 @@ class Graph {
   Var AffineQuantAct(Var x, const quant::QuantizedTensor& wt, Parameter* b,
                      int act);
 
+  ArenaLease lease_;
   GradientSink* sink_ = nullptr;
   bool forward_only_ = false;
   // A deque, so a node never moves: ops hold `const Tensor&` into earlier
   // nodes across NewNode.
-  std::deque<Node> nodes_;
+  std::pmr::deque<Node> nodes_;
+  Finalizer* finalizers_ = nullptr;
 };
 
 }  // namespace alicoco::nn

@@ -211,6 +211,24 @@ void AddBiasRelu(int rows, int cols, const float* x,
   }
 }
 
+void AddInto(size_t n, const float* x, float* y) {
+  for (size_t i = 0; i < n; ++i) y[i] += x[i];
+}
+
+// fp-contract=off: on a target with FMA the compiler would otherwise fuse
+// the multiply-adds and leave the order the AVX2 tier reproduces.
+__attribute__((optimize("fp-contract=off"))) void AdamUpdate(
+    size_t n, const float* g, float* m, float* v, float* w,
+    const AdamCoeffs& c) {
+  for (size_t i = 0; i < n; ++i) {
+    m[i] = c.beta1 * m[i] + c.one_minus_beta1 * g[i];
+    v[i] = c.beta2 * v[i] + c.one_minus_beta2 * g[i] * g[i];
+    const float mhat = m[i] / c.bc1;
+    const float vhat = v[i] / c.bc2;
+    w[i] -= c.lr * mhat / (std::sqrt(vhat) + c.eps);
+  }
+}
+
 void Q8GemmDotAccum(int m, int k, int n, const int8_t* aq,
                     const float* ascales, const int8_t* bq,
                     const float* bscales, float* c) {
@@ -335,6 +353,8 @@ constexpr KernelDispatch kScalarTable = {
     scalar::AddBias,
     scalar::AddBiasTanh,
     scalar::AddBiasRelu,
+    scalar::AddInto,
+    scalar::AdamUpdate,
     scalar::Q8GemmDotAccum,
     scalar::Fp16GemmTransBAccum,
     scalar::Fp32ToFp16,
@@ -400,6 +420,15 @@ void AddBiasTanh(int rows, int cols, const float* x, const float* bias,
 void AddBiasRelu(int rows, int cols, const float* x, const float* bias,
                  float* out) {
   ActiveKernels().add_bias_relu(rows, cols, x, bias, out);
+}
+
+void AddInto(size_t n, const float* x, float* y) {
+  ActiveKernels().add_into(n, x, y);
+}
+
+void AdamUpdate(size_t n, const float* g, float* m, float* v, float* w,
+                const AdamCoeffs& c) {
+  ActiveKernels().adam_update(n, g, m, v, w, c);
 }
 
 void Q8GemmDotAccum(int m, int k, int n, const int8_t* aq,

@@ -28,6 +28,12 @@
 // C rows are loaded and stored once per panel instead of once per k step,
 // which is what the pre-retune kernel got wrong (~1.1x over naive).
 //
+// Elementwise kernels: `AddInto` (the gradient reduction) and `AdamUpdate`
+// (the optimizer step) sweep every weight once per minibatch. Unlike the
+// GEMMs, every tier must equal the plain scalar loop bit for bit, so the
+// AVX2 versions issue the same IEEE operations in the same order and are
+// compiled without multiply-add contraction (see kernels_avx2.cc).
+//
 // Quantized kernels: `Q8GemmDotAccum` is the int8 x int8 -> int32 dot
 // micro-kernel over 32-lane blocks (one float scale per block, values in
 // [-127, 127] so the AVX2 `maddubs` pairing cannot saturate);
@@ -38,9 +44,19 @@
 #ifndef ALICOCO_NN_KERNELS_H_
 #define ALICOCO_NN_KERNELS_H_
 
+#include <cstddef>
 #include <cstdint>
 
 namespace alicoco::nn::kernels {
+
+/// Per-step constants of one Adam update. `bc1`/`bc2` are the bias
+/// corrections 1 - beta^t.
+struct AdamCoeffs {
+  float beta1, one_minus_beta1;
+  float beta2, one_minus_beta2;
+  float bc1, bc2;
+  float lr, eps;
+};
 
 // ---- dispatched fp32 kernels --------------------------------------------
 
@@ -58,6 +74,16 @@ void AddBiasTanh(int rows, int cols, const float* x, const float* bias,
                  float* out);
 void AddBiasRelu(int rows, int cols, const float* x, const float* bias,
                  float* out);
+
+/// y[i] += x[i] for i < n.
+void AddInto(size_t n, const float* x, float* y);
+
+/// One Adam step over n weights, per element in this order:
+///   m = beta1 * m + (1 - beta1) * g
+///   v = beta2 * v + (1 - beta2) * g * g
+///   w -= lr * (m / bc1) / (sqrt(v / bc2) + eps)
+void AdamUpdate(size_t n, const float* g, float* m, float* v, float* w,
+                const AdamCoeffs& c);
 
 // ---- dispatched quantized kernels ---------------------------------------
 
@@ -98,6 +124,9 @@ struct KernelDispatch {
   void (*add_bias)(int, int, const float*, const float*, float*);
   void (*add_bias_tanh)(int, int, const float*, const float*, float*);
   void (*add_bias_relu)(int, int, const float*, const float*, float*);
+  void (*add_into)(size_t, const float*, float*);
+  void (*adam_update)(size_t, const float*, float*, float*, float*,
+                      const AdamCoeffs&);
   void (*q8_gemm_dot)(int, int, int, const int8_t*, const float*,
                       const int8_t*, const float*, float*);
   void (*fp16_gemm_transb)(int, int, int, const float*, const uint16_t*,
@@ -137,6 +166,9 @@ void AddBiasTanh(int rows, int cols, const float* x, const float* bias,
                  float* out);
 void AddBiasRelu(int rows, int cols, const float* x, const float* bias,
                  float* out);
+void AddInto(size_t n, const float* x, float* y);
+void AdamUpdate(size_t n, const float* g, float* m, float* v, float* w,
+                const AdamCoeffs& c);
 void Q8GemmDotAccum(int m, int k, int n, const int8_t* aq,
                     const float* ascales, const int8_t* bq,
                     const float* bscales, float* c);

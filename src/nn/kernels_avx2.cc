@@ -277,6 +277,59 @@ void AddBiasRelu(int rows, int cols, const float* x, const float* bias,
   }
 }
 
+// ---- elementwise parameter sweep ----------------------------------------
+//
+// Both must equal the scalar tier bit for bit. Each lane issues the scalar
+// loop's IEEE operations in its order (div and sqrt are correctly rounded
+// in both forms), and fp-contract=off stops -mfma from fusing
+// _mm256_add_ps(_mm256_mul_ps(...)) into a vfmadd, which rounds once
+// instead of twice.
+
+void AddInto(size_t n, const float* x, float* y) {
+  size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    _mm256_storeu_ps(y + i, _mm256_add_ps(_mm256_loadu_ps(y + i),
+                                          _mm256_loadu_ps(x + i)));
+  }
+  for (; i < n; ++i) y[i] += x[i];
+}
+
+__attribute__((optimize("fp-contract=off"))) void AdamUpdate(
+    size_t n, const float* g, float* m, float* v, float* w,
+    const AdamCoeffs& c) {
+  const __m256 beta1 = _mm256_set1_ps(c.beta1);
+  const __m256 one_minus_beta1 = _mm256_set1_ps(c.one_minus_beta1);
+  const __m256 beta2 = _mm256_set1_ps(c.beta2);
+  const __m256 one_minus_beta2 = _mm256_set1_ps(c.one_minus_beta2);
+  const __m256 bc1 = _mm256_set1_ps(c.bc1);
+  const __m256 bc2 = _mm256_set1_ps(c.bc2);
+  const __m256 lr = _mm256_set1_ps(c.lr);
+  const __m256 eps = _mm256_set1_ps(c.eps);
+  size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const __m256 gv = _mm256_loadu_ps(g + i);
+    const __m256 mv = _mm256_add_ps(_mm256_mul_ps(beta1, _mm256_loadu_ps(m + i)),
+                                    _mm256_mul_ps(one_minus_beta1, gv));
+    const __m256 vv = _mm256_add_ps(
+        _mm256_mul_ps(beta2, _mm256_loadu_ps(v + i)),
+        _mm256_mul_ps(_mm256_mul_ps(one_minus_beta2, gv), gv));
+    _mm256_storeu_ps(m + i, mv);
+    _mm256_storeu_ps(v + i, vv);
+    const __m256 mhat = _mm256_div_ps(mv, bc1);
+    const __m256 vhat = _mm256_div_ps(vv, bc2);
+    const __m256 step = _mm256_div_ps(
+        _mm256_mul_ps(lr, mhat), _mm256_add_ps(_mm256_sqrt_ps(vhat), eps));
+    _mm256_storeu_ps(w + i, _mm256_sub_ps(_mm256_loadu_ps(w + i), step));
+  }
+  for (; i < n; ++i) {
+    m[i] = c.beta1 * m[i] + c.one_minus_beta1 * g[i];
+    v[i] = c.beta2 * v[i] + c.one_minus_beta2 * g[i] * g[i];
+    const float mhat = m[i] / c.bc1;
+    const float vhat = v[i] / c.bc2;
+    w[i] -= c.lr * mhat / (std::sqrt(vhat) + c.eps);
+  }
+}
+
 // ---- quantized kernels ---------------------------------------------------
 
 // 32-lane int8 dot product as int32x8. maddubs needs an unsigned lhs, so
@@ -377,6 +430,8 @@ constexpr KernelDispatch kAvx2Table = {
     AddBias,
     AddBiasTanh,
     AddBiasRelu,
+    AddInto,
+    AdamUpdate,
     Q8GemmDotAccum,
     Fp16GemmTransBAccum,
     Fp32ToFp16,

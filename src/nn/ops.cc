@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory_resource>
 #include <utility>
+#include <vector>
 
 #include "nn/graph.h"
 #include "nn/kernels.h"
@@ -13,7 +15,7 @@ namespace alicoco::nn {
 Graph::Var Graph::MatMul(Var a, Var b) {
   const Tensor& av = nodes_[a].value;
   const Tensor& bv = nodes_[b].value;
-  Var out = NewNode(MatMulValue(av, bv));
+  Var out = NewNode(MatMulValue(av, bv, arena()));
   SetBackward(out, [this, out, a, b] {
     const Tensor& g = nodes_[out].grad;
     // dA += g * B^T ; dB += A^T * g
@@ -26,7 +28,7 @@ Graph::Var Graph::MatMul(Var a, Var b) {
 Graph::Var Graph::Add(Var a, Var b) {
   const Tensor& av = nodes_[a].value;
   const Tensor& bv = nodes_[b].value;
-  Tensor v = av;
+  Tensor v(av, arena());
   if (bv.SameShape(av)) {
     v.AddInPlace(bv);
     Var out = NewNode(std::move(v));
@@ -80,7 +82,7 @@ Graph::Var Graph::Sub(Var a, Var b) {
   const Tensor& av = nodes_[a].value;
   const Tensor& bv = nodes_[b].value;
   ALICOCO_CHECK(av.SameShape(bv)) << "Sub requires same shapes";
-  Tensor v = av;
+  Tensor v(av, arena());
   v.Axpy(-1.0f, bv);
   Var out = NewNode(std::move(v));
   SetBackward(out, [this, out, a, b] {
@@ -94,7 +96,7 @@ Graph::Var Graph::Mul(Var a, Var b) {
   const Tensor& av = nodes_[a].value;
   const Tensor& bv = nodes_[b].value;
   ALICOCO_CHECK(av.SameShape(bv)) << "Mul requires same shapes";
-  Tensor v(av.rows(), av.cols());
+  Tensor v(av.rows(), av.cols(), arena());
   for (size_t i = 0; i < v.size(); ++i) v.data()[i] = av.data()[i] * bv.data()[i];
   Var out = NewNode(std::move(v));
   SetBackward(out, [this, out, a, b] {
@@ -112,7 +114,7 @@ Graph::Var Graph::Mul(Var a, Var b) {
 }
 
 Graph::Var Graph::ScalarMul(Var a, float s) {
-  Tensor v = nodes_[a].value;
+  Tensor v(nodes_[a].value, arena());
   v.Scale(s);
   Var out = NewNode(std::move(v));
   SetBackward(out, [this, out, a, s] {
@@ -122,7 +124,7 @@ Graph::Var Graph::ScalarMul(Var a, float s) {
 }
 
 Graph::Var Graph::AddScalar(Var a, float s) {
-  Tensor v = nodes_[a].value;
+  Tensor v(nodes_[a].value, arena());
   for (size_t i = 0; i < v.size(); ++i) v.data()[i] += s;
   Var out = NewNode(std::move(v));
   SetBackward(out, [this, out, a] {
@@ -132,7 +134,7 @@ Graph::Var Graph::AddScalar(Var a, float s) {
 }
 
 Graph::Var Graph::Sigmoid(Var a) {
-  Tensor v = nodes_[a].value;
+  Tensor v(nodes_[a].value, arena());
   for (size_t i = 0; i < v.size(); ++i) {
     float x = v.data()[i];
     v.data()[i] = x >= 0 ? 1.0f / (1.0f + std::exp(-x))
@@ -152,7 +154,7 @@ Graph::Var Graph::Sigmoid(Var a) {
 }
 
 Graph::Var Graph::Tanh(Var a) {
-  Tensor v = nodes_[a].value;
+  Tensor v(nodes_[a].value, arena());
   for (size_t i = 0; i < v.size(); ++i) v.data()[i] = std::tanh(v.data()[i]);
   Var out = NewNode(std::move(v));
   SetBackward(out, [this, out, a] {
@@ -168,7 +170,7 @@ Graph::Var Graph::Tanh(Var a) {
 }
 
 Graph::Var Graph::Relu(Var a) {
-  Tensor v = nodes_[a].value;
+  Tensor v(nodes_[a].value, arena());
   for (size_t i = 0; i < v.size(); ++i) v.data()[i] = std::max(0.0f, v.data()[i]);
   Var out = NewNode(std::move(v));
   SetBackward(out, [this, out, a] {
@@ -184,7 +186,7 @@ Graph::Var Graph::Relu(Var a) {
 
 Graph::Var Graph::SoftmaxRows(Var a) {
   const Tensor& x = nodes_[a].value;
-  Tensor v(x.rows(), x.cols());
+  Tensor v(x.rows(), x.cols(), arena());
   for (int i = 0; i < x.rows(); ++i) {
     const float* xr = x.Row(i);
     float* vr = v.Row(i);
@@ -218,7 +220,7 @@ Graph::Var Graph::SoftmaxRows(Var a) {
 
 Graph::Var Graph::Transpose(Var a) {
   const Tensor& x = nodes_[a].value;
-  Tensor v(x.cols(), x.rows());
+  Tensor v(x.cols(), x.rows(), arena());
   for (int i = 0; i < x.rows(); ++i) {
     for (int j = 0; j < x.cols(); ++j) v.At(j, i) = x.At(i, j);
   }
@@ -233,7 +235,7 @@ Graph::Var Graph::Transpose(Var a) {
   return out;
 }
 
-Graph::Var Graph::ConcatCols(const std::vector<Var>& vars) {
+Graph::Var Graph::ConcatCols(std::span<const Var> vars) {
   ALICOCO_CHECK(!vars.empty());
   int rows = nodes_[vars[0]].value.rows();
   int cols = 0;
@@ -242,7 +244,7 @@ Graph::Var Graph::ConcatCols(const std::vector<Var>& vars) {
         << "ConcatCols row mismatch";
     cols += nodes_[v].value.cols();
   }
-  Tensor out_t(rows, cols);
+  Tensor out_t(rows, cols, arena());
   int off = 0;
   for (Var v : vars) {
     const Tensor& x = nodes_[v].value;
@@ -252,7 +254,8 @@ Graph::Var Graph::ConcatCols(const std::vector<Var>& vars) {
     off += x.cols();
   }
   Var out = NewNode(std::move(out_t));
-  SetBackward(out, [this, out, parents = vars] {
+  std::pmr::vector<Var> parents(vars.begin(), vars.end(), arena());
+  SetBackward(out, [this, out, parents = std::move(parents)] {
     const Tensor& g = nodes_[out].grad;
     int off2 = 0;
     for (Var v : parents) {
@@ -268,7 +271,7 @@ Graph::Var Graph::ConcatCols(const std::vector<Var>& vars) {
   return out;
 }
 
-Graph::Var Graph::ConcatRows(const std::vector<Var>& vars) {
+Graph::Var Graph::ConcatRows(std::span<const Var> vars) {
   ALICOCO_CHECK(!vars.empty());
   int cols = nodes_[vars[0]].value.cols();
   int rows = 0;
@@ -277,7 +280,7 @@ Graph::Var Graph::ConcatRows(const std::vector<Var>& vars) {
         << "ConcatRows col mismatch";
     rows += nodes_[v].value.rows();
   }
-  Tensor out_t(rows, cols);
+  Tensor out_t(rows, cols, arena());
   int off = 0;
   for (Var v : vars) {
     const Tensor& x = nodes_[v].value;
@@ -287,7 +290,8 @@ Graph::Var Graph::ConcatRows(const std::vector<Var>& vars) {
     off += x.rows();
   }
   Var out = NewNode(std::move(out_t));
-  SetBackward(out, [this, out, parents = vars] {
+  std::pmr::vector<Var> parents(vars.begin(), vars.end(), arena());
+  SetBackward(out, [this, out, parents = std::move(parents)] {
     const Tensor& g = nodes_[out].grad;
     int off2 = 0;
     for (Var v : parents) {
@@ -306,7 +310,7 @@ Graph::Var Graph::ConcatRows(const std::vector<Var>& vars) {
 Graph::Var Graph::SliceRows(Var a, int begin, int count) {
   const Tensor& x = nodes_[a].value;
   ALICOCO_CHECK(begin >= 0 && count >= 0 && begin + count <= x.rows());
-  Tensor v(count, x.cols());
+  Tensor v(count, x.cols(), arena());
   for (int i = 0; i < count; ++i) {
     std::copy(x.Row(begin + i), x.Row(begin + i) + x.cols(), v.Row(i));
   }
@@ -326,7 +330,7 @@ Graph::Var Graph::SliceRows(Var a, int begin, int count) {
 Graph::Var Graph::SliceCols(Var a, int begin, int count) {
   const Tensor& x = nodes_[a].value;
   ALICOCO_CHECK(begin >= 0 && count >= 0 && begin + count <= x.cols());
-  Tensor v(x.rows(), count);
+  Tensor v(x.rows(), count, arena());
   for (int i = 0; i < x.rows(); ++i) {
     std::copy(x.Row(i) + begin, x.Row(i) + begin + count, v.Row(i));
   }
@@ -348,7 +352,7 @@ Graph::Var Graph::ConcatWindow(Var a, int k) {
   const Tensor& x = nodes_[a].value;
   int t = x.rows(), d = x.cols();
   int half = k / 2;
-  Tensor v(t, k * d);
+  Tensor v(t, k * d, arena());
   for (int i = 0; i < t; ++i) {
     for (int w = -half; w <= half; ++w) {
       int src = i + w;
@@ -378,7 +382,7 @@ Graph::Var Graph::ConcatWindow(Var a, int k) {
 
 Graph::Var Graph::SumAll(Var a) {
   const Tensor& x = nodes_[a].value;
-  Tensor v(1, 1);
+  Tensor v(1, 1, arena());
   float acc = 0.0f;
   for (size_t i = 0; i < x.size(); ++i) acc += x.data()[i];
   v.At(0, 0) = acc;
@@ -399,7 +403,7 @@ Graph::Var Graph::MeanAll(Var a) {
 
 Graph::Var Graph::SumRows(Var a) {
   const Tensor& x = nodes_[a].value;
-  Tensor v(1, x.cols());
+  Tensor v(1, x.cols(), arena());
   for (int i = 0; i < x.rows(); ++i) {
     const float* xr = x.Row(i);
     for (int j = 0; j < x.cols(); ++j) v.At(0, j) += xr[j];
@@ -418,7 +422,7 @@ Graph::Var Graph::SumRows(Var a) {
 
 Graph::Var Graph::SumCols(Var a) {
   const Tensor& x = nodes_[a].value;
-  Tensor v(x.rows(), 1);
+  Tensor v(x.rows(), 1, arena());
   for (int i = 0; i < x.rows(); ++i) {
     const float* xr = x.Row(i);
     float acc = 0.0f;
@@ -447,8 +451,8 @@ Graph::Var Graph::MeanRows(Var a) {
 Graph::Var Graph::MaxRows(Var a) {
   const Tensor& x = nodes_[a].value;
   ALICOCO_CHECK(x.rows() > 0);
-  Tensor v(1, x.cols());
-  std::vector<int> argmax(static_cast<size_t>(x.cols()), 0);
+  Tensor v(1, x.cols(), arena());
+  std::pmr::vector<int> argmax(static_cast<size_t>(x.cols()), 0, arena());
   for (int j = 0; j < x.cols(); ++j) {
     float best = x.At(0, j);
     for (int i = 1; i < x.rows(); ++i) {
@@ -474,7 +478,7 @@ Graph::Var Graph::EmbeddingLookup(Parameter* table,
                                   const std::vector<int>& ids) {
   ALICOCO_CHECK(table != nullptr && !ids.empty());
   int d = table->value.cols();
-  Tensor v(static_cast<int>(ids.size()), d);
+  Tensor v(static_cast<int>(ids.size()), d, arena());
   for (size_t i = 0; i < ids.size(); ++i) {
     int id = ids[i];
     ALICOCO_CHECK(id >= 0 && id < table->value.rows())
@@ -483,7 +487,8 @@ Graph::Var Graph::EmbeddingLookup(Parameter* table,
               v.Row(static_cast<int>(i)));
   }
   Var out = NewNode(std::move(v));
-  SetBackward(out, [this, out, table, ids_copy = ids, d] {
+  std::pmr::vector<int> ids_copy(ids.begin(), ids.end(), arena());
+  SetBackward(out, [this, out, table, ids_copy = std::move(ids_copy), d] {
     const Tensor& g = nodes_[out].grad;
     Tensor* tg = ParamGrad(table);
     for (size_t i = 0; i < ids_copy.size(); ++i) {
@@ -500,15 +505,21 @@ Graph::Var Graph::Dropout(Var a, float p, bool train, Rng* rng) {
   ALICOCO_CHECK(p < 1.0f && rng != nullptr);
   const Tensor& x = nodes_[a].value;
   float scale = 1.0f / (1.0f - p);
-  std::vector<float> mask(x.size());
-  for (auto& m : mask) m = rng->Bernoulli(p) ? 0.0f : scale;
-  Tensor v(x.rows(), x.cols());
-  for (size_t i = 0; i < x.size(); ++i) v.data()[i] = x.data()[i] * mask[i];
+  Tensor mask(x.rows(), x.cols(), arena());
+  for (size_t i = 0; i < mask.size(); ++i) {
+    mask.data()[i] = rng->Bernoulli(p) ? 0.0f : scale;
+  }
+  Tensor v(x.rows(), x.cols(), arena());
+  for (size_t i = 0; i < x.size(); ++i) {
+    v.data()[i] = x.data()[i] * mask.data()[i];
+  }
   Var out = NewNode(std::move(v));
   SetBackward(out, [this, out, a, mask = std::move(mask)] {
     const Tensor& g = nodes_[out].grad;
     Tensor& ag = nodes_[a].grad;
-    for (size_t i = 0; i < g.size(); ++i) ag.data()[i] += g.data()[i] * mask[i];
+    for (size_t i = 0; i < g.size(); ++i) {
+      ag.data()[i] += g.data()[i] * mask.data()[i];
+    }
   });
   return out;
 }
@@ -520,17 +531,15 @@ Graph::Var Graph::AdditiveAttention(Var a, Var b, Var v) {
   int m = at.rows(), l = bt.rows(), d = at.cols();
   ALICOCO_CHECK(bt.cols() == d && vt.rows() == d && vt.cols() == 1)
       << "AdditiveAttention shapes";
-  Tensor out_t(m, l);
-  // Cache tanh values for backward (m*l*d floats; sequences are short).
-  auto tanh_cache = std::make_shared<std::vector<float>>(
-      static_cast<size_t>(m) * l * d);
+  Tensor out_t(m, l, arena());
+  // Cache tanh values for backward: row i*l + j holds tanh(a_i + b_j).
+  Tensor tanh_cache(m * l, d, arena());
   for (int i = 0; i < m; ++i) {
     const float* ar = at.Row(i);
     for (int j = 0; j < l; ++j) {
       const float* br = bt.Row(j);
       float acc = 0.0f;
-      float* cache = tanh_cache->data() +
-                     (static_cast<size_t>(i) * l + j) * d;
+      float* cache = tanh_cache.Row(i * l + j);
       for (int k = 0; k < d; ++k) {
         float th = std::tanh(ar[k] + br[k]);
         cache[k] = th;
@@ -540,7 +549,8 @@ Graph::Var Graph::AdditiveAttention(Var a, Var b, Var v) {
     }
   }
   Var out = NewNode(std::move(out_t));
-  SetBackward(out, [this, out, a, b, v, tanh_cache, m, l, d] {
+  SetBackward(out, [this, out, a, b, v, tanh_cache = std::move(tanh_cache),
+                     m, l, d] {
     const Tensor& g = nodes_[out].grad;
     const Tensor& vt2 = nodes_[v].value;
     Tensor& ag = nodes_[a].grad;
@@ -551,8 +561,7 @@ Graph::Var Graph::AdditiveAttention(Var a, Var b, Var v) {
       for (int j = 0; j < l; ++j) {
         float gij = g.At(i, j);
         if (gij == 0.0f) continue;
-        const float* cache = tanh_cache->data() +
-                             (static_cast<size_t>(i) * l + j) * d;
+        const float* cache = tanh_cache.Row(i * l + j);
         float* bgr = bg.Row(j);
         for (int k = 0; k < d; ++k) {
           float th = cache[k];
@@ -577,7 +586,7 @@ Graph::Var Graph::AffineAct(Var x, Parameter* w, Parameter* b, int act) {
   ALICOCO_DCHECK(b->value.rows() == 1 && b->value.cols() == out_dim)
       << "Affine: bias " << b->value.rows() << "x" << b->value.cols()
       << " for out dim " << out_dim;
-  Tensor v(rows, out_dim);
+  Tensor v(rows, out_dim, arena());
   kernels::GemmAccum(rows, in, out_dim, xv.data(), w->value.data(), v.data());
   switch (act) {
     case 1:
@@ -595,10 +604,10 @@ Graph::Var Graph::AffineAct(Var x, Parameter* w, Parameter* b, int act) {
     const Tensor& g = nodes_[out].grad;
     const Tensor& y = nodes_[out].value;
     // Pre-activation gradient (aliases g for the identity case).
-    Tensor pre;
+    Tensor pre(arena());
     const float* gp = g.data();
     if (act != 0) {
-      pre = Tensor(rows, out_dim);
+      pre = Tensor(rows, out_dim, arena());
       float* pp = pre.data();
       const float* yp = y.data();
       if (act == 1) {
@@ -637,7 +646,7 @@ Graph::Var Graph::AffineQuantAct(Var x, const quant::QuantizedTensor& wt,
   ALICOCO_DCHECK(b->value.rows() == 1 && b->value.cols() == out_dim)
       << "AffineQuant: bias " << b->value.rows() << "x" << b->value.cols()
       << " for out dim " << out_dim;
-  Tensor v(rows, out_dim);
+  Tensor v(rows, out_dim, arena());
   quant::GemmTransW(xv, wt, &v);
   switch (act) {
     case 1:
@@ -678,7 +687,7 @@ Graph::Var Graph::MatMulQuant(Var a, const quant::QuantizedTensor& wt) {
   ALICOCO_DCHECK_EQ(wt.cols(), av.cols())
       << "MatMulQuant: a " << av.rows() << "x" << av.cols() << " vs W^T "
       << wt.rows() << "x" << wt.cols();
-  Tensor v(av.rows(), wt.rows());
+  Tensor v(av.rows(), wt.rows(), arena());
   quant::GemmTransW(av, wt, &v);
   Var out = NewNode(std::move(v));
   SetBackward(out, [] {
@@ -692,7 +701,7 @@ Graph::Var Graph::EmbeddingLookupQuant(const quant::QuantizedTensor& table,
                                        const std::vector<int>& ids) {
   ALICOCO_CHECK(!ids.empty());
   const int d = table.cols();
-  Tensor v(static_cast<int>(ids.size()), d);
+  Tensor v(static_cast<int>(ids.size()), d, arena());
   for (size_t i = 0; i < ids.size(); ++i) {
     const int id = ids[i];
     ALICOCO_CHECK(id >= 0 && id < table.rows())
@@ -726,7 +735,7 @@ Graph::Var Graph::MatMulTransB(Var a, Var b) {
   ALICOCO_DCHECK_EQ(bv.cols(), k)
       << "MatMulTransB shapes " << m << "x" << k << " * (" << n << "x"
       << bv.cols() << ")^T";
-  Tensor v(m, n);
+  Tensor v(m, n, arena());
   kernels::GemmTransBAccum(m, k, n, av.data(), bv.data(), v.data());
   Var out = NewNode(std::move(v));
   SetBackward(out, [this, out, a, b, m, k, n] {
@@ -761,19 +770,19 @@ Graph::Var Graph::LstmStep(Var x, Var h_prev, Var c_prev, Parameter* wx,
       << "LstmStep: c_prev " << cv.rows() << "x" << cv.cols();
 
   // gates = x*Wx + h_prev*Wh + b, activated in place: [i, f, o, g].
-  auto acts = std::make_shared<Tensor>(rows, gate_cols);
+  Tensor acts(rows, gate_cols, arena());
   kernels::GemmAccum(rows, in, gate_cols, xv.data(), wx->value.data(),
-                     acts->data());
+                     acts.data());
   kernels::GemmAccum(rows, hidden, gate_cols, hv.data(), wh->value.data(),
-                     acts->data());
-  kernels::AddBias(rows, gate_cols, acts->data(), b->value.data(),
-                   acts->data());
-  auto tanh_c = std::make_shared<Tensor>(rows, hidden);
-  Tensor v(rows, 2 * hidden);  // [h_new, c_new]
+                     acts.data());
+  kernels::AddBias(rows, gate_cols, acts.data(), b->value.data(),
+                   acts.data());
+  Tensor tanh_c(rows, hidden, arena());
+  Tensor v(rows, 2 * hidden, arena());  // [h_new, c_new]
   for (int r = 0; r < rows; ++r) {
-    float* gate = acts->Row(r);
+    float* gate = acts.Row(r);
     const float* cprev = cv.Row(r);
-    float* tc = tanh_c->Row(r);
+    float* tc = tanh_c.Row(r);
     float* vr = v.Row(r);
     for (int j = 0; j < gate_cols; ++j) {
       const float z = gate[j];
@@ -794,18 +803,19 @@ Graph::Var Graph::LstmStep(Var x, Var h_prev, Var c_prev, Parameter* wx,
     }
   }
   Var out = NewNode(std::move(v));
-  SetBackward(out, [this, out, x, h_prev, c_prev, wx, wh, b, acts,
-                           tanh_c, rows, in, hidden, gate_cols] {
+  SetBackward(out, [this, out, x, h_prev, c_prev, wx, wh, b,
+                     acts = std::move(acts), tanh_c = std::move(tanh_c), rows,
+                     in, hidden, gate_cols] {
     const Tensor& g = nodes_[out].grad;
     const Tensor& xv2 = nodes_[x].value;
     const Tensor& hv2 = nodes_[h_prev].value;
     const Tensor& cv2 = nodes_[c_prev].value;
-    Tensor dgates(rows, gate_cols);
+    Tensor dgates(rows, gate_cols, arena());
     Tensor& cg = nodes_[c_prev].grad;
     for (int r = 0; r < rows; ++r) {
       const float* gr = g.Row(r);
-      const float* gate = acts->Row(r);
-      const float* tc = tanh_c->Row(r);
+      const float* gate = acts.Row(r);
+      const float* tc = tanh_c.Row(r);
       const float* cprev = cv2.Row(r);
       float* dg = dgates.Row(r);
       float* cgr = cg.Row(r);
@@ -840,11 +850,12 @@ Graph::Var Graph::LstmStep(Var x, Var h_prev, Var c_prev, Parameter* wx,
   return out;
 }
 
-Graph::Var Graph::SigmoidCrossEntropyWithLogits(Var logits, Tensor targets) {
+Graph::Var Graph::SigmoidCrossEntropyWithLogits(Var logits,
+                                                 const Tensor& targets) {
   const Tensor& x = nodes_[logits].value;
   ALICOCO_CHECK(x.SameShape(targets));
   // loss = mean( max(x,0) - x*z + log(1+exp(-|x|)) )
-  Tensor v(1, 1);
+  Tensor v(1, 1, arena());
   double acc = 0.0;
   for (size_t i = 0; i < x.size(); ++i) {
     float xi = x.data()[i];
@@ -854,17 +865,16 @@ Graph::Var Graph::SigmoidCrossEntropyWithLogits(Var logits, Tensor targets) {
   }
   v.At(0, 0) = static_cast<float>(acc / static_cast<double>(x.size()));
   Var out = NewNode(std::move(v));
-  auto tgt = std::make_shared<Tensor>(std::move(targets));
-  SetBackward(out, [this, out, logits, tgt] {
+  SetBackward(out, [this, out, logits, tgt = Tensor(targets, arena())] {
     float g = nodes_[out].grad.At(0, 0) /
-              static_cast<float>(tgt->size());
+              static_cast<float>(tgt.size());
     const Tensor& x2 = nodes_[logits].value;
     Tensor& lg = nodes_[logits].grad;
     for (size_t i = 0; i < x2.size(); ++i) {
       float xi = x2.data()[i];
       float sig = xi >= 0 ? 1.0f / (1.0f + std::exp(-xi))
                           : std::exp(xi) / (1.0f + std::exp(xi));
-      lg.data()[i] += g * (sig - tgt->data()[i]);
+      lg.data()[i] += g * (sig - tgt.data()[i]);
     }
   });
   return out;

@@ -2,6 +2,8 @@
 
 #include <cmath>
 
+#include "nn/kernels.h"
+
 namespace alicoco::nn {
 
 double Optimizer::ClipGlobalNorm(ParameterStore* store, double max_norm) {
@@ -25,25 +27,23 @@ void Sgd::Step(ParameterStore* store) {
 void Adam::Step(ParameterStore* store) {
   ClipGlobalNorm(store, clip_norm_);
   ++t_;
-  float bc1 = 1.0f - std::pow(beta1_, static_cast<float>(t_));
-  float bc2 = 1.0f - std::pow(beta2_, static_cast<float>(t_));
+  const kernels::AdamCoeffs coeffs{
+      beta1_,
+      1.0f - beta1_,
+      beta2_,
+      1.0f - beta2_,
+      1.0f - std::pow(beta1_, static_cast<float>(t_)),
+      1.0f - std::pow(beta2_, static_cast<float>(t_)),
+      lr_,
+      eps_};
   for (const auto& p : store->params()) {
     auto& slot = slots_[p.get()];
     if (slot.m.empty()) {
       slot.m = Tensor(p->value.rows(), p->value.cols());
       slot.v = Tensor(p->value.rows(), p->value.cols());
     }
-    float* m = slot.m.data();
-    float* v = slot.v.data();
-    const float* g = p->grad.data();
-    float* w = p->value.data();
-    for (size_t i = 0; i < p->value.size(); ++i) {
-      m[i] = beta1_ * m[i] + (1.0f - beta1_) * g[i];
-      v[i] = beta2_ * v[i] + (1.0f - beta2_) * g[i] * g[i];
-      float mhat = m[i] / bc1;
-      float vhat = v[i] / bc2;
-      w[i] -= lr_ * mhat / (std::sqrt(vhat) + eps_);
-    }
+    kernels::AdamUpdate(p->value.size(), p->grad.data(), slot.m.data(),
+                        slot.v.data(), p->value.data(), coeffs);
   }
 }
 

@@ -1,5 +1,7 @@
 #include "nn/rnn.h"
 
+#include <memory_resource>
+
 namespace alicoco::nn {
 
 LstmCell::LstmCell(ParameterStore* store, const std::string& name,
@@ -16,8 +18,8 @@ LstmCell::LstmCell(ParameterStore* store, const std::string& name,
 }
 
 LstmCell::State LstmCell::Initial(Graph* g) const {
-  return State{g->Input(Tensor(1, hidden_dim_)),
-               g->Input(Tensor(1, hidden_dim_))};
+  return State{g->Input(Tensor(1, hidden_dim_, g->arena())),
+               g->Input(Tensor(1, hidden_dim_, g->arena()))};
 }
 
 LstmCell::State LstmCell::Step(Graph* g, Graph::Var x,
@@ -37,17 +39,18 @@ BiLstm::BiLstm(ParameterStore* store, const std::string& name, int input_dim,
 Graph::Var BiLstm::Run(Graph* g, Graph::Var x) const {
   int t = g->Value(x).rows();
   ALICOCO_CHECK(t > 0) << "BiLstm on empty sequence";
-  std::vector<Graph::Var> rows;
+  // Var lists live in the graph's arena, like everything else it builds.
+  std::pmr::vector<Graph::Var> rows(g->arena());
   rows.reserve(static_cast<size_t>(t));
   for (int i = 0; i < t; ++i) rows.push_back(g->SliceRows(x, i, 1));
 
-  std::vector<Graph::Var> fwd_h(static_cast<size_t>(t));
+  std::pmr::vector<Graph::Var> fwd_h(static_cast<size_t>(t), g->arena());
   LstmCell::State state = fwd_.Initial(g);
   for (int i = 0; i < t; ++i) {
     state = fwd_.Step(g, rows[static_cast<size_t>(i)], state);
     fwd_h[static_cast<size_t>(i)] = state.h;
   }
-  std::vector<Graph::Var> bwd_h(static_cast<size_t>(t));
+  std::pmr::vector<Graph::Var> bwd_h(static_cast<size_t>(t), g->arena());
   state = bwd_.Initial(g);
   for (int i = t - 1; i >= 0; --i) {
     state = bwd_.Step(g, rows[static_cast<size_t>(i)], state);

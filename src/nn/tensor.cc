@@ -1,22 +1,37 @@
 #include "nn/tensor.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "nn/kernels.h"
 
 namespace alicoco::nn {
 
-Tensor Tensor::FromVector(int rows, int cols, std::vector<float> data) {
+Tensor Tensor::FromVector(int rows, int cols,
+                          const std::vector<float>& data) {
   ALICOCO_CHECK(rows >= 0 && cols >= 0)
       << "FromVector negative shape " << rows << "x" << cols;
   ALICOCO_CHECK_EQ(static_cast<size_t>(rows) * static_cast<size_t>(cols),
                    data.size())
       << "FromVector shape mismatch for " << rows << "x" << cols;
-  Tensor t;
-  t.rows_ = rows;
-  t.cols_ = cols;
-  t.data_ = std::move(data);
+  Tensor t(rows, cols);
+  std::copy(data.begin(), data.end(), t.data_.begin());
   return t;
+}
+
+Tensor::Tensor(const Tensor& other, std::pmr::memory_resource* mr)
+    : rows_(other.rows_), cols_(other.cols_), data_(other.size(), mr) {
+  std::copy(other.data_.begin(), other.data_.end(), data_.begin());
+}
+
+Tensor& Tensor::operator=(const Tensor& other) {
+  if (this != &other) {
+    rows_ = other.rows_;
+    cols_ = other.cols_;
+    data_.resize(other.size());
+    std::copy(other.data_.begin(), other.data_.end(), data_.begin());
+  }
+  return *this;
 }
 
 Tensor Tensor::Randn(int rows, int cols, float stddev, Rng* rng) {
@@ -36,7 +51,7 @@ Tensor Tensor::Xavier(int rows, int cols, Rng* rng) {
 
 void Tensor::AddInPlace(const Tensor& other) {
   ALICOCO_CHECK(SameShape(other));
-  for (size_t i = 0; i < data_.size(); ++i) data_[i] += other.data_[i];
+  kernels::AddInto(data_.size(), other.data(), data());
 }
 
 void Tensor::Axpy(float scale, const Tensor& other) {
@@ -54,11 +69,12 @@ double Tensor::SquaredNorm() const {
   return acc;
 }
 
-Tensor MatMulValue(const Tensor& a, const Tensor& b) {
+Tensor MatMulValue(const Tensor& a, const Tensor& b,
+                   std::pmr::memory_resource* mr) {
   ALICOCO_CHECK_EQ(a.cols(), b.rows())
       << "matmul shapes " << a.rows() << "x" << a.cols() << " * " << b.rows()
       << "x" << b.cols();
-  Tensor c(a.rows(), b.cols());
+  Tensor c(a.rows(), b.cols(), mr);
   MatMulAccum(a, b, &c);
   return c;
 }

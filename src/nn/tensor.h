@@ -2,11 +2,19 @@
 //
 // All models in this repo operate on small 2-D tensors (sequence length x
 // feature dim, batch handled as an outer loop), so a matrix type suffices.
+//
+// Storage comes from a std::pmr::memory_resource: the heap by default, a
+// graph's arena for the values and gradients a Graph makes (DESIGN §5).
+// The standard pmr rules keep arena memory inside its graph: a copy
+// (`Tensor t = g.Value(v)`) always lands on the default resource, and
+// move-assigning into a tensor from another resource copies the elements.
+// Only a move construction carries the source's resource along.
 
 #ifndef ALICOCO_NN_TENSOR_H_
 #define ALICOCO_NN_TENSOR_H_
 
 #include <cstddef>
+#include <memory_resource>
 #include <vector>
 
 #include "common/check.h"
@@ -19,13 +27,30 @@ class Tensor {
  public:
   Tensor() = default;
   Tensor(int rows, int cols)
+      : Tensor(rows, cols, std::pmr::get_default_resource()) {}
+  /// rows x cols of zeros whose storage comes from `mr`.
+  Tensor(int rows, int cols, std::pmr::memory_resource* mr)
       : rows_(rows), cols_(cols),
-        data_(static_cast<size_t>(rows) * static_cast<size_t>(cols), 0.0f) {
+        data_(static_cast<size_t>(rows) * static_cast<size_t>(cols), 0.0f,
+              mr) {
     ALICOCO_CHECK(rows >= 0 && cols >= 0);
   }
+  /// An empty tensor that will allocate from `mr` once it is assigned.
+  explicit Tensor(std::pmr::memory_resource* mr) : data_(mr) {}
+  /// A copy of `other` whose storage comes from `mr`.
+  Tensor(const Tensor& other, std::pmr::memory_resource* mr);
+  // The copies zero-fill and then copy the floats: pmr::vector's own copy
+  // constructs element by element through the allocator, several times
+  // slower than a memmove.
+  Tensor(const Tensor& other)
+      : Tensor(other, std::pmr::get_default_resource()) {}
+  Tensor(Tensor&&) = default;
+  /// Keeps this tensor's resource.
+  Tensor& operator=(const Tensor& other);
+  Tensor& operator=(Tensor&&) = default;
 
-  /// Wraps an existing buffer; `data.size()` must equal rows*cols.
-  static Tensor FromVector(int rows, int cols, std::vector<float> data);
+  /// Copies a buffer; `data.size()` must equal rows*cols.
+  static Tensor FromVector(int rows, int cols, const std::vector<float>& data);
 
   /// rows x cols of N(0, stddev) noise.
   static Tensor Randn(int rows, int cols, float stddev, Rng* rng);
@@ -85,11 +110,13 @@ class Tensor {
 
   int rows_ = 0;
   int cols_ = 0;
-  std::vector<float> data_;
+  std::pmr::vector<float> data_;
 };
 
-/// C = A * B (shapes validated).
-Tensor MatMulValue(const Tensor& a, const Tensor& b);
+/// C = A * B (shapes validated), stored in `mr`.
+Tensor MatMulValue(
+    const Tensor& a, const Tensor& b,
+    std::pmr::memory_resource* mr = std::pmr::get_default_resource());
 
 /// C += A * B.
 void MatMulAccum(const Tensor& a, const Tensor& b, Tensor* c);

@@ -12,6 +12,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -148,6 +149,149 @@ TEST(KernelsTest, AddBiasInPlaceAliasing) {
   for (size_t i = 0; i < x.size(); ++i) {
     EXPECT_FLOAT_EQ(inplace[i], x[i] + bias[i % cols]);
     EXPECT_FLOAT_EQ(inplace[i], expect[i]);
+  }
+}
+
+// ---- elementwise parameter sweep: bit-exact across tiers ----------------
+
+// Adam::Step's per-element loop before it called AdamUpdate, kept as the
+// reference; fp-contract=off pins separate multiplies and adds even when
+// this file is built for a target with FMA.
+__attribute__((optimize("fp-contract=off"))) void ReferenceAdam(
+    size_t n, const float* g, float* m, float* v, float* w, float beta1,
+    float beta2, float bc1, float bc2, float lr, float eps) {
+  for (size_t i = 0; i < n; ++i) {
+    m[i] = beta1 * m[i] + (1.0f - beta1) * g[i];
+    v[i] = beta2 * v[i] + (1.0f - beta2) * g[i] * g[i];
+    float mhat = m[i] / bc1;
+    float vhat = v[i] / bc2;
+    w[i] -= lr * mhat / (std::sqrt(vhat) + eps);
+  }
+}
+
+AdamCoeffs CoeffsAt(int step, float lr) {
+  const float beta1 = 0.9f, beta2 = 0.999f;
+  return AdamCoeffs{beta1,
+                    1.0f - beta1,
+                    beta2,
+                    1.0f - beta2,
+                    1.0f - std::pow(beta1, static_cast<float>(step)),
+                    1.0f - std::pow(beta2, static_cast<float>(step)),
+                    lr,
+                    1e-8f};
+}
+
+// Random values with signed zeros and subnormals mixed in.
+std::vector<float> EdgyVec(size_t n, bool non_negative, Rng* rng) {
+  const float specials[] = {0.0f,    -0.0f,   1e-40f, -3e-42f,
+                            1.4e-45f, 1e-38f, -1e-39f, 2.5e-44f};
+  std::vector<float> v(n);
+  for (size_t i = 0; i < n; ++i) {
+    v[i] = i % 3 == 1 ? specials[(i / 3) % 8] : rng->UniformFloat(-2.0f, 2.0f);
+    if (non_negative) v[i] = std::fabs(v[i]);
+  }
+  return v;
+}
+
+bool SameBits(const std::vector<float>& a, const std::vector<float>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0);
+}
+
+// Every tier the host can run, by name.
+std::vector<std::pair<const char*, const KernelDispatch*>> Tiers() {
+  std::vector<std::pair<const char*, const KernelDispatch*>> tiers = {
+      {"dispatched", &ActiveKernels()}};
+  if (const KernelDispatch* simd = avx2::Table()) {
+    tiers.emplace_back("avx2", simd);
+  }
+  return tiers;
+}
+
+const size_t kSweepSizes[] = {0, 1, 7, 8, 9, 33, 1000};
+
+TEST(KernelsTest, AddIntoEqualsTheScalarLoopOnEveryTier) {
+  Rng rng(41);
+  for (size_t n : kSweepSizes) {
+    const auto x = EdgyVec(n, false, &rng);
+    const auto y0 = EdgyVec(n, false, &rng);
+    auto want = y0;
+    for (size_t i = 0; i < n; ++i) want[i] += x[i];
+    auto scalar_out = y0;
+    scalar::AddInto(n, x.data(), scalar_out.data());
+    EXPECT_TRUE(SameBits(scalar_out, want)) << "scalar n=" << n;
+    for (const auto& [name, table] : Tiers()) {
+      auto got = y0;
+      table->add_into(n, x.data(), got.data());
+      EXPECT_TRUE(SameBits(got, want)) << name << " n=" << n;
+    }
+  }
+}
+
+TEST(KernelsTest, AdamUpdateEqualsTheScalarLoopOnEveryTier) {
+  Rng rng(42);
+  for (size_t n : kSweepSizes) {
+    for (int step : {1, 2, 37}) {
+      const AdamCoeffs c = CoeffsAt(step, 0.01f);
+      const auto g = EdgyVec(n, false, &rng);
+      const auto m0 = EdgyVec(n, false, &rng);
+      const auto v0 = EdgyVec(n, true, &rng);
+      const auto w0 = EdgyVec(n, false, &rng);
+      auto m_want = m0, v_want = v0, w_want = w0;
+      ReferenceAdam(n, g.data(), m_want.data(), v_want.data(), w_want.data(),
+                    c.beta1, c.beta2, c.bc1, c.bc2, c.lr, c.eps);
+      auto check = [&](const char* name, auto update) {
+        auto m = m0, v = v0, w = w0;
+        update(n, g.data(), m.data(), v.data(), w.data(), c);
+        EXPECT_TRUE(SameBits(m, m_want)) << name << " m, n=" << n;
+        EXPECT_TRUE(SameBits(v, v_want)) << name << " v, n=" << n;
+        EXPECT_TRUE(SameBits(w, w_want)) << name << " w, n=" << n;
+      };
+      check("scalar", scalar::AdamUpdate);
+      for (const auto& [name, table] : Tiers()) check(name, table->adam_update);
+    }
+  }
+}
+
+// A contraction canary: inputs where a fused multiply-add of either Adam
+// moment, in either operand order, rounds differently from the separate
+// multiply and add. A tier compiled with contraction fails here.
+__attribute__((optimize("fp-contract=off"))) bool FusedDiffers(float a,
+                                                               float x,
+                                                               float b,
+                                                               float y) {
+  const float separate = a * x + b * y;
+  return std::fmaf(a, x, b * y) != separate &&
+         std::fmaf(b, y, a * x) != separate;
+}
+
+TEST(KernelsTest, AdamUpdateDoesNotFuseMultiplyAdds) {
+  const AdamCoeffs c = CoeffsAt(3, 0.001f);
+  Rng rng(43);
+  std::vector<float> g, m, v, w;
+  while (g.size() < 64) {
+    const float gi = rng.UniformFloat(-1.0f, 1.0f);
+    const float mi = rng.UniformFloat(-1.0f, 1.0f);
+    const float vi = rng.UniformFloat(0.0f, 1.0f);
+    if (!FusedDiffers(c.beta1, mi, c.one_minus_beta1, gi)) continue;
+    if (!FusedDiffers(c.beta2, vi, c.one_minus_beta2 * gi, gi)) continue;
+    g.push_back(gi);
+    m.push_back(mi);
+    v.push_back(vi);
+    w.push_back(rng.UniformFloat(-1.0f, 1.0f));
+  }
+  const size_t n = g.size();
+  auto m_want = m, v_want = v, w_want = w;
+  ReferenceAdam(n, g.data(), m_want.data(), v_want.data(), w_want.data(),
+                c.beta1, c.beta2, c.bc1, c.bc2, c.lr, c.eps);
+  for (const auto& [name, table] : Tiers()) {
+    auto m_got = m, v_got = v, w_got = w;
+    table->adam_update(n, g.data(), m_got.data(), v_got.data(), w_got.data(),
+                       c);
+    EXPECT_TRUE(SameBits(m_got, m_want)) << name;
+    EXPECT_TRUE(SameBits(v_got, v_want)) << name;
+    EXPECT_TRUE(SameBits(w_got, w_want)) << name;
   }
 }
 
