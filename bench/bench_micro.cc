@@ -27,7 +27,6 @@
 #include "nn/kernels.h"
 #include "nn/layers.h"
 #include "nn/parallel_train.h"
-#include "nn/quant.h"
 #include "nn/rnn.h"
 #include "text/bm25.h"
 #include "text/segmenter.h"
@@ -333,36 +332,6 @@ std::vector<std::pair<std::string, double>> RunKernelSuite() {
     });
     add("gemm_avx2_transa_16x64x64", [&] {
       simd->gemm_transa(16, 64, 64, a64.data(), b64.data(), c64.data());
-    });
-  }
-
-  // Quantized inference kernels: int8 blockwise GEMM, fp16-weight GEMM,
-  // and the activation-side quantizer they depend on.
-  {
-    nn::Tensor x16 = nn::Tensor::Randn(16, 64, 1.0f, &rng);
-    nn::quant::QuantizedTensor wq8 = nn::quant::QuantizedTensor::Quantize(
-        b64, nn::quant::QuantMode::kInt8);  // 64 rows over k=64
-    nn::quant::QuantizedTensor wf16 = nn::quant::QuantizedTensor::Quantize(
-        b64, nn::quant::QuantMode::kFp16);
-    const int blocks = nn::kernels::Q8Blocks(64);
-    std::vector<int8_t> xq(static_cast<size_t>(16) * blocks *
-                           nn::kernels::kQ8Block);
-    std::vector<float> xs(static_cast<size_t>(16) * blocks);
-    nn::quant::QuantizeRowsQ8(x16.data(), 16, 64, xq.data(), xs.data());
-    add("quant_q8_gemm_16x64x64", [&] {
-      nn::kernels::Q8GemmDotAccum(16, 64, 64, xq.data(), xs.data(),
-                                  wq8.q8_data(), wq8.q8_scales(),
-                                  c64.data());
-    });
-    add("quant_fp16_gemm_16x64x64", [&] {
-      nn::kernels::Fp16GemmTransBAccum(16, 64, 64, x16.data(),
-                                       wf16.fp16_data(), c64.data());
-    });
-    std::vector<int8_t> q64(static_cast<size_t>(64) * blocks *
-                            nn::kernels::kQ8Block);
-    std::vector<float> s64(static_cast<size_t>(64) * blocks);
-    add("quant_q8_quantize_64x64", [&] {
-      nn::quant::QuantizeRowsQ8(a64.data(), 64, 64, q64.data(), s64.data());
     });
   }
 

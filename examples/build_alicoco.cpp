@@ -2,14 +2,13 @@
 // synthetic world (corpora + seed knowledge + simulated annotators) and
 // save the constructed AliCoCo to disk.
 //
-//   build/examples/build_alicoco [output_path] [--quant=int8|fp16]
+//   build/examples/build_alicoco [output_path]
 //
-// --quant routes the stage-7 item-association scoring (the hottest
-// inference loop of the build) through quantized weights; see DESIGN.md §5
-// for the accuracy-tolerance policy.
+// The net goes to /tmp/alicoco_net.txt unless a path is given. The program
+// takes no flags: an argument that starts with '-', or a second path, is
+// rejected before anything is built or written.
 
 #include <cstdio>
-#include <cstring>
 
 #include "kg/persistence.h"
 #include "kg/stats.h"
@@ -18,20 +17,11 @@
 using namespace alicoco;
 
 int main(int argc, char** argv) {
-  const char* out_path = "/tmp/alicoco_net.txt";
-  nn::quant::QuantMode quant = nn::quant::QuantMode::kNone;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quant=int8") == 0) {
-      quant = nn::quant::QuantMode::kInt8;
-    } else if (std::strcmp(argv[i], "--quant=fp16") == 0) {
-      quant = nn::quant::QuantMode::kFp16;
-    } else if (std::strncmp(argv[i], "--quant=", 8) == 0) {
-      std::printf("unknown quant mode %s (want int8 or fp16)\n", argv[i] + 8);
-      return 1;
-    } else {
-      out_path = argv[i];
-    }
+  if (argc > 2 || (argc == 2 && argv[1][0] == '-')) {
+    std::fprintf(stderr, "usage: %s [output_path]\n", argv[0]);
+    return 2;
   }
+  const char* out_path = argc == 2 ? argv[1] : "/tmp/alicoco_net.txt";
 
   datagen::WorldConfig wc;
   wc.seed = 2020;
@@ -47,11 +37,6 @@ int main(int argc, char** argv) {
   cfg.classifier.epochs = 3;
   cfg.tagger.epochs = 4;
   cfg.matcher.base.epochs = 4;
-  cfg.association_quant = quant;
-  if (quant != nn::quant::QuantMode::kNone) {
-    std::printf("association scoring will run %s-quantized\n",
-                nn::quant::QuantModeName(quant));
-  }
   pipeline::AliCoCoBuilder builder(&world, &resources, cfg);
   pipeline::BuildReport report;
   std::printf("running the nine-stage construction pipeline...\n\n");

@@ -17,26 +17,6 @@ void DssmMatcher::BuildModel() {
   scale_->value.At(0, 0) = 4.0f;  // sharpen cosine into a usable logit
 }
 
-void DssmMatcher::CollectQuantPlan(nn::quant::QuantPlan* plan) const {
-  emb_->AppendQuantPlan(plan);
-  concept_tower_->AppendQuantPlan(plan);
-  item_tower_->AppendQuantPlan(plan);
-  // scale_ (1x1) and the tower biases ride the fp32 passthrough.
-}
-
-void DssmMatcher::AttachQuantizedWeights(
-    const nn::quant::QuantizedStore& store) {
-  emb_->AttachQuantized(store);
-  concept_tower_->AttachQuantized(store);
-  item_tower_->AttachQuantized(store);
-}
-
-void DssmMatcher::DetachQuantizedWeights() {
-  emb_->DetachQuantized();
-  concept_tower_->DetachQuantized();
-  item_tower_->DetachQuantized();
-}
-
 nn::Graph::Var DssmMatcher::Logit(nn::Graph* g,
                                   const std::vector<int>& concept_ids,
                                   const std::vector<int>& item_ids, bool train,

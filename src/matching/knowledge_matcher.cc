@@ -91,67 +91,6 @@ void KnowledgeMatcher::BuildModel() {
       &init_rng_);
 }
 
-void KnowledgeMatcher::CollectQuantPlan(nn::quant::QuantPlan* plan) const {
-  emb_->AppendQuantPlan(plan);
-  pos_emb_->AppendQuantPlan(plan);
-  concept_cnn_->AppendQuantPlan(plan);
-  item_cnn_->AppendQuantPlan(plan);
-  att_w1_->AppendQuantPlan(plan);
-  att_w2_->AppendQuantPlan(plan);
-  if (kcfg_.use_knowledge) {
-    gloss_proj_->AppendQuantPlan(plan);
-    class_emb_->AppendQuantPlan(plan);
-  }
-  // The bilinear pyramid maps feed kw * Wk, so they quantize transposed
-  // like Linear weights. att_v_ (f x 1) stays fp32 passthrough.
-  for (const nn::Parameter* wk : pyramid_) {
-    plan->push_back({wk, /*transpose=*/true});
-  }
-  pyramid_mlp_->AppendQuantPlan(plan);
-  head_->AppendQuantPlan(plan);
-}
-
-void KnowledgeMatcher::AttachQuantizedWeights(
-    const nn::quant::QuantizedStore& store) {
-  emb_->AttachQuantized(store);
-  pos_emb_->AttachQuantized(store);
-  concept_cnn_->AttachQuantized(store);
-  item_cnn_->AttachQuantized(store);
-  att_w1_->AttachQuantized(store);
-  att_w2_->AttachQuantized(store);
-  if (kcfg_.use_knowledge) {
-    gloss_proj_->AttachQuantized(store);
-    class_emb_->AttachQuantized(store);
-  }
-  pyramid_q_.clear();
-  pyramid_q_.reserve(pyramid_.size());
-  for (const nn::Parameter* wk : pyramid_) {
-    const nn::quant::QuantizedTensor* q = store.FindQuantized(wk->name);
-    ALICOCO_CHECK(q != nullptr)
-        << "quantized store has no tensor for " << wk->name;
-    ALICOCO_CHECK(q->rows() == wk->value.cols() &&
-                  q->cols() == wk->value.rows())
-        << "quantized shape mismatch for " << wk->name;
-    pyramid_q_.push_back(q);
-  }
-  pyramid_mlp_->AttachQuantized(store);
-  head_->AttachQuantized(store);
-}
-
-void KnowledgeMatcher::DetachQuantizedWeights() {
-  emb_->DetachQuantized();
-  pos_emb_->DetachQuantized();
-  concept_cnn_->DetachQuantized();
-  item_cnn_->DetachQuantized();
-  if (gloss_proj_ != nullptr) gloss_proj_->DetachQuantized();
-  if (class_emb_ != nullptr) class_emb_->DetachQuantized();
-  att_w1_->DetachQuantized();
-  att_w2_->DetachQuantized();
-  pyramid_q_.clear();
-  pyramid_mlp_->DetachQuantized();
-  head_->DetachQuantized();
-}
-
 nn::Graph::Var KnowledgeMatcher::Logit(nn::Graph* g,
                                        const std::vector<int>& concept_ids,
                                        const std::vector<int>& item_ids,
@@ -212,9 +151,7 @@ nn::Graph::Var KnowledgeMatcher::Logit(nn::Graph* g,
   std::vector<nn::Graph::Var> layer_feats;
   layer_feats.reserve(pyramid_.size());
   for (size_t k = 0; k < pyramid_.size(); ++k) {
-    nn::Graph::Var proj =
-        pyramid_q_.empty() ? g->MatMul(kw, g->Use(pyramid_[k]))
-                           : g->MatMulQuant(kw, *pyramid_q_[k]);
+    nn::Graph::Var proj = g->MatMul(kw, g->Use(pyramid_[k]));
     nn::Graph::Var match = g->MatMulTransB(proj, t_words);
     // Stats before the grid: see match_pyramid.h.
     nn::Graph::Var stats = BestAlignmentStats(g, match);

@@ -66,10 +66,6 @@ class KnowledgeMatcher : public NeuralMatcherBase {
   nn::Graph::Var Logit(nn::Graph* g, const std::vector<int>& concept_ids,
                        const std::vector<int>& item_ids, bool train,
                        Rng* rng) const override;
-  void CollectQuantPlan(nn::quant::QuantPlan* plan) const override;
-  void AttachQuantizedWeights(const nn::quant::QuantizedStore& store)
-      override;
-  void DetachQuantizedWeights() override;
 
  private:
   KnowledgeMatcherConfig kcfg_;
@@ -89,9 +85,6 @@ class KnowledgeMatcher : public NeuralMatcherBase {
   std::unique_ptr<nn::Linear> gloss_proj_;
   std::unique_ptr<nn::Embedding> class_emb_;
   std::vector<nn::Parameter*> pyramid_;  // K bilinear maps d x d
-  /// Quantized pyramid maps (stored transposed), parallel to pyramid_;
-  /// empty when scoring fp32.
-  std::vector<const nn::quant::QuantizedTensor*> pyramid_q_;
   std::unique_ptr<nn::Mlp> pyramid_mlp_;
   std::unique_ptr<nn::Mlp> head_;
 };

@@ -173,23 +173,6 @@ void MatchPyramidMatcher::BuildModel() {
       &init_rng_);
 }
 
-void MatchPyramidMatcher::CollectQuantPlan(
-    nn::quant::QuantPlan* plan) const {
-  emb_->AppendQuantPlan(plan);
-  head_->AppendQuantPlan(plan);
-}
-
-void MatchPyramidMatcher::AttachQuantizedWeights(
-    const nn::quant::QuantizedStore& store) {
-  emb_->AttachQuantized(store);
-  head_->AttachQuantized(store);
-}
-
-void MatchPyramidMatcher::DetachQuantizedWeights() {
-  emb_->DetachQuantized();
-  head_->DetachQuantized();
-}
-
 nn::Graph::Var MatchPyramidMatcher::Logit(nn::Graph* g,
                                           const std::vector<int>& concept_ids,
                                           const std::vector<int>& item_ids,

@@ -23,10 +23,6 @@ class MatchPyramidMatcher : public NeuralMatcherBase {
   nn::Graph::Var Logit(nn::Graph* g, const std::vector<int>& concept_ids,
                        const std::vector<int>& item_ids, bool train,
                        Rng* rng) const override;
-  void CollectQuantPlan(nn::quant::QuantPlan* plan) const override;
-  void AttachQuantizedWeights(const nn::quant::QuantizedStore& store)
-      override;
-  void DetachQuantizedWeights() override;
 
  private:
   static constexpr int kGrid = 3;  ///< pooled grid is kGrid x kGrid

@@ -2,10 +2,8 @@
 
 #include <chrono>
 #include <cmath>
-#include <utility>
 
-#include "common/logging.h"
-#include "nn/serialize.h"
+#include "common/check.h"
 
 namespace alicoco::matching {
 
@@ -51,101 +49,8 @@ std::vector<int> NeuralMatcherBase::Encode(
   return ids;
 }
 
-void NeuralMatcherBase::EnableQuantizedInference(nn::quant::QuantMode mode) {
-  ALICOCO_CHECK(trained_) << name()
-                          << ": EnableQuantizedInference before Train";
-  if (mode == nn::quant::QuantMode::kNone) {
-    DetachQuantizedWeights();
-    qstore_ = nn::quant::QuantizedStore();
-    qmode_ = mode;
-    return;
-  }
-  // Detach first: re-enabling with a different mode must not leave layers
-  // pointing into the store being replaced.
-  DetachQuantizedWeights();
-  nn::quant::QuantPlan plan;
-  CollectQuantPlan(&plan);
-  ALICOCO_CHECK(!plan.empty()) << name() << ": empty quantization plan";
-  qstore_ = nn::quant::QuantizeParams(store_, plan, mode);
-  AttachQuantizedWeights(qstore_);
-  qmode_ = mode;
-  ALICOCO_LOG(Info) << name() << ": quantized inference enabled, mode="
-                    << nn::quant::QuantModeName(mode) << ", "
-                    << qstore_.quantized().size() << " tensors, "
-                    << qstore_.TotalBytes() << " bytes";
-}
-
-Status NeuralMatcherBase::SaveQuantized(const std::string& path) const {
-  if (qmode_ == nn::quant::QuantMode::kNone) {
-    return Status::InvalidArgument(
-        std::string(name()) + ": no quantized weights to save (call "
-                              "EnableQuantizedInference first)");
-  }
-  return nn::SaveQuantizedStore(qstore_, path);
-}
-
-Status NeuralMatcherBase::LoadQuantizedInference(const std::string& path) {
-  if (!trained_) {
-    return Status::FailedPrecondition(
-        std::string(name()) + ": LoadQuantizedInference before Train (layer "
-                              "shapes come from training)");
-  }
-  nn::quant::QuantizedStore loaded;
-  Status s = nn::LoadQuantizedStore(&loaded, path);
-  if (!s.ok()) return s;
-  // Validate before touching any state: every parameter must appear in the
-  // file exactly once, in the section the plan puts it in.
-  nn::quant::QuantPlan plan;
-  CollectQuantPlan(&plan);
-  size_t expect_quantized = 0;
-  for (const auto& p : store_.params()) {
-    bool planned = false;
-    for (const auto& entry : plan) {
-      if (entry.param == p.get()) {
-        planned = true;
-        break;
-      }
-    }
-    if (planned) {
-      ++expect_quantized;
-      if (loaded.FindQuantized(p->name) == nullptr) {
-        return Status::InvalidArgument("missing quantized tensor for " +
-                                       p->name + " in " + path);
-      }
-      continue;
-    }
-    const nn::Tensor* fp = loaded.FindFp32(p->name);
-    if (fp == nullptr) {
-      return Status::InvalidArgument("missing fp32 tensor for " + p->name +
-                                     " in " + path);
-    }
-    if (fp->rows() != p->value.rows() || fp->cols() != p->value.cols()) {
-      return Status::InvalidArgument("shape mismatch for " + p->name +
-                                     " in " + path);
-    }
-  }
-  if (loaded.quantized().size() != expect_quantized ||
-      loaded.fp32().size() != store_.params().size() - expect_quantized) {
-    return Status::InvalidArgument("tensor count mismatch in " + path +
-                                   " (wrong checkpoint for this model?)");
-  }
-  DetachQuantizedWeights();
-  // The passthrough entries carry the checkpoint's biases etc.; copy them
-  // into the live parameters so fp32-side compute matches the save.
-  for (const auto& p : store_.params()) {
-    const nn::Tensor* fp = loaded.FindFp32(p->name);
-    if (fp != nullptr) p->value = *fp;
-  }
-  qstore_ = std::move(loaded);
-  AttachQuantizedWeights(qstore_);  // CHECKs quantized shapes
-  qmode_ = qstore_.mode();
-  return Status::OK();
-}
-
 void NeuralMatcherBase::Train(const MatchingDataset& dataset) {
   ALICOCO_CHECK(!trained_);
-  ALICOCO_CHECK(qmode_ == nn::quant::QuantMode::kNone)
-      << name() << ": cannot train while quantized inference is enabled";
   ALICOCO_CHECK(!dataset.train.empty());
   for (const auto& ex : dataset.train) {
     for (const auto& t : ex.concept_tokens) vocab_.Add(t);

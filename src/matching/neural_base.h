@@ -13,7 +13,6 @@
 #include "matching/dataset.h"
 #include "nn/layers.h"
 #include "nn/optimizer.h"
-#include "nn/quant.h"
 #include "obs/metrics.h"
 #include "text/skipgram.h"
 #include "text/vocabulary.h"
@@ -51,41 +50,7 @@ class NeuralMatcherBase : public Matcher {
     score_latency_us_ = histogram;
   }
 
-  // ---- quantized inference ----
-  // After Train (or LoadQuantizedInference), Score can run through int8 or
-  // fp16 weights: weight matrices and embedding tables go through the
-  // quantized kernels, biases and other small parameters stay fp32.
-  // Accuracy tolerances vs fp32 are documented in DESIGN.md §5 and
-  // enforced by tests/matching/quantized_matching_test.cc.
-
-  /// Quantizes the trained fp32 weights in place and routes Score through
-  /// them. `mode` kNone reverts to fp32 scoring exactly (the fp32
-  /// parameters are never modified).
-  void EnableQuantizedInference(nn::quant::QuantMode mode);
-
-  /// Persists the active quantized weights (requires a prior
-  /// EnableQuantizedInference with a non-kNone mode).
-  [[nodiscard]] Status SaveQuantized(const std::string& path) const;
-
-  /// Loads quantized weights saved by SaveQuantized into this matcher and
-  /// enables quantized scoring. The matcher must have been trained (the
-  /// vocabulary and layer shapes come from training data); the fp32
-  /// passthrough entries in the file overwrite the matching parameters so
-  /// biases match the checkpoint.
-  [[nodiscard]] Status LoadQuantizedInference(const std::string& path);
-
-  /// Active quantization mode (kNone = fp32 scoring).
-  nn::quant::QuantMode quantized_mode() const { return qmode_; }
-
  protected:
-  /// Subclass hook: report every parameter to quantize (weight matrices
-  /// and embedding tables, not biases).
-  virtual void CollectQuantPlan(nn::quant::QuantPlan* plan) const = 0;
-  /// Subclass hook: bind layers to the quantized tensors of `store`.
-  virtual void AttachQuantizedWeights(const nn::quant::QuantizedStore& store)
-      = 0;
-  /// Subclass hook: revert layers to fp32 parameters.
-  virtual void DetachQuantizedWeights() = 0;
   /// Builds the model's layers once the vocabulary is known.
   virtual void BuildModel() = 0;
 
@@ -113,8 +78,6 @@ class NeuralMatcherBase : public Matcher {
   nn::ParameterStore store_;
   bool trained_ = false;
   obs::Histogram* score_latency_us_ = nullptr;
-  nn::quant::QuantizedStore qstore_;  ///< layers hold pointers into this
-  nn::quant::QuantMode qmode_ = nn::quant::QuantMode::kNone;
 };
 
 }  // namespace alicoco::matching

@@ -15,28 +15,6 @@ void Re2Matcher::BuildModel() {
       &init_rng_);
 }
 
-void Re2Matcher::CollectQuantPlan(nn::quant::QuantPlan* plan) const {
-  emb_->AppendQuantPlan(plan);
-  align_proj_->AppendQuantPlan(plan);
-  fuse_->AppendQuantPlan(plan);
-  head_->AppendQuantPlan(plan);
-}
-
-void Re2Matcher::AttachQuantizedWeights(
-    const nn::quant::QuantizedStore& store) {
-  emb_->AttachQuantized(store);
-  align_proj_->AttachQuantized(store);
-  fuse_->AttachQuantized(store);
-  head_->AttachQuantized(store);
-}
-
-void Re2Matcher::DetachQuantizedWeights() {
-  emb_->DetachQuantized();
-  align_proj_->DetachQuantized();
-  fuse_->DetachQuantized();
-  head_->DetachQuantized();
-}
-
 nn::Graph::Var Re2Matcher::FuseSide(nn::Graph* g, nn::Graph::Var self,
                                     nn::Graph::Var other) const {
   // Soft alignment: attention of self rows over other rows.

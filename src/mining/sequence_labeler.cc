@@ -8,6 +8,14 @@
 #include "nn/serialize.h"
 
 namespace alicoco::mining {
+namespace {
+
+// Bound on the word_dim and hidden_dim a checkpoint header may give. It is
+// far above any trained size, and it keeps BuildModel's tables and the
+// BiLSTM's 4 * hidden gate width small when a header is corrupt.
+constexpr int kMaxCheckpointDim = 1024;
+
+}  // namespace
 
 SequenceLabeler::SequenceLabeler(const SequenceLabelerConfig& config)
     : config_(config), init_rng_(config.seed) {}
@@ -119,9 +127,10 @@ Result<SequenceLabeler> SequenceLabeler::Load(const std::string& path) {
   if (!(in >> config.word_dim >> config.hidden_dim >> vocab_size)) {
     return Status::Corruption("truncated labeler header");
   }
-  if (config.word_dim <= 0 || config.hidden_dim <= 0) {
-    return Status::Corruption("labeler header has non-positive dims in " +
-                              path);
+  if (config.word_dim <= 0 || config.hidden_dim <= 0 ||
+      config.word_dim > kMaxCheckpointDim ||
+      config.hidden_dim > kMaxCheckpointDim) {
+    return Status::Corruption("labeler header dims out of range in " + path);
   }
   if (vocab_size < 2) {
     return Status::Corruption("labeler vocab smaller than the specials in " +

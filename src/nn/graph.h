@@ -38,10 +38,6 @@
 
 namespace alicoco::nn {
 
-namespace quant {
-class QuantizedTensor;
-}  // namespace quant
-
 /// A trainable tensor with an accumulated gradient.
 struct Parameter {
   std::string name;
@@ -198,24 +194,6 @@ class Graph {
   Var LstmStep(Var x, Var h_prev, Var c_prev, Parameter* wx, Parameter* wh,
                Parameter* b);
 
-  // ---- quantized inference ops (forward-only) ----
-  // Counterparts of the fused affine family / MatMul / EmbeddingLookup
-  // that read weights from a quantized tensor (nn/quant.h) instead of a
-  // Parameter. `wt` holds the weight TRANSPOSED (out x in, contraction dim
-  // contiguous) as produced by QuantizedTensor::QuantizeTransposed. These
-  // nodes have no gradient: calling Backward on a graph containing one
-  // CHECK-fails (quantized weights are frozen inference artifacts). The
-  // caller must keep `wt`/`table` alive for the graph's lifetime.
-  /// act(x * W^T + b): x (R x in), wt (out x in), b (1 x out).
-  Var AffineQuant(Var x, const quant::QuantizedTensor& wt, Parameter* b);
-  Var AffineQuantTanh(Var x, const quant::QuantizedTensor& wt, Parameter* b);
-  Var AffineQuantRelu(Var x, const quant::QuantizedTensor& wt, Parameter* b);
-  /// a (m x in) * W for W stored transposed in `wt` (out x in) -> m x out.
-  Var MatMulQuant(Var a, const quant::QuantizedTensor& wt);
-  /// Gathers (dequantizes) rows of a quantized embedding table by id.
-  Var EmbeddingLookupQuant(const quant::QuantizedTensor& table,
-                           const std::vector<int>& ids);
-
   // ---- attention / losses ----
   /// att[i][j] = v^T tanh(a_i + b_j)  (Eq. 11). a: m x d, b: l x d,
   /// v: d x 1 -> m x l.
@@ -308,9 +286,6 @@ class Graph {
   /// Shared implementation of the fused affine family; `act` selects the
   /// fused activation (0 = none, 1 = tanh, 2 = relu).
   Var AffineAct(Var x, Parameter* w, Parameter* b, int act);
-  /// Quantized counterpart of AffineAct (forward-only).
-  Var AffineQuantAct(Var x, const quant::QuantizedTensor& wt, Parameter* b,
-                     int act);
 
   ArenaLease lease_;
   GradientSink* sink_ = nullptr;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <bit>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
@@ -229,116 +228,6 @@ __attribute__((optimize("fp-contract=off"))) void AdamUpdate(
   }
 }
 
-void Q8GemmDotAccum(int m, int k, int n, const int8_t* aq,
-                    const float* ascales, const int8_t* bq,
-                    const float* bscales, float* c) {
-  const int blocks = Q8Blocks(k);
-  const long row_q = static_cast<long>(blocks) * kQ8Block;
-  for (int i = 0; i < m; ++i) {
-    const int8_t* __restrict ar = aq + i * row_q;
-    const float* __restrict as = ascales + static_cast<long>(i) * blocks;
-    float* __restrict cr = c + static_cast<long>(i) * n;
-    for (int j = 0; j < n; ++j) {
-      const int8_t* __restrict br = bq + j * row_q;
-      const float* __restrict bs = bscales + static_cast<long>(j) * blocks;
-      float acc = 0.0f;
-      for (int blk = 0; blk < blocks; ++blk) {
-        const int8_t* __restrict ab = ar + blk * kQ8Block;
-        const int8_t* __restrict bb = br + blk * kQ8Block;
-        int32_t idot = 0;
-        for (int l = 0; l < kQ8Block; ++l) {
-          idot += static_cast<int32_t>(ab[l]) * static_cast<int32_t>(bb[l]);
-        }
-        acc += as[blk] * bs[blk] * static_cast<float>(idot);
-      }
-      cr[j] += acc;
-    }
-  }
-}
-
-namespace {
-
-// Round-to-nearest-even binary32 -> binary16 (handles subnormals, inf,
-// nan, mantissa-carry into the exponent and overflow to inf). Must stay
-// bit-identical to F16C's VCVTPS2PH so checkpoints do not depend on the
-// tier that wrote them.
-inline uint16_t F32ToF16One(float f) {
-  const uint32_t x = std::bit_cast<uint32_t>(f);
-  const uint16_t sign = static_cast<uint16_t>((x >> 16) & 0x8000u);
-  const uint32_t abs = x & 0x7FFFFFFFu;
-  if (abs >= 0x47800000u) {  // >= 65536: inf/nan, or overflow to inf
-    if (abs > 0x7F800000u) return sign | 0x7E00u;  // nan (quiet)
-    return sign | 0x7C00u;
-  }
-  if (abs < 0x38800000u) {  // below the smallest normal half: subnormal
-    if (abs < 0x33000000u) return sign;  // < 2^-25 underflows to zero
-    const int shift = 113 - static_cast<int>(abs >> 23);
-    const uint32_t mant = (abs & 0x7FFFFFu) | 0x800000u;
-    uint32_t half = mant >> (shift + 13);
-    const uint32_t rem = mant & ((1u << (shift + 13)) - 1u);
-    const uint32_t halfway = 1u << (shift + 12);
-    if (rem > halfway || (rem == halfway && (half & 1u))) ++half;
-    return sign | static_cast<uint16_t>(half);
-  }
-  const uint32_t mant = abs & 0x7FFFFFu;
-  const int exp = static_cast<int>(abs >> 23) - 127 + 15;
-  uint16_t h = static_cast<uint16_t>((exp << 10) | (mant >> 13));
-  const uint32_t rem = mant & 0x1FFFu;
-  // A carry out of the rounded mantissa increments the exponent (and can
-  // legitimately round 65504 < |x| into inf).
-  if (rem > 0x1000u || (rem == 0x1000u && (h & 1u))) ++h;
-  return sign | h;
-}
-
-inline float F16ToF32One(uint16_t h) {
-  const uint32_t sign = static_cast<uint32_t>(h & 0x8000u) << 16;
-  const uint32_t exp = (h >> 10) & 0x1Fu;
-  uint32_t mant = h & 0x3FFu;
-  uint32_t f;
-  if (exp == 0) {
-    if (mant == 0) {
-      f = sign;
-    } else {  // subnormal half: renormalize
-      int s = 0;
-      while (!(mant & 0x400u)) {
-        mant <<= 1;
-        ++s;
-      }
-      f = sign | (static_cast<uint32_t>(113 - s) << 23) |
-          ((mant & 0x3FFu) << 13);
-    }
-  } else if (exp == 31) {
-    f = sign | 0x7F800000u | (mant << 13);
-  } else {
-    f = sign | ((exp + 112u) << 23) | (mant << 13);
-  }
-  return std::bit_cast<float>(f);
-}
-
-}  // namespace
-
-void Fp16GemmTransBAccum(int m, int k, int n, const float* a,
-                         const uint16_t* b, float* c) {
-  for (int i = 0; i < m; ++i) {
-    const float* __restrict ar = a + static_cast<long>(i) * k;
-    float* __restrict cr = c + static_cast<long>(i) * n;
-    for (int j = 0; j < n; ++j) {
-      const uint16_t* __restrict br = b + static_cast<long>(j) * k;
-      float acc = 0.0f;
-      for (int p = 0; p < k; ++p) acc += ar[p] * F16ToF32One(br[p]);
-      cr[j] += acc;
-    }
-  }
-}
-
-void Fp32ToFp16(const float* src, uint16_t* dst, int n) {
-  for (int i = 0; i < n; ++i) dst[i] = F32ToF16One(src[i]);
-}
-
-void Fp16ToFp32(const uint16_t* src, float* dst, int n) {
-  for (int i = 0; i < n; ++i) dst[i] = F16ToF32One(src[i]);
-}
-
 }  // namespace scalar
 
 // ---- dispatch ------------------------------------------------------------
@@ -355,10 +244,6 @@ constexpr KernelDispatch kScalarTable = {
     scalar::AddBiasRelu,
     scalar::AddInto,
     scalar::AdamUpdate,
-    scalar::Q8GemmDotAccum,
-    scalar::Fp16GemmTransBAccum,
-    scalar::Fp32ToFp16,
-    scalar::Fp16ToFp32,
 };
 
 // The CPUID-selected default, resolved once. ALICOCO_SIMD=scalar pins the
@@ -429,25 +314,6 @@ void AddInto(size_t n, const float* x, float* y) {
 void AdamUpdate(size_t n, const float* g, float* m, float* v, float* w,
                 const AdamCoeffs& c) {
   ActiveKernels().adam_update(n, g, m, v, w, c);
-}
-
-void Q8GemmDotAccum(int m, int k, int n, const int8_t* aq,
-                    const float* ascales, const int8_t* bq,
-                    const float* bscales, float* c) {
-  ActiveKernels().q8_gemm_dot(m, k, n, aq, ascales, bq, bscales, c);
-}
-
-void Fp16GemmTransBAccum(int m, int k, int n, const float* a,
-                         const uint16_t* b, float* c) {
-  ActiveKernels().fp16_gemm_transb(m, k, n, a, b, c);
-}
-
-void Fp32ToFp16(const float* src, uint16_t* dst, int n) {
-  ActiveKernels().fp32_to_fp16(src, dst, n);
-}
-
-void Fp16ToFp32(const uint16_t* src, float* dst, int n) {
-  ActiveKernels().fp16_to_fp32(src, dst, n);
 }
 
 // ---- naive reference -----------------------------------------------------

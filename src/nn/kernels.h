@@ -1,6 +1,6 @@
-// Runtime-dispatched GEMM / fused-bias / quantized micro-kernels — the
+// Runtime-dispatched GEMM / fused-bias / elementwise micro-kernels — the
 // compute substrate for every matmul in the autodiff graph, the fused layer
-// ops, and the quantized inference tier (nn/quant.h).
+// ops, the gradient reduction and the optimizer step.
 //
 // All GEMM kernels ACCUMULATE into C (row-major, dense: leading dimension
 // equals the logical column count) so they slot directly into reverse-mode
@@ -12,10 +12,10 @@
 //   GemmTransAAccum: C (k x n) += A^T * B,    A stored (m x k), B (m x n)
 //
 // Dispatch tiers. Every public kernel routes through a `KernelDispatch`
-// table selected once at startup by CPUID: `avx2` (AVX2 + FMA + F16C
-// vectorized implementations, kernels_avx2.cc) where the hardware supports
-// it, `scalar` (portable blocked + register-tiled C++, this header's
-// `scalar` namespace) everywhere else. `ALICOCO_SIMD=scalar` in the
+// table selected once at startup by CPUID: `avx2` (AVX2 + FMA vectorized
+// implementations, kernels_avx2.cc) where the hardware supports it,
+// `scalar` (portable blocked + register-tiled C++, this header's `scalar`
+// namespace) everywhere else. `ALICOCO_SIMD=scalar` in the
 // environment — or `ForceScalarKernels(true)` in tests — pins the scalar
 // tier so CI without AVX2 hardware still covers every code path. The
 // scalar tier is the correctness reference for the vectorized one; both
@@ -33,19 +33,11 @@
 // GEMMs, every tier must equal the plain scalar loop bit for bit, so the
 // AVX2 versions issue the same IEEE operations in the same order and are
 // compiled without multiply-add contraction (see kernels_avx2.cc).
-//
-// Quantized kernels: `Q8GemmDotAccum` is the int8 x int8 -> int32 dot
-// micro-kernel over 32-lane blocks (one float scale per block, values in
-// [-127, 127] so the AVX2 `maddubs` pairing cannot saturate);
-// `Fp16GemmTransBAccum` loads IEEE half weights and accumulates in fp32.
-// `Fp32ToFp16`/`Fp16ToFp32` are round-to-nearest-even conversions that are
-// bit-identical between the scalar and F16C paths.
 
 #ifndef ALICOCO_NN_KERNELS_H_
 #define ALICOCO_NN_KERNELS_H_
 
 #include <cstddef>
-#include <cstdint>
 
 namespace alicoco::nn::kernels {
 
@@ -85,33 +77,6 @@ void AddInto(size_t n, const float* x, float* y);
 void AdamUpdate(size_t n, const float* g, float* m, float* v, float* w,
                 const AdamCoeffs& c);
 
-// ---- dispatched quantized kernels ---------------------------------------
-
-/// Lanes per int8 quantization block (one float scale per block).
-inline constexpr int kQ8Block = 32;
-
-/// Number of 32-lane blocks covering a k-length row (tail lanes are stored
-/// as zero, which contribute nothing to the integer dot).
-constexpr int Q8Blocks(int k) { return (k + kQ8Block - 1) / kQ8Block; }
-
-/// C (m x n) += A_q8 (m rows over k) . B_q8^T (n rows over k), both sides
-/// blockwise int8: row i of A starts at aq + i * Q8Blocks(k) * 32 with
-/// scales at ascales + i * Q8Blocks(k) (likewise B). Each block contributes
-/// ascale * bscale * (int32 dot of 32 int8 pairs).
-void Q8GemmDotAccum(int m, int k, int n, const int8_t* aq,
-                    const float* ascales, const int8_t* bq,
-                    const float* bscales, float* c);
-
-/// C (m x n) += A (m x k, fp32) . B^T where B is n x k IEEE-half values
-/// (row j of B at b + j * k); accumulation is fp32.
-void Fp16GemmTransBAccum(int m, int k, int n, const float* a,
-                         const uint16_t* b, float* c);
-
-/// IEEE 754 binary32 <-> binary16, round-to-nearest-even. Scalar and F16C
-/// paths are bit-identical (asserted in tests).
-void Fp32ToFp16(const float* src, uint16_t* dst, int n);
-void Fp16ToFp32(const uint16_t* src, float* dst, int n);
-
 // ---- dispatch table ------------------------------------------------------
 
 /// One entry per dispatched kernel; `ActiveKernels()` returns the table the
@@ -127,12 +92,6 @@ struct KernelDispatch {
   void (*add_into)(size_t, const float*, float*);
   void (*adam_update)(size_t, const float*, float*, float*, float*,
                       const AdamCoeffs&);
-  void (*q8_gemm_dot)(int, int, int, const int8_t*, const float*,
-                      const int8_t*, const float*, float*);
-  void (*fp16_gemm_transb)(int, int, int, const float*, const uint16_t*,
-                           float*);
-  void (*fp32_to_fp16)(const float*, uint16_t*, int);
-  void (*fp16_to_fp32)(const uint16_t*, float*, int);
 };
 
 /// The active table: CPUID-selected at first use; `ALICOCO_SIMD=scalar`
@@ -169,17 +128,10 @@ void AddBiasRelu(int rows, int cols, const float* x, const float* bias,
 void AddInto(size_t n, const float* x, float* y);
 void AdamUpdate(size_t n, const float* g, float* m, float* v, float* w,
                 const AdamCoeffs& c);
-void Q8GemmDotAccum(int m, int k, int n, const int8_t* aq,
-                    const float* ascales, const int8_t* bq,
-                    const float* bscales, float* c);
-void Fp16GemmTransBAccum(int m, int k, int n, const float* a,
-                         const uint16_t* b, float* c);
-void Fp32ToFp16(const float* src, uint16_t* dst, int n);
-void Fp16ToFp32(const uint16_t* src, float* dst, int n);
 
 }  // namespace scalar
 
-// ---- AVX2 tier (kernels_avx2.cc, compiled with -mavx2 -mfma -mf16c) -----
+// ---- AVX2 tier (kernels_avx2.cc, compiled with -mavx2 -mfma) ------------
 
 namespace avx2 {
 

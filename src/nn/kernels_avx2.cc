@@ -1,5 +1,5 @@
-// AVX2 + FMA + F16C tier of the kernel dispatch table (see kernels.h).
-// Compiled with -mavx2 -mfma -mf16c for this TU only; Table() gates on
+// AVX2 + FMA tier of the kernel dispatch table (see kernels.h).
+// Compiled with -mavx2 -mfma for this TU only; Table() gates on
 // CPUID at runtime so the binary stays runnable on pre-AVX2 hardware.
 // All memory access uses unaligned loads/stores (loadu/storeu discipline)
 // — tensor buffers are plain std::vector allocations with no alignment
@@ -330,98 +330,6 @@ __attribute__((optimize("fp-contract=off"))) void AdamUpdate(
   }
 }
 
-// ---- quantized kernels ---------------------------------------------------
-
-// 32-lane int8 dot product as int32x8. maddubs needs an unsigned lhs, so
-// move A's sign onto B (sign(b, a) = b * signum(a), |a| stays in [0,127]);
-// u8*s8 pair sums are then bounded by 2*127*127 = 32258 < 32767, so the
-// int16 intermediate cannot saturate.
-inline __m256i DotQ8Block(__m256i va, __m256i vb) {
-  const __m256i ua = _mm256_sign_epi8(va, va);
-  const __m256i sb = _mm256_sign_epi8(vb, va);
-  const __m256i pairs = _mm256_maddubs_epi16(ua, sb);
-  return _mm256_madd_epi16(pairs, _mm256_set1_epi16(1));
-}
-
-inline float HSumI32(__m256i v) {
-  const __m128 f = _mm_cvtepi32_ps(_mm_add_epi32(
-      _mm256_castsi256_si128(v), _mm256_extracti128_si256(v, 1)));
-  __m128 s = _mm_add_ps(f, _mm_movehl_ps(f, f));
-  s = _mm_add_ss(s, _mm_shuffle_ps(s, s, 1));
-  return _mm_cvtss_f32(s);
-}
-
-void Q8GemmDotAccum(int m, int k, int n, const int8_t* aq,
-                    const float* ascales, const int8_t* bq,
-                    const float* bscales, float* c) {
-  const int blocks = Q8Blocks(k);
-  const long row_q = static_cast<long>(blocks) * kQ8Block;
-  for (int i = 0; i < m; ++i) {
-    const int8_t* ar = aq + i * row_q;
-    const float* as = ascales + static_cast<long>(i) * blocks;
-    float* cr = c + static_cast<long>(i) * n;
-    for (int j = 0; j < n; ++j) {
-      const int8_t* br = bq + j * row_q;
-      const float* bs = bscales + static_cast<long>(j) * blocks;
-      float acc = 0.0f;
-      for (int blk = 0; blk < blocks; ++blk) {
-        const __m256i va = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i*>(ar + blk * kQ8Block));
-        const __m256i vb = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i*>(br + blk * kQ8Block));
-        acc += as[blk] * bs[blk] * HSumI32(DotQ8Block(va, vb));
-      }
-      cr[j] += acc;
-    }
-  }
-}
-
-void Fp16GemmTransBAccum(int m, int k, int n, const float* a,
-                         const uint16_t* b, float* c) {
-  for (int i = 0; i < m; ++i) {
-    const float* ar = a + static_cast<long>(i) * k;
-    float* cr = c + static_cast<long>(i) * n;
-    for (int j = 0; j < n; ++j) {
-      const uint16_t* br = b + static_cast<long>(j) * k;
-      __m256 s = _mm256_setzero_ps();
-      int p = 0;
-      for (; p + 8 <= k; p += 8) {
-        const __m256 bw = _mm256_cvtph_ps(
-            _mm_loadu_si128(reinterpret_cast<const __m128i*>(br + p)));
-        s = _mm256_fmadd_ps(_mm256_loadu_ps(ar + p), bw, s);
-      }
-      float acc = HSum(s);
-      for (; p < k; ++p) {
-        acc += ar[p] * _cvtsh_ss(br[p]);
-      }
-      cr[j] += acc;
-    }
-  }
-}
-
-void Fp32ToFp16(const float* src, uint16_t* dst, int n) {
-  int i = 0;
-  for (; i + 8 <= n; i += 8) {
-    _mm_storeu_si128(
-        reinterpret_cast<__m128i*>(dst + i),
-        _mm256_cvtps_ph(_mm256_loadu_ps(src + i),
-                        _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC));
-  }
-  for (; i < n; ++i) {
-    dst[i] = _cvtss_sh(src[i], _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC);
-  }
-}
-
-void Fp16ToFp32(const uint16_t* src, float* dst, int n) {
-  int i = 0;
-  for (; i + 8 <= n; i += 8) {
-    _mm256_storeu_ps(dst + i,
-                     _mm256_cvtph_ps(_mm_loadu_si128(
-                         reinterpret_cast<const __m128i*>(src + i))));
-  }
-  for (; i < n; ++i) dst[i] = _cvtsh_ss(src[i]);
-}
-
 constexpr KernelDispatch kAvx2Table = {
     "avx2",
     GemmAccum,
@@ -432,10 +340,6 @@ constexpr KernelDispatch kAvx2Table = {
     AddBiasRelu,
     AddInto,
     AdamUpdate,
-    Q8GemmDotAccum,
-    Fp16GemmTransBAccum,
-    Fp32ToFp16,
-    Fp16ToFp32,
 };
 
 }  // namespace
@@ -443,8 +347,7 @@ constexpr KernelDispatch kAvx2Table = {
 const KernelDispatch* Table() {
   static const KernelDispatch* table = [] {
     const bool ok = __builtin_cpu_supports("avx2") &&
-                    __builtin_cpu_supports("fma") &&
-                    __builtin_cpu_supports("f16c");
+                    __builtin_cpu_supports("fma");
     return ok ? &kAvx2Table : nullptr;
   }();
   return table;

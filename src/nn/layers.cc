@@ -14,34 +14,15 @@ Linear::Linear(ParameterStore* store, const std::string& name, int in_dim,
 }
 
 Graph::Var Linear::Apply(Graph* g, Graph::Var x) const {
-  if (qw_ != nullptr) return g->AffineQuant(x, *qw_, b_);
   return g->Affine(x, w_, b_);
 }
 
 Graph::Var Linear::ApplyTanh(Graph* g, Graph::Var x) const {
-  if (qw_ != nullptr) return g->AffineQuantTanh(x, *qw_, b_);
   return g->AffineTanh(x, w_, b_);
 }
 
 Graph::Var Linear::ApplyRelu(Graph* g, Graph::Var x) const {
-  if (qw_ != nullptr) return g->AffineQuantRelu(x, *qw_, b_);
   return g->AffineRelu(x, w_, b_);
-}
-
-void Linear::AppendQuantPlan(quant::QuantPlan* plan) const {
-  plan->push_back({w_, /*transpose=*/true});
-}
-
-void Linear::AttachQuantized(const quant::QuantizedStore& store) {
-  const quant::QuantizedTensor* qw = store.FindQuantized(w_->name);
-  ALICOCO_CHECK(qw != nullptr)
-      << "quantized store has no tensor for " << w_->name;
-  // Stored transposed: out x in.
-  ALICOCO_CHECK(qw->rows() == out_dim_ && qw->cols() == in_dim_)
-      << "quantized shape mismatch for " << w_->name << ": want "
-      << out_dim_ << "x" << in_dim_ << " (transposed), got " << qw->rows()
-      << "x" << qw->cols();
-  qw_ = qw;
 }
 
 Embedding::Embedding(ParameterStore* store, const std::string& name,
@@ -52,7 +33,6 @@ Embedding::Embedding(ParameterStore* store, const std::string& name,
 }
 
 Graph::Var Embedding::Lookup(Graph* g, const std::vector<int>& ids) const {
-  if (qt_ != nullptr) return g->EmbeddingLookupQuant(*qt_, ids);
   return g->EmbeddingLookup(table_, ids);
 }
 
@@ -60,21 +40,6 @@ void Embedding::LoadPretrained(const std::vector<float>& table) {
   ALICOCO_CHECK(table.size() == table_->value.size())
       << "pretrained table size mismatch";
   std::copy(table.begin(), table.end(), table_->value.data());
-}
-
-void Embedding::AppendQuantPlan(quant::QuantPlan* plan) const {
-  plan->push_back({table_, /*transpose=*/false});
-}
-
-void Embedding::AttachQuantized(const quant::QuantizedStore& store) {
-  const quant::QuantizedTensor* qt = store.FindQuantized(table_->name);
-  ALICOCO_CHECK(qt != nullptr)
-      << "quantized store has no tensor for " << table_->name;
-  ALICOCO_CHECK(qt->rows() == vocab_ && qt->cols() == dim_)
-      << "quantized shape mismatch for " << table_->name << ": want "
-      << vocab_ << "x" << dim_ << ", got " << qt->rows() << "x"
-      << qt->cols();
-  qt_ = qt;
 }
 
 Conv1D::Conv1D(ParameterStore* store, const std::string& name, int in_dim,
@@ -85,14 +50,6 @@ Conv1D::Conv1D(ParameterStore* store, const std::string& name, int in_dim,
 
 Graph::Var Conv1D::Apply(Graph* g, Graph::Var x) const {
   return proj_.ApplyRelu(g, g->ConcatWindow(x, window_));
-}
-
-void Conv1D::AppendQuantPlan(quant::QuantPlan* plan) const {
-  proj_.AppendQuantPlan(plan);
-}
-
-void Conv1D::AttachQuantized(const quant::QuantizedStore& store) {
-  proj_.AttachQuantized(store);
 }
 
 SelfAttention::SelfAttention(ParameterStore* store, const std::string& name,
@@ -113,24 +70,6 @@ Graph::Var SelfAttention::Apply(Graph* g, Graph::Var x) const {
   return residual_ ? g->Add(x, attended) : attended;
 }
 
-void SelfAttention::AppendQuantPlan(quant::QuantPlan* plan) const {
-  q_.AppendQuantPlan(plan);
-  k_.AppendQuantPlan(plan);
-  v_.AppendQuantPlan(plan);
-}
-
-void SelfAttention::AttachQuantized(const quant::QuantizedStore& store) {
-  q_.AttachQuantized(store);
-  k_.AttachQuantized(store);
-  v_.AttachQuantized(store);
-}
-
-void SelfAttention::DetachQuantized() {
-  q_.DetachQuantized();
-  k_.DetachQuantized();
-  v_.DetachQuantized();
-}
-
 Mlp::Mlp(ParameterStore* store, const std::string& name,
          const std::vector<int>& dims, Rng* rng) {
   ALICOCO_CHECK(dims.size() >= 2) << "Mlp needs at least {in, out}";
@@ -147,18 +86,6 @@ Graph::Var Mlp::Apply(Graph* g, Graph::Var x) const {
                                : layers_[i].Apply(g, h);
   }
   return h;
-}
-
-void Mlp::AppendQuantPlan(quant::QuantPlan* plan) const {
-  for (const Linear& layer : layers_) layer.AppendQuantPlan(plan);
-}
-
-void Mlp::AttachQuantized(const quant::QuantizedStore& store) {
-  for (Linear& layer : layers_) layer.AttachQuantized(store);
-}
-
-void Mlp::DetachQuantized() {
-  for (Linear& layer : layers_) layer.DetachQuantized();
 }
 
 }  // namespace alicoco::nn

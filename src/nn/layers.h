@@ -1,12 +1,6 @@
-// Reusable neural layers built on the autodiff graph.
-//
-// Quantized inference: each layer that owns weight matrices can (a) report
-// which parameters to quantize via AppendQuantPlan, (b) bind to the
-// quantized tensors of a QuantizedStore via AttachQuantized — after which
-// Apply/Lookup route through the quantized forward-only graph ops — and
-// (c) revert to the fp32 parameters via DetachQuantized. Bias vectors stay
-// fp32 (they ride the store's passthrough section). Attach state is plain
-// pointers into the store, so the store must outlive the attached layer.
+// Reusable neural layers built on the autodiff graph. Each layer creates
+// its parameters in the caller's ParameterStore and keeps plain pointers to
+// them, so the store must outlive the layer.
 
 #ifndef ALICOCO_NN_LAYERS_H_
 #define ALICOCO_NN_LAYERS_H_
@@ -15,7 +9,6 @@
 #include <vector>
 
 #include "nn/graph.h"
-#include "nn/quant.h"
 
 namespace alicoco::nn {
 
@@ -31,15 +24,6 @@ class Linear {
   /// Fused relu(x*W + b).
   Graph::Var ApplyRelu(Graph* g, Graph::Var x) const;
 
-  /// Adds W to `plan` (stored transposed: consumed as x * W^T). The bias
-  /// stays fp32.
-  void AppendQuantPlan(quant::QuantPlan* plan) const;
-  /// Binds Apply* to the quantized copy of W in `store` (CHECKs that the
-  /// store has it with the right shape).
-  void AttachQuantized(const quant::QuantizedStore& store);
-  /// Reverts Apply* to the fp32 parameter.
-  void DetachQuantized() { qw_ = nullptr; }
-
   int in_dim() const { return in_dim_; }
   int out_dim() const { return out_dim_; }
 
@@ -47,7 +31,6 @@ class Linear {
   int in_dim_, out_dim_;
   Parameter* w_;
   Parameter* b_;
-  const quant::QuantizedTensor* qw_ = nullptr;  ///< W^T when attached
 };
 
 /// Trainable embedding table (vocab x dim).
@@ -62,13 +45,6 @@ class Embedding {
   /// Overwrites the table with pre-trained vectors (row-major vocab x dim).
   void LoadPretrained(const std::vector<float>& table);
 
-  /// Adds the table to `plan` (stored as-is: rows are gathered, not
-  /// contracted).
-  void AppendQuantPlan(quant::QuantPlan* plan) const;
-  /// Binds Lookup to the quantized table in `store`.
-  void AttachQuantized(const quant::QuantizedStore& store);
-  void DetachQuantized() { qt_ = nullptr; }
-
   int dim() const { return dim_; }
   int vocab() const { return vocab_; }
   Parameter* parameter() const { return table_; }
@@ -76,7 +52,6 @@ class Embedding {
  private:
   int vocab_, dim_;
   Parameter* table_;
-  const quant::QuantizedTensor* qt_ = nullptr;
 };
 
 /// 1-D convolution over sequence rows with ReLU: T x D -> T x filters.
@@ -87,10 +62,6 @@ class Conv1D {
          int filters, int window, Rng* rng);
 
   Graph::Var Apply(Graph* g, Graph::Var x) const;
-
-  void AppendQuantPlan(quant::QuantPlan* plan) const;
-  void AttachQuantized(const quant::QuantizedStore& store);
-  void DetachQuantized() { proj_.DetachQuantized(); }
 
   int filters() const { return proj_.out_dim(); }
   int window() const { return window_; }
@@ -109,10 +80,6 @@ class SelfAttention {
 
   Graph::Var Apply(Graph* g, Graph::Var x) const;
 
-  void AppendQuantPlan(quant::QuantPlan* plan) const;
-  void AttachQuantized(const quant::QuantizedStore& store);
-  void DetachQuantized();
-
  private:
   int dim_;
   bool residual_;
@@ -127,10 +94,6 @@ class Mlp {
       const std::vector<int>& dims, Rng* rng);
 
   Graph::Var Apply(Graph* g, Graph::Var x) const;
-
-  void AppendQuantPlan(quant::QuantPlan* plan) const;
-  void AttachQuantized(const quant::QuantizedStore& store);
-  void DetachQuantized();
 
  private:
   std::vector<Linear> layers_;

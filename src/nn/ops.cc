@@ -8,7 +8,6 @@
 
 #include "nn/graph.h"
 #include "nn/kernels.h"
-#include "nn/quant.h"
 
 namespace alicoco::nn {
 
@@ -631,87 +630,6 @@ Graph::Var Graph::AffineAct(Var x, Parameter* w, Parameter* b, int act) {
       const float* gr = gp + static_cast<size_t>(i) * out_dim;
       for (int j = 0; j < out_dim; ++j) bg[j] += gr[j];
     }
-  });
-  return out;
-}
-
-Graph::Var Graph::AffineQuantAct(Var x, const quant::QuantizedTensor& wt,
-                                 Parameter* b, int act) {
-  ALICOCO_DCHECK(b != nullptr);
-  const Tensor& xv = nodes_[x].value;
-  const int rows = xv.rows(), in = xv.cols(), out_dim = wt.rows();
-  ALICOCO_DCHECK_EQ(wt.cols(), in)
-      << "AffineQuant: x " << rows << "x" << in << " vs W^T " << wt.rows()
-      << "x" << wt.cols();
-  ALICOCO_DCHECK(b->value.rows() == 1 && b->value.cols() == out_dim)
-      << "AffineQuant: bias " << b->value.rows() << "x" << b->value.cols()
-      << " for out dim " << out_dim;
-  Tensor v(rows, out_dim, arena());
-  quant::GemmTransW(xv, wt, &v);
-  switch (act) {
-    case 1:
-      kernels::AddBiasTanh(rows, out_dim, v.data(), b->value.data(), v.data());
-      break;
-    case 2:
-      kernels::AddBiasRelu(rows, out_dim, v.data(), b->value.data(), v.data());
-      break;
-    default:
-      kernels::AddBias(rows, out_dim, v.data(), b->value.data(), v.data());
-      break;
-  }
-  Var out = NewNode(std::move(v));
-  SetBackward(out, [] {
-    ALICOCO_CHECK(false) << "quantized ops are inference-only; Backward is "
-                            "not supported through AffineQuant";
-  });
-  return out;
-}
-
-Graph::Var Graph::AffineQuant(Var x, const quant::QuantizedTensor& wt,
-                              Parameter* b) {
-  return AffineQuantAct(x, wt, b, 0);
-}
-
-Graph::Var Graph::AffineQuantTanh(Var x, const quant::QuantizedTensor& wt,
-                                  Parameter* b) {
-  return AffineQuantAct(x, wt, b, 1);
-}
-
-Graph::Var Graph::AffineQuantRelu(Var x, const quant::QuantizedTensor& wt,
-                                  Parameter* b) {
-  return AffineQuantAct(x, wt, b, 2);
-}
-
-Graph::Var Graph::MatMulQuant(Var a, const quant::QuantizedTensor& wt) {
-  const Tensor& av = nodes_[a].value;
-  ALICOCO_DCHECK_EQ(wt.cols(), av.cols())
-      << "MatMulQuant: a " << av.rows() << "x" << av.cols() << " vs W^T "
-      << wt.rows() << "x" << wt.cols();
-  Tensor v(av.rows(), wt.rows(), arena());
-  quant::GemmTransW(av, wt, &v);
-  Var out = NewNode(std::move(v));
-  SetBackward(out, [] {
-    ALICOCO_CHECK(false) << "quantized ops are inference-only; Backward is "
-                            "not supported through MatMulQuant";
-  });
-  return out;
-}
-
-Graph::Var Graph::EmbeddingLookupQuant(const quant::QuantizedTensor& table,
-                                       const std::vector<int>& ids) {
-  ALICOCO_CHECK(!ids.empty());
-  const int d = table.cols();
-  Tensor v(static_cast<int>(ids.size()), d, arena());
-  for (size_t i = 0; i < ids.size(); ++i) {
-    const int id = ids[i];
-    ALICOCO_CHECK(id >= 0 && id < table.rows())
-        << "embedding id out of range: " << id;
-    table.DequantizeRow(id, v.Row(static_cast<int>(i)));
-  }
-  Var out = NewNode(std::move(v));
-  SetBackward(out, [] {
-    ALICOCO_CHECK(false) << "quantized ops are inference-only; Backward is "
-                            "not supported through EmbeddingLookupQuant";
   });
   return out;
 }

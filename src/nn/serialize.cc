@@ -3,23 +3,14 @@
 #include <cstdint>
 #include <cstdio>
 #include <memory>
-#include <utility>
-#include <vector>
+#include <unordered_set>
 
 #include "common/check.h"
 #include "common/string_util.h"
-#include "nn/kernels.h"
 
 namespace alicoco::nn {
 namespace {
 constexpr uint32_t kMagic = 0xA11C0C05;
-constexpr uint32_t kQuantMagic = 0xA11C0C06;
-constexpr uint32_t kQuantVersion = 1;
-
-// Entry kind tags in the quantized format.
-constexpr uint32_t kEntryFp32 = 0;
-constexpr uint32_t kEntryQ8 = 1;
-constexpr uint32_t kEntryFp16 = 2;
 
 // Bounds on untrusted header fields: a corrupt or truncated file must fail
 // with Status::Corruption, never drive an allocation or a loop off a
@@ -90,6 +81,9 @@ Status LoadParameters(ParameterStore* store, const std::string& path) {
         store->params().size()));
   }
   std::string name;  // reused across tensors; assign() keeps the capacity
+  // With count equal to the store size, a repeated name would leave another
+  // parameter unread.
+  std::unordered_set<const Parameter*> loaded;
   for (uint32_t i = 0; i < count; ++i) {
     uint32_t name_len = 0, rows = 0, cols = 0;
     if (!ReadU32(f.get(), &name_len)) {
@@ -114,6 +108,9 @@ Status LoadParameters(ParameterStore* store, const std::string& path) {
     if (p == nullptr) {
       return Status::NotFound("unknown parameter in file: " + name);
     }
+    if (!loaded.insert(p).second) {
+      return Status::Corruption("repeated parameter in file: " + name);
+    }
     if (p->value.rows() != static_cast<int>(rows) ||
         p->value.cols() != static_cast<int>(cols)) {
       return Status::InvalidArgument("shape mismatch for " + name);
@@ -123,192 +120,6 @@ Status LoadParameters(ParameterStore* store, const std::string& path) {
       return Status::Corruption("truncated weights for " + name);
     }
   }
-  return Status::OK();
-}
-
-namespace {
-
-bool WriteName(std::FILE* f, const std::string& name) {
-  const uint32_t name_len = static_cast<uint32_t>(name.size());
-  return WriteU32(f, name_len) &&
-         std::fwrite(name.data(), 1, name_len, f) == name_len;
-}
-
-Status ReadName(std::FILE* f, const std::string& path, std::string* name) {
-  uint32_t name_len = 0;
-  if (!ReadU32(f, &name_len)) return Status::Corruption("truncated: " + path);
-  if (name_len == 0 || name_len > kMaxNameLen) {
-    return Status::Corruption(StringPrintf(
-        "implausible name length %u in %s", name_len, path.c_str()));
-  }
-  name->assign(name_len, '\0');
-  if (std::fread(name->data(), 1, name_len, f) != name_len) {
-    return Status::Corruption("truncated: " + path);
-  }
-  return Status::OK();
-}
-
-Status ReadShape(std::FILE* f, const std::string& path,
-                 const std::string& name, uint32_t* rows, uint32_t* cols) {
-  if (!ReadU32(f, rows) || !ReadU32(f, cols)) {
-    return Status::Corruption("truncated: " + path);
-  }
-  if (*rows > kMaxDim || *cols > kMaxDim) {
-    return Status::Corruption(StringPrintf("implausible shape %ux%u for %s",
-                                           *rows, *cols, name.c_str()));
-  }
-  return Status::OK();
-}
-
-}  // namespace
-
-Status SaveQuantizedStore(const quant::QuantizedStore& store,
-                          const std::string& path) {
-  ALICOCO_CHECK(store.mode() != quant::QuantMode::kNone)
-      << "refusing to save an fp32-mode quantized store";
-  FilePtr f(std::fopen(path.c_str(), "wb"));
-  if (!f) return Status::IOError("cannot open for write: " + path);
-  const uint32_t count = static_cast<uint32_t>(store.quantized().size() +
-                                               store.fp32().size());
-  if (!WriteU32(f.get(), kQuantMagic) || !WriteU32(f.get(), kQuantVersion) ||
-      !WriteU32(f.get(), static_cast<uint32_t>(store.mode())) ||
-      !WriteU32(f.get(), count)) {
-    return Status::IOError("write failed: " + path);
-  }
-  for (const auto& [name, t] : store.quantized()) {
-    ALICOCO_CHECK_LE(name.size(), kMaxNameLen)
-        << "tensor name too long to serialize: " << name;
-    const uint32_t kind = t.mode() == quant::QuantMode::kInt8 ? kEntryQ8
-                                                              : kEntryFp16;
-    if (!WriteName(f.get(), name) || !WriteU32(f.get(), kind) ||
-        !WriteU32(f.get(), static_cast<uint32_t>(t.rows())) ||
-        !WriteU32(f.get(), static_cast<uint32_t>(t.cols()))) {
-      return Status::IOError("write failed: " + path);
-    }
-    if (kind == kEntryQ8) {
-      const auto& codes = t.q8_vector();
-      const auto& scales = t.scales_vector();
-      if (std::fwrite(codes.data(), sizeof(int8_t), codes.size(), f.get()) !=
-              codes.size() ||
-          std::fwrite(scales.data(), sizeof(float), scales.size(),
-                      f.get()) != scales.size()) {
-        return Status::IOError("write failed: " + path);
-      }
-    } else {
-      const auto& codes = t.fp16_vector();
-      if (std::fwrite(codes.data(), sizeof(uint16_t), codes.size(),
-                      f.get()) != codes.size()) {
-        return Status::IOError("write failed: " + path);
-      }
-    }
-  }
-  for (const auto& [name, t] : store.fp32()) {
-    ALICOCO_CHECK_LE(name.size(), kMaxNameLen)
-        << "tensor name too long to serialize: " << name;
-    if (!WriteName(f.get(), name) || !WriteU32(f.get(), kEntryFp32) ||
-        !WriteU32(f.get(), static_cast<uint32_t>(t.rows())) ||
-        !WriteU32(f.get(), static_cast<uint32_t>(t.cols())) ||
-        std::fwrite(t.data(), sizeof(float), t.size(), f.get()) !=
-            t.size()) {
-      return Status::IOError("write failed: " + path);
-    }
-  }
-  return Status::OK();
-}
-
-Status LoadQuantizedStore(quant::QuantizedStore* store,
-                          const std::string& path) {
-  FilePtr f(std::fopen(path.c_str(), "rb"));
-  if (!f) return Status::IOError("cannot open for read: " + path);
-  uint32_t magic = 0, version = 0, mode_raw = 0, count = 0;
-  if (!ReadU32(f.get(), &magic) || magic != kQuantMagic) {
-    return Status::Corruption("bad magic in " + path);
-  }
-  if (!ReadU32(f.get(), &version) || !ReadU32(f.get(), &mode_raw) ||
-      !ReadU32(f.get(), &count)) {
-    return Status::Corruption("truncated: " + path);
-  }
-  if (version != kQuantVersion) {
-    return Status::InvalidArgument(StringPrintf(
-        "unsupported quantized format version %u in %s", version,
-        path.c_str()));
-  }
-  if (mode_raw != static_cast<uint32_t>(quant::QuantMode::kInt8) &&
-      mode_raw != static_cast<uint32_t>(quant::QuantMode::kFp16)) {
-    return Status::Corruption(
-        StringPrintf("bad quant mode %u in %s", mode_raw, path.c_str()));
-  }
-  if (count > kMaxParams) {
-    return Status::Corruption(StringPrintf(
-        "implausible tensor count %u in %s", count, path.c_str()));
-  }
-  quant::QuantizedStore loaded(static_cast<quant::QuantMode>(mode_raw));
-  // Read buffers hoisted out of the entry loop. Each payload vector is
-  // moved into the tensor it builds, so iterations start from an empty
-  // vector and resize() allocates exactly once per entry.
-  std::string name;
-  std::vector<float> fp32_data;
-  std::vector<int8_t> q8_codes;
-  std::vector<float> q8_scales;
-  std::vector<uint16_t> fp16_codes;
-  for (uint32_t i = 0; i < count; ++i) {
-    Status s = ReadName(f.get(), path, &name);
-    if (!s.ok()) return s;
-    uint32_t kind = 0, rows = 0, cols = 0;
-    if (!ReadU32(f.get(), &kind)) {
-      return Status::Corruption("truncated: " + path);
-    }
-    s = ReadShape(f.get(), path, name, &rows, &cols);
-    if (!s.ok()) return s;
-    const size_t elems = static_cast<size_t>(rows) * cols;
-    if (kind == kEntryFp32) {
-      fp32_data.resize(elems);
-      if (std::fread(fp32_data.data(), sizeof(float), elems, f.get()) !=
-          elems) {
-        return Status::Corruption("truncated weights for " + name);
-      }
-      loaded.AddFp32(name, Tensor::FromVector(static_cast<int>(rows),
-                                              static_cast<int>(cols),
-                                              std::move(fp32_data)));
-    } else if (kind == kEntryQ8) {
-      if (mode_raw != static_cast<uint32_t>(quant::QuantMode::kInt8)) {
-        return Status::Corruption("q8 entry in non-int8 store: " + name);
-      }
-      const size_t blocks = static_cast<size_t>(rows) *
-                            kernels::Q8Blocks(static_cast<int>(cols));
-      q8_codes.resize(blocks * kernels::kQ8Block);
-      q8_scales.resize(blocks);
-      if (std::fread(q8_codes.data(), sizeof(int8_t), q8_codes.size(),
-                     f.get()) != q8_codes.size() ||
-          std::fread(q8_scales.data(), sizeof(float), q8_scales.size(),
-                     f.get()) != q8_scales.size()) {
-        return Status::Corruption("truncated weights for " + name);
-      }
-      loaded.AddQuantized(
-          name, quant::QuantizedTensor::FromQ8(static_cast<int>(rows),
-                                               static_cast<int>(cols),
-                                               std::move(q8_codes),
-                                               std::move(q8_scales)));
-    } else if (kind == kEntryFp16) {
-      if (mode_raw != static_cast<uint32_t>(quant::QuantMode::kFp16)) {
-        return Status::Corruption("fp16 entry in non-fp16 store: " + name);
-      }
-      fp16_codes.resize(elems);
-      if (std::fread(fp16_codes.data(), sizeof(uint16_t), elems, f.get()) !=
-          elems) {
-        return Status::Corruption("truncated weights for " + name);
-      }
-      loaded.AddQuantized(
-          name, quant::QuantizedTensor::FromFp16(static_cast<int>(rows),
-                                                 static_cast<int>(cols),
-                                                 std::move(fp16_codes)));
-    } else {
-      return Status::Corruption(StringPrintf(
-          "unknown entry kind %u for %s in %s", kind, name.c_str(),
-          path.c_str()));
-    }
-  }
-  *store = std::move(loaded);
   return Status::OK();
 }
 

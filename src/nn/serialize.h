@@ -1,5 +1,4 @@
-// Binary (de)serialization of parameter stores (model checkpoints) and
-// quantized weight stores (inference artifacts).
+// Binary (de)serialization of parameter stores (model checkpoints).
 
 #ifndef ALICOCO_NN_SERIALIZE_H_
 #define ALICOCO_NN_SERIALIZE_H_
@@ -8,7 +7,6 @@
 
 #include "common/status.h"
 #include "nn/graph.h"
-#include "nn/quant.h"
 
 namespace alicoco::nn {
 
@@ -17,24 +15,10 @@ namespace alicoco::nn {
                                     const std::string& path);
 
 /// Loads weights by parameter name into an already-constructed store.
-/// Fails on missing names or shape mismatches; extra names in the file are
-/// an error too (guards against loading the wrong checkpoint).
+/// Fails on missing names or shape mismatches; extra or repeated names in
+/// the file are an error too (guards against loading the wrong checkpoint).
 [[nodiscard]] Status LoadParameters(ParameterStore* store,
                                     const std::string& path);
-
-/// Writes a quantized weight store to `path`. Versioned format (magic +
-/// format version + quant mode), one tagged entry per tensor: quantized
-/// entries carry the raw block codes and scales (int8) or half codes
-/// (fp16), so a reload reproduces scores bit-for-bit; fp32 passthrough
-/// entries carry plain floats. `store.mode()` must not be kNone.
-[[nodiscard]] Status SaveQuantizedStore(const quant::QuantizedStore& store,
-                                        const std::string& path);
-
-/// Reads a quantized weight store written by SaveQuantizedStore. Corrupt
-/// or truncated files fail with Status::Corruption; an unknown format
-/// version fails with Status::InvalidArgument.
-[[nodiscard]] Status LoadQuantizedStore(quant::QuantizedStore* store,
-                                        const std::string& path);
 
 }  // namespace alicoco::nn
 

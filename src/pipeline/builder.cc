@@ -497,8 +497,8 @@ Result<kg::ConceptNet> AliCoCoBuilder::Build(BuildReport* report) {
     }
   }
 
-  // Sub-stage spans: train (dataset, training, quantization), calibrate,
-  // score (candidate scoring and link writes).
+  // Sub-stage spans: train (dataset and training), calibrate, score
+  // (candidate scoring and link writes).
   std::optional<obs::ScopedSpan> train_span(
       std::in_place, tracer, "pipeline.item_association.train");
   matching::KnowledgeResources know_res;
@@ -531,12 +531,6 @@ Result<kg::ConceptNet> AliCoCoBuilder::Build(BuildReport* report) {
   matching::MatchingDataset md = matching::BuildMatchingDataset(*world_,
                                                                 md_cfg);
   matcher.Train(md);
-  // Quantized association scoring: calibration below and the concurrent
-  // candidate scoring both run through the quantized kernels, so the
-  // calibrated threshold matches the scores actually deployed.
-  if (config_.association_quant != nn::quant::QuantMode::kNone) {
-    matcher.EnableQuantizedInference(config_.association_quant);
-  }
   train_span.reset();
 
   // Calibrate the acceptance threshold on the held-out split so dynamic

@@ -35,7 +35,6 @@
 #include "matching/knowledge_matcher.h"
 #include "mining/concept_miner.h"
 #include "mining/sequence_labeler.h"
-#include "nn/quant.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "tagging/concept_tagger.h"
@@ -65,11 +64,6 @@ struct PipelineConfig {
   double association_target_precision = 0.8;
   double association_min_threshold = 0.6;
   size_t association_candidates = 150;  ///< random items scored per concept
-  /// Quantized inference for stage-7 association scoring: after training,
-  /// the knowledge matcher's weights are quantized to this mode and both
-  /// threshold calibration and candidate scoring run through the quantized
-  /// kernels (kNone = fp32). Tolerances are documented in DESIGN.md §5.
-  nn::quant::QuantMode association_quant = nn::quant::QuantMode::kNone;
   /// Stage 8: commonsense relation inference over the built catalog
   /// (future work items 1-2). Inferred typed relations enter the net with
   /// lift-derived confidences.

@@ -60,17 +60,9 @@ TEST(CorpusReplayTest, NnCheckpointsFailCleanly) {
   // corpus files reach the deeper name/shape/payload validation.
   Rng rng(42);
   for (const fs::path& file : CorpusFiles("nn", ".bin")) {
-    const bool quant =
-        file.filename().generic_string().rfind("quant_", 0) == 0;
-    Status status;
-    if (quant) {
-      nn::quant::QuantizedStore store;
-      status = nn::LoadQuantizedStore(&store, file.generic_string());
-    } else {
-      nn::ParameterStore store;
-      store.Create("w", 2, 2, nn::ParameterStore::Init::kZero, &rng);
-      status = nn::LoadParameters(&store, file.generic_string());
-    }
+    nn::ParameterStore store;
+    store.Create("w", 2, 2, nn::ParameterStore::Init::kZero, &rng);
+    const Status status = nn::LoadParameters(&store, file.generic_string());
     EXPECT_FALSE(status.ok()) << file << " loaded a corrupt checkpoint";
     EXPECT_TRUE(status.IsCorruption())
         << file << ": " << status.ToString();

@@ -62,6 +62,11 @@ TEST(LabelerCheckpointTest, MissingOrCorruptFilesRejected) {
   std::string path = TempPath("garbage.ckpt");
   std::ofstream(path) << "not a checkpoint\n";
   EXPECT_TRUE(SequenceLabeler::Load(path).status().IsCorruption());
+  // Dims far past any trained size must fail before the model is built.
+  for (const char* dims : {"2000000000 16 2", "16 2000000000 2"}) {
+    std::ofstream(path) << "ALICOCO_LABELER v1\n" << dims << "\n1\nO\n";
+    EXPECT_TRUE(SequenceLabeler::Load(path).status().IsCorruption()) << dims;
+  }
 }
 
 TEST(LabelerCheckpointTest, MissingWeightsFileRejected) {

@@ -112,111 +112,28 @@ TEST(SerializeTest, TruncatedFileIsCorruption) {
   EXPECT_TRUE(LoadParameters(&b, path).IsCorruption());
 }
 
-// ---- quantized-store format ---------------------------------------------
-
-quant::QuantizedStore BuildQuantStore(quant::QuantMode mode, uint64_t seed) {
-  ParameterStore store;
-  BuildStore(&store, seed);
-  quant::QuantPlan plan;
-  plan.push_back({store.Get("emb.table"), /*transpose=*/false});
-  plan.push_back({store.Get("fc.W"), /*transpose=*/true});
-  return quant::QuantizeParams(store, plan, mode);  // fc.b rides fp32
-}
-
-TEST(SerializeQuantTest, RoundTripIsBitExact) {
-  for (quant::QuantMode mode :
-       {quant::QuantMode::kInt8, quant::QuantMode::kFp16}) {
-    quant::QuantizedStore a =
-        BuildQuantStore(mode, mode == quant::QuantMode::kInt8 ? 7 : 8);
-    std::string path = TempPath("quant_roundtrip.bin");
-    ASSERT_TRUE(SaveQuantizedStore(a, path).ok());
-    quant::QuantizedStore b;
-    ASSERT_TRUE(LoadQuantizedStore(&b, path).ok());
-    EXPECT_EQ(b.mode(), mode);
-    ASSERT_EQ(b.quantized().size(), a.quantized().size());
-    ASSERT_EQ(b.fp32().size(), a.fp32().size());
-    // The payload IS the quantized representation, so reload must
-    // reproduce codes and scales exactly — not merely within tolerance.
-    for (size_t i = 0; i < a.quantized().size(); ++i) {
-      const auto& [na, ta] = a.quantized()[i];
-      const auto& [nb, tb] = b.quantized()[i];
-      EXPECT_EQ(na, nb);
-      EXPECT_EQ(ta.rows(), tb.rows());
-      EXPECT_EQ(ta.cols(), tb.cols());
-      EXPECT_EQ(ta.q8_vector(), tb.q8_vector());
-      EXPECT_EQ(ta.scales_vector(), tb.scales_vector());
-      EXPECT_EQ(ta.fp16_vector(), tb.fp16_vector());
-    }
-    for (size_t i = 0; i < a.fp32().size(); ++i) {
-      const auto& [na, ta] = a.fp32()[i];
-      const auto& [nb, tb] = b.fp32()[i];
-      EXPECT_EQ(na, nb);
-      ASSERT_EQ(ta.size(), tb.size());
-      for (size_t k = 0; k < ta.size(); ++k) {
-        EXPECT_EQ(ta.data()[k], tb.data()[k]);
-      }
-    }
-  }
-}
-
-TEST(SerializeQuantTest, MissingFileIsIOError) {
-  quant::QuantizedStore s;
-  EXPECT_TRUE(LoadQuantizedStore(&s, "/nonexistent/dir/q.bin").IsIOError());
-}
-
-TEST(SerializeQuantTest, Fp32CheckpointMagicRejected) {
-  // A plain fp32 checkpoint handed to the quantized loader must fail on
-  // the magic, not be misparsed.
+TEST(SerializeTest, DuplicateParameterNameIsCorruption) {
   ParameterStore a;
-  BuildStore(&a, 1);
-  std::string path = TempPath("quant_wrongmagic.bin");
+  Rng rng(1);
+  a.Create("a", 1, 2, ParameterStore::Init::kXavier, &rng);
+  a.Create("b", 1, 2, ParameterStore::Init::kXavier, &rng);
+  std::string path = TempPath("duplicate.bin");
   ASSERT_TRUE(SaveParameters(a, path).ok());
-  quant::QuantizedStore s;
-  EXPECT_TRUE(LoadQuantizedStore(&s, path).IsCorruption());
-}
-
-TEST(SerializeQuantTest, TruncatedQuantFileIsCorruption) {
-  quant::QuantizedStore a = BuildQuantStore(quant::QuantMode::kInt8, 3);
-  std::string path = TempPath("quant_trunc.bin");
-  ASSERT_TRUE(SaveQuantizedStore(a, path).ok());
-  FilePtr f = OpenFile(path.c_str(), "rb");
+  // The file holds magic and count, then per entry name length, name, rows,
+  // cols and weights. Rename the second entry from "b" to "a", so the file
+  // lists "a" twice and never "b".
+  const long second_name = 4 + 4 + (4 + 1 + 4 + 4 + 2 * 4) + 4;
+  FilePtr f = OpenFile(path.c_str(), "r+b");
   ASSERT_NE(f, nullptr);
-  std::fseek(f.get(), 0, SEEK_END);
-  long size = std::ftell(f.get());
+  ASSERT_EQ(std::fseek(f.get(), second_name, SEEK_SET), 0);
+  ASSERT_EQ(std::fgetc(f.get()), 'b');
+  ASSERT_EQ(std::fseek(f.get(), second_name, SEEK_SET), 0);
+  ASSERT_EQ(std::fputc('a', f.get()), 'a');
   f.reset();
-  ASSERT_EQ(truncate(path.c_str(), size / 2), 0);
-  quant::QuantizedStore b;
-  EXPECT_TRUE(LoadQuantizedStore(&b, path).IsCorruption());
-}
-
-TEST(SerializeQuantTest, UnsupportedVersionRejected) {
-  quant::QuantizedStore a = BuildQuantStore(quant::QuantMode::kFp16, 4);
-  std::string path = TempPath("quant_version.bin");
-  ASSERT_TRUE(SaveQuantizedStore(a, path).ok());
-  // Bump the version word (second u32) to a future value.
-  FilePtr f = OpenFile(path.c_str(), "rb+");
-  ASSERT_NE(f, nullptr);
-  std::fseek(f.get(), 4, SEEK_SET);
-  uint32_t future = 999;
-  ASSERT_EQ(std::fwrite(&future, sizeof(future), 1, f.get()), 1u);
-  f.reset();
-  quant::QuantizedStore b;
-  EXPECT_TRUE(LoadQuantizedStore(&b, path).IsInvalidArgument());
-}
-
-TEST(SerializeQuantTest, BadModeRejected) {
-  quant::QuantizedStore a = BuildQuantStore(quant::QuantMode::kInt8, 5);
-  std::string path = TempPath("quant_mode.bin");
-  ASSERT_TRUE(SaveQuantizedStore(a, path).ok());
-  // Corrupt the mode word (third u32).
-  FilePtr f = OpenFile(path.c_str(), "rb+");
-  ASSERT_NE(f, nullptr);
-  std::fseek(f.get(), 8, SEEK_SET);
-  uint32_t bad = 42;
-  ASSERT_EQ(std::fwrite(&bad, sizeof(bad), 1, f.get()), 1u);
-  f.reset();
-  quant::QuantizedStore b;
-  EXPECT_TRUE(LoadQuantizedStore(&b, path).IsCorruption());
+  ParameterStore b;
+  b.Create("a", 1, 2, ParameterStore::Init::kXavier, &rng);
+  b.Create("b", 1, 2, ParameterStore::Init::kXavier, &rng);
+  EXPECT_TRUE(LoadParameters(&b, path).IsCorruption());
 }
 
 }  // namespace

@@ -22,6 +22,8 @@
 #
 # Any sanitizer report aborts the offending test (halt_on_error /
 # -fno-sanitize-recover), so a non-zero ctest exit IS the sanitizer gate.
+# Each ctest pass writes its own JUnit report to build/junit/<pass>.xml, so
+# a later pass never overwrites the failure list of an earlier one.
 # Usage: tools/ci.sh [--fast]   (--fast: skip the sanitizer builds)
 
 set -euo pipefail
@@ -43,13 +45,15 @@ build/tools/lint/alicoco_lint --explain mutex-name-literal >/dev/null
 step "plain build + tests"
 cmake --preset default >/dev/null
 cmake --build --preset default -j "${JOBS}"
-ctest --preset default
+JUNIT="${PWD}/build/junit"
+mkdir -p "${JUNIT}"
+ctest --preset default --output-junit "${JUNIT}/plain.xml"
 
 step "forced-scalar kernel tier + tests"
 # Re-run the suite with the kernel dispatcher pinned to the portable tier,
-# so CI covers the scalar fp32/int8/fp16 kernels (and the quantized formats
-# on top of them) even on AVX2 hardware where CPUID would pick SIMD.
-ALICOCO_SIMD=scalar ctest --preset default
+# so CI covers the scalar kernels even on AVX2 hardware where CPUID would
+# pick SIMD.
+ALICOCO_SIMD=scalar ctest --preset default --output-junit "${JUNIT}/scalar.xml"
 
 step "instrumented pipeline smoke"
 # One probed run of the bench pipeline with every probe attached. Its
@@ -84,16 +88,17 @@ cmake --preset asan >/dev/null
 cmake --build --preset asan -j "${JOBS}"
 ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" \
 UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
-  ctest --preset asan
+  ctest --preset asan --output-junit "${JUNIT}/asan.xml"
 
 step "corrupted-checkpoint corpus replay (ASan)"
 # Replays tests/corpus/ — truncated, bit-flipped, and oversized-count
-# inputs for every deserializer (kg snapshot, nn checkpoint + quantized
-# store, JSON reader) — under ASan explicitly, so a corrupt-input
-# regression is named by the gate that catches it.
+# inputs for every deserializer (kg snapshot, nn checkpoint, JSON reader)
+# — under ASan explicitly, so a corrupt-input regression is named by the
+# gate that catches it.
 ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" \
 UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
-  ctest --preset asan -R CorpusReplay --output-on-failure
+  ctest --preset asan -R CorpusReplay --output-on-failure \
+    --output-junit "${JUNIT}/asan-corpus.xml"
 
 step "TSan build + threaded tests"
 cmake --preset tsan >/dev/null
@@ -105,6 +110,7 @@ cmake --build --preset tsan -j "${JOBS}"
 # apps shared by concurrent clients. Running the full suite under TSan works too but takes far
 # longer for no extra thread coverage.
 TSAN_OPTIONS="halt_on_error=1" \
-  ctest --preset tsan -R 'ThreadPool|ObsRace|ProfRace|LockStats|LockContentionMetrics|GraphArena|Training|Skipgram|Classifier|Matching|Tagger|Projection|AppsRace'
+  ctest --preset tsan -R 'ThreadPool|ObsRace|ProfRace|LockStats|LockContentionMetrics|GraphArena|Training|Skipgram|Classifier|Matching|Tagger|Projection|AppsRace' \
+    --output-junit "${JUNIT}/tsan.xml"
 
 step "all green"
