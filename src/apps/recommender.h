@@ -39,15 +39,15 @@ class ItemCf {
 
 /// Concept-card recommendation over the concept net. Serving-path latency
 /// lands in `metrics` under `serving.recommender.*` (Recommend latency
-/// histogram plus request/card counters); pass nullptr to opt out.
+/// histogram plus request/card counters); nullptr, the default, records
+/// none.
 class CognitiveRecommender {
  public:
   /// Builds the read table from `net` once. `net` must outlive the
   /// recommender and must not change after it is built: the table is not
   /// refreshed, and a vote for a concept added later fails a CHECK.
-  explicit CognitiveRecommender(
-      const kg::ConceptNet* net,
-      obs::Registry* metrics = &obs::Registry::Default());
+  explicit CognitiveRecommender(const kg::ConceptNet* net,
+                                obs::Registry* metrics = nullptr);
 
   struct ConceptCard {
     kg::EcConceptId concept_id;

@@ -37,14 +37,14 @@ struct RelevanceReport {
 
 /// Lexical relevance scorer over a concept net. Serving-path latency lands
 /// in `metrics` under `serving.search_relevance.*` (query latency
-/// histogram plus query/pair counters); pass nullptr to opt out.
+/// histogram plus query/pair counters); nullptr, the default, records none.
 class SearchRelevance {
  public:
   /// Builds the read table from `net` once. `net` must outlive the scorer
   /// and must not change after the scorer is built: the table is not
   /// refreshed, and scoring an item added later fails a CHECK.
   explicit SearchRelevance(const kg::ConceptNet* net,
-                           obs::Registry* metrics = &obs::Registry::Default());
+                           obs::Registry* metrics = nullptr);
 
   /// Builds queries from the world's category concepts: for each query
   /// concept, candidates mix relevant items (category isA-descendant of the

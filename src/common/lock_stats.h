@@ -7,12 +7,10 @@
 // these callbacks into per-named-mutex histograms.
 //
 // Cost model (see DESIGN.md §6):
-//   - compiled out (ALICOCO_LOCK_STATS=0): named mutexes are plain
-//     mutexes, zero bytes and zero cycles of instrumentation.
-//   - compiled in, no sink installed ("disabled mode"): one non-atomic
-//     name check plus one relaxed-ish atomic load per lock(); unnamed
-//     mutexes pay only the name check. perfbench's timing pass runs in
-//     this mode, so its clean timings include this cost.
+//   - no sink installed ("disabled mode"): one non-atomic name check plus
+//     one relaxed-ish atomic load per lock(); unnamed mutexes pay only the
+//     name check. perfbench's timing pass runs in this mode, so its clean
+//     timings include this cost.
 //   - sink installed: two clock reads per contended acquisition plus the
 //     sink's own recording cost.
 //

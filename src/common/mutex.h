@@ -25,11 +25,9 @@
 //                                           // static storage duration
 //                                           // (lint: mutex-name-literal)
 //
-// The whole mode compiles away when ALICOCO_LOCK_STATS is 0 (CMake option
-// ALICOCO_LOCK_STATS, default ON); with it compiled in but no sink
-// installed, a named mutex pays one atomic load per lock() and an unnamed
-// one a single pointer check. perfbench's timing pass runs in that
-// disabled mode, so its clean timings include the cost.
+// With no sink installed, a named mutex pays one atomic load per lock()
+// and an unnamed one a single pointer check. perfbench's timing pass runs
+// in that disabled mode, so its clean timings include the cost.
 
 #ifndef ALICOCO_COMMON_MUTEX_H_
 #define ALICOCO_COMMON_MUTEX_H_
@@ -39,13 +37,6 @@
 
 #include "common/lock_stats.h"
 #include "common/thread_annotations.h"
-
-// The build system defines ALICOCO_LOCK_STATS globally (0 or 1) so every
-// translation unit agrees on the Mutex layout; the fallback here matches
-// the CMake default for stray compiles outside the build.
-#ifndef ALICOCO_LOCK_STATS
-#define ALICOCO_LOCK_STATS 1
-#endif
 
 namespace alicoco {
 
@@ -57,18 +48,11 @@ class ALICOCO_CAPABILITY("mutex") Mutex {
   /// Named (instrumented) mutex. `name` must outlive the mutex — pass a
   /// string literal. Never name a mutex that a LockStatsSink itself can
   /// lock from its callbacks, or recording recurses into the sink.
-  explicit Mutex(const char* name) {
-#if ALICOCO_LOCK_STATS
-    name_ = name;
-#else
-    (void)name;
-#endif
-  }
+  explicit Mutex(const char* name) : name_(name) {}
   Mutex(const Mutex&) = delete;
   Mutex& operator=(const Mutex&) = delete;
 
   void lock() ALICOCO_ACQUIRE() {
-#if ALICOCO_LOCK_STATS
     if (name_ != nullptr) {
       if (LockStatsSink* sink = GetLockStatsSink()) {
         if (mu_.try_lock()) {
@@ -82,12 +66,10 @@ class ALICOCO_CAPABILITY("mutex") Mutex {
         return;
       }
     }
-#endif
     mu_.lock();
   }
 
   void unlock() ALICOCO_RELEASE() {
-#if ALICOCO_LOCK_STATS
     if (hold_start_us_ != 0) {
       const char* name = name_;
       const uint64_t hold_us = LockStatsNowUs() - hold_start_us_;
@@ -100,12 +82,10 @@ class ALICOCO_CAPABILITY("mutex") Mutex {
       }
       return;
     }
-#endif
     mu_.unlock();
   }
 
   bool try_lock() ALICOCO_TRY_ACQUIRE(true) {
-#if ALICOCO_LOCK_STATS
     if (name_ != nullptr) {
       if (LockStatsSink* sink = GetLockStatsSink()) {
         if (!mu_.try_lock()) return false;
@@ -114,17 +94,14 @@ class ALICOCO_CAPABILITY("mutex") Mutex {
         return true;
       }
     }
-#endif
     return mu_.try_lock();
   }
 
  private:
   friend class CondVar;
   std::mutex mu_;
-#if ALICOCO_LOCK_STATS
   const char* name_ = nullptr;    ///< nullptr = uninstrumented
   uint64_t hold_start_us_ = 0;    ///< written under mu_; 0 = untracked hold
-#endif
 };
 
 /// RAII holder; the scoped-capability attribute lets the analysis track
@@ -155,7 +132,6 @@ class CondVar {
 
   void Wait(Mutex& mu) ALICOCO_REQUIRES(mu) {
     std::unique_lock<std::mutex> lock(mu.mu_, std::adopt_lock);
-#if ALICOCO_LOCK_STATS
     if (mu.name_ != nullptr) {
       LockStatsSink* sink = GetLockStatsSink();
       if (sink != nullptr) {
@@ -173,7 +149,6 @@ class CondVar {
       }
       mu.hold_start_us_ = 0;  // hold tracking ends at the wait
     }
-#endif
     cv_.wait(lock);
     lock.release();
   }

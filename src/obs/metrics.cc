@@ -183,9 +183,4 @@ const Histogram* Registry::FindHistogram(const std::string& name) const {
   return it == histograms_.end() ? nullptr : it->second.get();
 }
 
-Registry& Registry::Default() {
-  static Registry instance;
-  return instance;
-}
-
 }  // namespace alicoco::obs

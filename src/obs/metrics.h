@@ -166,9 +166,6 @@ class Registry {
   const Histogram* FindHistogram(const std::string& name) const
       ALICOCO_EXCLUDES(mu_);
 
-  /// Process-wide registry the serving paths default to.
-  static Registry& Default();
-
  private:
   bool NameTaken(const std::string& name) const ALICOCO_REQUIRES(mu_);
 

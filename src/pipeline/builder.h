@@ -25,6 +25,7 @@
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "concepts/classifier.h"
@@ -45,38 +46,15 @@ struct PipelineConfig {
   // Stage 3: mining.
   mining::SequenceLabelerConfig labeler;
   int mining_epochs = 2;
-  size_t mining_min_support = 2;
   // Stage 4: hypernyms.
   hypernym::ProjectionConfig projection;
-  double hypernym_accept_threshold = 0.7;
   // Stage 5: concept classification.
   concepts::ConceptClassifierConfig classifier;
-  double concept_accept_threshold = 0.6;
-  size_t audit_sample = 50;
-  double audit_accuracy_threshold = 0.7;
   // Stage 6: tagging.
   tagging::ConceptTaggerConfig tagger;
   // Stage 7: association.
   matching::KnowledgeMatcherConfig matcher;
-  /// Target precision for dynamic item-concept edges; the acceptance
-  /// threshold is calibrated on held-out pairs, reweighted to the
-  /// deployment prior (the paper monitors dynamic-edge quality regularly).
-  double association_target_precision = 0.8;
-  double association_min_threshold = 0.6;
   size_t association_candidates = 150;  ///< random items scored per concept
-  /// Stage 8: commonsense relation inference over the built catalog
-  /// (future work items 1-2). Inferred typed relations enter the net with
-  /// lift-derived confidences.
-  bool infer_relations = true;
-  double relation_min_lift = 1.5;
-  size_t relation_min_support = 5;
-  /// Concept pages are ranked lists: at most this many top-scoring items
-  /// link to each concept even when more clear the threshold.
-  size_t association_top_k = 12;
-  /// Stage 9: structural audit of the built net (kg::Validator). A net
-  /// that violates the paper's invariants is a build failure, not a
-  /// deliverable.
-  bool validate_output = true;
   uint64_t seed = 2020;
   /// Observability (src/obs). When `tracer` is set, Build() runs inside a
   /// root span `pipeline.build` with one child span per stage
@@ -119,6 +97,15 @@ struct GoldComparison {
   double item_link_precision = 0;  ///< built item-ec links that are gold
   double item_link_recall = 0;
 };
+
+/// Stage 7's acceptance threshold, calibrated on held-out (score, label)
+/// pairs. These are ~50% positive, but a random (concept, item) pair is
+/// positive with probability `deploy_prior`, so positives are reweighted
+/// to it. Returns the lowest score at which the running precision over at
+/// least 20 top-scored pairs reaches 0.8, clamped to the 0.6 floor; the
+/// floor if 0.8 is never reached (the top-k cap then bounds the damage).
+double CalibrateAssociationThreshold(
+    const std::vector<std::pair<double, int>>& scored, double deploy_prior);
 
 /// Drives the construction. The world acts as data source and annotation
 /// oracle; `resources` supplies the corpus-derived models.

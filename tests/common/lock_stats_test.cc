@@ -11,12 +11,6 @@
 namespace alicoco {
 namespace {
 
-#if !ALICOCO_LOCK_STATS
-TEST(LockStatsTest, CompiledOut) {
-  GTEST_SKIP() << "built with ALICOCO_LOCK_STATS=0";
-}
-#else
-
 // Guarded by an UNNAMED mutex, per the sink re-entrancy rule: a named one
 // here would recurse into the sink from its own callback.
 class RecordingSink : public LockStatsSink {
@@ -153,8 +147,6 @@ TEST(LockStatsTest, CondVarWaitSplitsTheHold) {
   EXPECT_GE(cv_events, 1u);
   EXPECT_GE(releases, 3u);  // waiter's two plus the waker's one
 }
-
-#endif  // ALICOCO_LOCK_STATS
 
 }  // namespace
 }  // namespace alicoco

@@ -13,12 +13,6 @@
 namespace alicoco::obs::prof {
 namespace {
 
-#if !ALICOCO_LOCK_STATS
-TEST(LockContentionMetricsTest, CompiledOut) {
-  GTEST_SKIP() << "built with ALICOCO_LOCK_STATS=0";
-}
-#else
-
 TEST(LockContentionMetricsTest, UncontendedAcquireCreatesInstruments) {
   Registry registry;
   LockContentionMetrics metrics(&registry);
@@ -157,8 +151,6 @@ TEST(LockContentionMetricsTest, DetachedSinkSeesNoFurtherEvents) {
   { MutexLock lock(mu); }  // no sink installed anymore
   EXPECT_EQ(metrics.total_acquires(), 1u);
 }
-
-#endif  // ALICOCO_LOCK_STATS
 
 }  // namespace
 }  // namespace alicoco::obs::prof

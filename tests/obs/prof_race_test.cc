@@ -67,7 +67,6 @@ TEST(ProfRaceTest, SampleRingMpmcDeliversEveryAcceptedPush) {
   EXPECT_GT(popped_sum.load(), 0u);
 }
 
-#if ALICOCO_LOCK_STATS
 TEST(ProfRaceTest, NamedMutexHammerWithSinkInstalled) {
   Registry registry;
   LockContentionMetrics metrics(&registry);
@@ -102,7 +101,6 @@ TEST(ProfRaceTest, NamedMutexHammerWithSinkInstalled) {
   ASSERT_NE(acquires, nullptr);
   EXPECT_GE(acquires->value(), static_cast<uint64_t>(kThreads) * kIters);
 }
-#endif  // ALICOCO_LOCK_STATS
 
 TEST(ProfRaceTest, FlightRecorderConcurrentRecordAndSnapshot) {
   FlightRecorder recorder(128);

@@ -1,14 +1,18 @@
 // End-to-end pipeline integration test: builds a complete AliCoCo from a
 // small synthetic world and checks every stage produced sensible structure.
+// Stage 7's threshold rule is also tested on its own, without a world.
 
 #include "pipeline/builder.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "common/string_util.h"
 #include "kg/persistence.h"
 #include "kg/stats.h"
 #include "obs/metrics.h"
@@ -231,6 +235,90 @@ TEST(PipelineTest, PublishesTheMetricsPerfbenchReads) {
   EXPECT_EQ(counter("mining.mined_concepts"), r.mined_concepts);
   EXPECT_EQ(counter("ec_concepts.accepted"), r.ec_accepted);
   EXPECT_EQ(counter("item_association.items_added"), r.items_added);
+}
+
+// Every stage fact is published twice, as the `pipeline.<stage>.<fact>`
+// counter or gauge and as an attribute of the stage's span; both must agree.
+TEST(PipelineTest, StageSpanAttributesMatchStageMetrics) {
+  Built& b = SharedBuilt();
+  const obs::Registry& m = b.metrics;
+  const std::vector<obs::SpanRecord> spans = b.tracer.Records();
+  uint64_t root_id = 0;
+  for (const obs::SpanRecord& s : spans) {
+    if (s.parent_id == 0) root_id = s.id;
+  }
+  std::map<std::string, std::vector<std::pair<std::string, std::string>>>
+      stage_attributes;  // by stage span name
+  for (const obs::SpanRecord& s : spans) {
+    if (s.parent_id == root_id) stage_attributes[s.name] = s.attributes;
+  }
+  ASSERT_EQ(stage_attributes.size(), 9u);
+
+  for (const auto& [stage, attributes] : stage_attributes) {
+    for (const auto& [fact, value] : attributes) {
+      const std::string name = stage + "." + fact;
+      if (const obs::Counter* c = m.FindCounter(name)) {
+        EXPECT_EQ(value, std::to_string(c->value())) << name;
+      } else if (const obs::Gauge* g = m.FindGauge(name)) {
+        EXPECT_EQ(value, StringPrintf("%.6g", g->value())) << name;
+      } else {
+        ADD_FAILURE() << "span attribute without a metric: " << name;
+      }
+    }
+  }
+
+  std::vector<std::string> names = m.CounterNames();
+  for (const std::string& name : m.GaugeNames()) names.push_back(name);
+  const std::string prefix = "pipeline.";
+  for (const std::string& name : names) {
+    if (name.rfind(prefix, 0) != 0) continue;
+    if (name.rfind("pipeline.worker_pool.", 0) == 0) continue;
+    const size_t dot = name.find('.', prefix.size());
+    ASSERT_NE(dot, std::string::npos) << name;
+    auto stage = stage_attributes.find(name.substr(0, dot));
+    ASSERT_NE(stage, stage_attributes.end()) << name;
+    const std::string fact = name.substr(dot + 1);
+    EXPECT_TRUE(std::any_of(stage->second.begin(), stage->second.end(),
+                            [&](const auto& a) { return a.first == fact; }))
+        << "metric missing from its stage span: " << name;
+  }
+}
+
+// Stage 7's threshold rule on hand-made pairs. No two scores tie, because
+// the sort is not stable.
+TEST(AssociationThresholdTest, LowestScoreAtTargetPrecisionUnderDeployPrior) {
+  constexpr double kFloor = 0.6;
+  auto score = [](int rank) { return 0.99 - 0.01 * rank; };
+  // 39 pairs ranked by score: 0-17 positive, 18-21 negative, 22-25
+  // positive, 26-38 negative. 22 of 39 are positive.
+  std::vector<std::pair<double, int>> pairs;
+  for (int rank = 0; rank < 39; ++rank) {
+    pairs.emplace_back(score(rank), rank < 18 || (rank >= 22 && rank < 26));
+  }
+  // Prior 0.5 weighs each positive 17/22. The running precision dips below
+  // 0.8 at ranks 21-23 and is back at 0.81 at rank 25, the lowest score at
+  // which it reaches 0.8.
+  EXPECT_DOUBLE_EQ(CalibrateAssociationThreshold(pairs, 0.5), score(25));
+  // A lower prior weighs positives less: only rank 19 (0.82) reaches 0.8,
+  // so the threshold moves up.
+  EXPECT_DOUBLE_EQ(CalibrateAssociationThreshold(pairs, 0.4), score(19));
+  // Prior 0.05: the target is never reached.
+  EXPECT_EQ(CalibrateAssociationThreshold(pairs, 0.05), kFloor);
+  // The same ranking 0.3 lower clamps to the floor.
+  std::vector<std::pair<double, int>> lowered = pairs;
+  for (auto& pair : lowered) pair.first -= 0.3;
+  EXPECT_EQ(CalibrateAssociationThreshold(lowered, 0.5), kFloor);
+  EXPECT_EQ(CalibrateAssociationThreshold({}, 0.1), kFloor);
+
+  // Fewer than 20 pairs never set the threshold: here the running
+  // precision is at least 0.9 throughout.
+  std::vector<std::pair<double, int>> few;
+  for (int rank = 0; rank < 19; ++rank) {
+    few.emplace_back(score(rank), rank < 16);
+  }
+  EXPECT_EQ(CalibrateAssociationThreshold(few, 0.9), kFloor);
+  few.emplace_back(0.70, 1);  // the 20th pair, at precision 0.9
+  EXPECT_DOUBLE_EQ(CalibrateAssociationThreshold(few, 0.9), 0.70);
 }
 
 }  // namespace

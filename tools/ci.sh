@@ -106,11 +106,15 @@ cmake --build --preset tsan -j "${JOBS}"
 # The threaded surface: the thread pool (incl. the race stress suite), the
 # observability registry/tracer stress suite, the profiling-tier stress
 # suite (sample ring, instrumented mutex, flight recorder), the per-thread
-# graph arenas, the trainers that fan out over the pool, and the serving
-# apps shared by concurrent clients. Running the full suite under TSan works too but takes far
-# longer for no extra thread coverage.
+# graph arenas, the trainers that fan out over the pool, the serving apps
+# shared by concurrent clients, and one full AliCoCoBuilder::Build
+# (PipelineTest.AllStagesProduceStructure runs the shared Build): its
+# trainers on the build's pool, stage-7 scoring whose workers read the net
+# and record into the matcher's latency histogram, and the pool metrics.
+# Running the full suite under TSan works too but takes far longer for no
+# extra thread coverage.
 TSAN_OPTIONS="halt_on_error=1" \
-  ctest --preset tsan -R 'ThreadPool|ObsRace|ProfRace|LockStats|LockContentionMetrics|GraphArena|Training|Skipgram|Classifier|Matching|Tagger|Projection|AppsRace' \
+  ctest --preset tsan -R 'ThreadPool|ObsRace|ProfRace|LockStats|LockContentionMetrics|GraphArena|Training|Skipgram|Classifier|Matching|Tagger|Projection|AppsRace|PipelineTest\.AllStagesProduceStructure' \
     --output-junit "${JUNIT}/tsan.xml"
 
 step "all green"
