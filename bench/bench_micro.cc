@@ -405,6 +405,34 @@ std::vector<std::pair<std::string, double>> RunKernelSuite() {
     });
   }
 
+  // The dispatched tanh over 1,024 values in [-4, 4], and the additive
+  // attention of Eq. 11 forward-only at the stage-7 scorer's mean shape
+  // (3 concept tokens x 6 title tokens, width 24), which runs it on m*l*d
+  // values per call.
+  {
+    nn::Tensor x(1, 1024), y(1, 1024);
+    for (size_t i = 0; i < x.size(); ++i) {
+      x.data()[i] = -4.0f + 8.0f * static_cast<float>(i) / 1023.0f;
+    }
+    add("tanh_1k", [&] {
+      nn::kernels::Tanh(x.size(), x.data(), y.data());
+      benchmark::DoNotOptimize(y.data());
+    });
+    Rng att_rng(52);
+    nn::ParameterStore store;
+    nn::Parameter* a = store.Create(
+        "a", 3, 24, nn::ParameterStore::Init::kGaussian, &att_rng, 0.5f);
+    nn::Parameter* b = store.Create(
+        "b", 6, 24, nn::ParameterStore::Init::kGaussian, &att_rng, 0.5f);
+    nn::Parameter* v = store.Create(
+        "v", 24, 1, nn::ParameterStore::Init::kGaussian, &att_rng, 0.5f);
+    add("additive_attention_fwd_3x6x24", [&] {
+      nn::Graph g(nn::Graph::kForwardOnly);
+      nn::Graph::Var att = g.AdditiveAttention(g.Use(a), g.Use(b), g.Use(v));
+      benchmark::DoNotOptimize(g.Value(att).data());
+    });
+  }
+
   // One knowledge-matcher pyramid layer (matching/knowledge_matcher.cc):
   // the 8 x 6 match matrix of an 8-row knowledge sequence against a 6-word
   // title, then its best-alignment stats and 3 x 3 grid pool. Forward-only

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
 
@@ -194,7 +196,8 @@ void AddBiasTanh(int rows, int cols, const float* x,
   for (int i = 0; i < rows; ++i) {
     const float* xr = x + static_cast<long>(i) * cols;
     float* or_ = out + static_cast<long>(i) * cols;
-    for (int j = 0; j < cols; ++j) or_[j] = std::tanh(xr[j] + bias[j]);
+    for (int j = 0; j < cols; ++j) or_[j] = xr[j] + bias[j];
+    Tanh(static_cast<size_t>(cols), or_, or_);
   }
 }
 
@@ -228,6 +231,139 @@ __attribute__((optimize("fp-contract=off"))) void AdamUpdate(
   }
 }
 
+// ---- tanh ----------------------------------------------------------------
+//
+// A port of fdlibm's tanhf and expm1f (s_tanhf.c, s_expm1f.c), the
+// functions glibc ships. Float operations only, in fdlibm's order, with
+// contraction off: the AVX2 tier repeats these operations lane by lane.
+//
+// Conversion to float by Ian Lance Taylor, Cygnus Support, ian@cygnus.com.
+//
+// ====================================================
+// Copyright (C) 1993 by Sun Microsystems, Inc. All rights reserved.
+//
+// Developed at SunPro, a Sun Microsystems, Inc. business.
+// Permission to use, copy, modify, and distribute this
+// software is freely granted, provided that this notice
+// is preserved.
+// ====================================================
+
+namespace {
+
+constexpr float kLn2Hi = 6.9313812256e-01f;   // 0x3f317180
+constexpr float kLn2Lo = 9.0580006145e-06f;   // 0x3717f7d1
+constexpr float kInvLn2 = 1.4426950216e+00f;  // 0x3fb8aa3b
+// Scaled coefficients of expm1's rational approximation.
+constexpr float kQ1 = -3.3333335072e-02f;  // 0xbd088889
+constexpr float kQ2 = 1.5873016091e-03f;   // 0x3ad00d01
+constexpr float kQ3 = -7.9365076090e-05f;  // 0xb8a670cd
+constexpr float kQ4 = 4.0082177293e-06f;   // 0x36867e54
+constexpr float kQ5 = -2.0109921195e-07f;  // 0xb457edbb
+static_assert(std::bit_cast<uint32_t>(kLn2Hi) == 0x3f317180u &&
+              std::bit_cast<uint32_t>(kLn2Lo) == 0x3717f7d1u &&
+              std::bit_cast<uint32_t>(kInvLn2) == 0x3fb8aa3bu &&
+              std::bit_cast<uint32_t>(kQ1) == 0xbd088889u &&
+              std::bit_cast<uint32_t>(kQ2) == 0x3ad00d01u &&
+              std::bit_cast<uint32_t>(kQ3) == 0xb8a670cdu &&
+              std::bit_cast<uint32_t>(kQ4) == 0x36867e54u &&
+              std::bit_cast<uint32_t>(kQ5) == 0xb457edbbu);
+
+// y * 2^k, by adding k to y's exponent field.
+inline float AddToExponent(float y, int32_t k) {
+  return std::bit_cast<float>(std::bit_cast<uint32_t>(y) +
+                              (static_cast<uint32_t>(k) << 23));
+}
+
+// expm1f for the arguments tanhf passes, which lie in (-2, 44): there
+// fdlibm's filter for NaN, infinities, overflow and x < -27 ln2 never
+// fires, so it is left out.
+__attribute__((optimize("fp-contract=off"))) float Expm1f(float x) {
+  const uint32_t bits = std::bit_cast<uint32_t>(x);
+  const bool negative = (bits >> 31) != 0;
+  const uint32_t hx = bits & 0x7fffffffu;
+  int32_t k = 0;
+  float c = 0.0f;
+  if (hx > 0x3eb17218u) {  // |x| > 0.5 ln2: reduce x to x - k ln2
+    float hi = 0.0f, lo = 0.0f;
+    if (hx < 0x3f851592u) {  // and |x| < 1.5 ln2
+      if (!negative) {
+        hi = x - kLn2Hi;
+        lo = kLn2Lo;
+        k = 1;
+      } else {
+        hi = x + kLn2Hi;
+        lo = -kLn2Lo;
+        k = -1;
+      }
+    } else {
+      k = static_cast<int32_t>(kInvLn2 * x + (negative ? -0.5f : 0.5f));
+      const float t = static_cast<float>(k);
+      hi = x - t * kLn2Hi;  // t * ln2_hi is exact here
+      lo = t * kLn2Lo;
+    }
+    x = hi - lo;
+    c = (hi - x) - lo;
+  } else if (hx < 0x33000000u) {  // |x| < 2^-25: expm1(x) rounds to x
+    return x;
+  }
+  // x is now in the primary range.
+  const float hfx = 0.5f * x;
+  const float hxs = x * hfx;
+  const float r1 =
+      1.0f + hxs * (kQ1 + hxs * (kQ2 + hxs * (kQ3 + hxs * (kQ4 + hxs * kQ5))));
+  const float t = 3.0f - r1 * hfx;
+  float e = hxs * ((r1 - t) / (6.0f - x * t));
+  if (k == 0) return x - (x * e - hxs);  // c is 0
+  e = (x * (e - c) - c);
+  e -= hxs;
+  if (k == -1) return 0.5f * (x - e) - 0.5f;
+  if (k == 1) {
+    if (x < -0.25f) return -2.0f * (e - (x + 0.5f));
+    return 1.0f + 2.0f * (x - e);
+  }
+  if (k <= -2 || k > 56) {  // exp(x) - 1 suffices
+    return AddToExponent(1.0f - (e - x), k) - 1.0f;
+  }
+  if (k < 23) {
+    const float one_minus = std::bit_cast<float>(
+        0x3f800000u - (0x1000000u >> k));  // 1 - 2^-k
+    return AddToExponent(one_minus - (e - x), k);
+  }
+  const float two_to_minus_k =
+      std::bit_cast<float>(static_cast<uint32_t>(0x7f - k) << 23);
+  return AddToExponent((x - (e + two_to_minus_k)) + 1.0f, k);
+}
+
+__attribute__((optimize("fp-contract=off"))) float TanhOne(float x) {
+  const uint32_t bits = std::bit_cast<uint32_t>(x);
+  const bool negative = (bits >> 31) != 0;
+  const uint32_t ix = bits & 0x7fffffffu;
+  if (ix >= 0x7f800000u) {  // tanh(+-inf) = +-1, tanh(NaN) = NaN
+    return negative ? 1.0f / x - 1.0f : 1.0f / x + 1.0f;
+  }
+  float z = 1.0f - 1.0e-30f;  // |x| >= 22: +-1, inexact
+  if (ix < 0x41b00000u) {      // |x| < 22
+    if (ix == 0) return x;     // +-0
+    if (ix < 0x24000000u) return x * (1.0f + x);  // |x| < 2^-55
+    if (ix >= 0x3f800000u) {                      // |x| >= 1
+      const float t = Expm1f(2.0f * std::fabs(x));
+      z = 1.0f - 2.0f / (t + 2.0f);
+    } else {
+      const float t = Expm1f(-2.0f * std::fabs(x));
+      z = -t / (t + 2.0f);
+    }
+  }
+  return negative ? -z : z;
+}
+
+}  // namespace
+
+__attribute__((optimize("fp-contract=off"))) void Tanh(size_t n,
+                                                      const float* x,
+                                                      float* y) {
+  for (size_t i = 0; i < n; ++i) y[i] = TanhOne(x[i]);
+}
+
 }  // namespace scalar
 
 // ---- dispatch ------------------------------------------------------------
@@ -244,6 +380,7 @@ constexpr KernelDispatch kScalarTable = {
     scalar::AddBiasRelu,
     scalar::AddInto,
     scalar::AdamUpdate,
+    scalar::Tanh,
 };
 
 // The CPUID-selected default, resolved once. ALICOCO_SIMD=scalar pins the
@@ -314,6 +451,10 @@ void AddInto(size_t n, const float* x, float* y) {
 void AdamUpdate(size_t n, const float* g, float* m, float* v, float* w,
                 const AdamCoeffs& c) {
   ActiveKernels().adam_update(n, g, m, v, w, c);
+}
+
+void Tanh(size_t n, const float* x, float* y) {
+  ActiveKernels().tanh(n, x, y);
 }
 
 // ---- naive reference -----------------------------------------------------

@@ -28,11 +28,16 @@
 // C rows are loaded and stored once per panel instead of once per k step,
 // which is what the pre-retune kernel got wrong (~1.1x over naive).
 //
-// Elementwise kernels: `AddInto` (the gradient reduction) and `AdamUpdate`
-// (the optimizer step) sweep every weight once per minibatch. Unlike the
-// GEMMs, every tier must equal the plain scalar loop bit for bit, so the
-// AVX2 versions issue the same IEEE operations in the same order and are
+// Bit-exact elementwise kernels: `AddInto` (the gradient reduction),
+// `AdamUpdate` (the optimizer step) and `Tanh` (every tanh of the graph
+// ops: `Graph::Tanh`, `AdditiveAttention`, `LstmStep`). Unlike the GEMMs,
+// every tier must equal the plain scalar loop bit for bit, so the AVX2
+// versions issue the same IEEE operations in the same order and are
 // compiled without multiply-add contraction (see kernels_avx2.cc).
+// `scalar::Tanh` is a port of fdlibm's tanhf and expm1f (Sun Microsystems,
+// 1993, as glibc ships them), so both tiers compute one function whatever
+// the host's libm; the AVX2 tier runs it in eight lanes, each branch a
+// blend.
 
 #ifndef ALICOCO_NN_KERNELS_H_
 #define ALICOCO_NN_KERNELS_H_
@@ -70,6 +75,10 @@ void AddBiasRelu(int rows, int cols, const float* x, const float* bias,
 /// y[i] += x[i] for i < n.
 void AddInto(size_t n, const float* x, float* y);
 
+/// y[i] = tanh(x[i]) for i < n, as fdlibm's tanhf computes it. `y` may
+/// alias `x`.
+void Tanh(size_t n, const float* x, float* y);
+
 /// One Adam step over n weights, per element in this order:
 ///   m = beta1 * m + (1 - beta1) * g
 ///   v = beta2 * v + (1 - beta2) * g * g
@@ -92,6 +101,7 @@ struct KernelDispatch {
   void (*add_into)(size_t, const float*, float*);
   void (*adam_update)(size_t, const float*, float*, float*, float*,
                       const AdamCoeffs&);
+  void (*tanh)(size_t, const float*, float*);
 };
 
 /// The active table: CPUID-selected at first use; `ALICOCO_SIMD=scalar`
@@ -128,6 +138,7 @@ void AddBiasRelu(int rows, int cols, const float* x, const float* bias,
 void AddInto(size_t n, const float* x, float* y);
 void AdamUpdate(size_t n, const float* g, float* m, float* v, float* w,
                 const AdamCoeffs& c);
+void Tanh(size_t n, const float* x, float* y);
 
 }  // namespace scalar
 

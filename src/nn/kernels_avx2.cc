@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 
 namespace alicoco::nn::kernels::avx2 {
 namespace {
@@ -204,7 +205,8 @@ void GemmTransAAccum(int m, int k, int n, const float* a, const float* b,
 // Vectorized tanh via the rational polynomial from Eigen/Cephes
 // (numerator degree 13 odd / denominator degree 6 even), accurate to a
 // few ULP across the clamped range — the fused-op tests compare against
-// std::tanh at 1e-6.
+// std::tanh at 1e-6. Only AddBiasTanh's 8-wide blocks use it; every other
+// tanh runs Tanh below, which equals the scalar tier bit for bit.
 inline __m256 TanhPs(__m256 x) {
   const __m256 kClamp = _mm256_set1_ps(7.90531110763549805f);
   x = _mm256_max_ps(_mm256_min_ps(x, kClamp),
@@ -253,7 +255,8 @@ void AddBiasTanh(int rows, int cols, const float* x, const float* bias,
                        TanhPs(_mm256_add_ps(_mm256_loadu_ps(xr + j),
                                             _mm256_loadu_ps(bias + j))));
     }
-    for (; j < cols; ++j) or_[j] = std::tanh(xr[j] + bias[j]);
+    for (int c = j; c < cols; ++c) or_[c] = xr[c] + bias[c];
+    scalar::Tanh(static_cast<size_t>(cols - j), or_ + j, or_ + j);
   }
 }
 
@@ -330,6 +333,152 @@ __attribute__((optimize("fp-contract=off"))) void AdamUpdate(
   }
 }
 
+// ---- tanh: fdlibm's tanhf in eight lanes -------------------------------
+//
+// Every lane issues scalar::Tanh's IEEE operations (the port of fdlibm's
+// tanhf and expm1f in kernels.cc) in their order, so it equals the scalar
+// tier bit for bit. Each branch of the scalar code becomes a blend: every
+// lane computes each branch's value and keeps the one its input selects.
+// Blends, sign flips and exponent-field adds are exact. fp-contract=off
+// stops -mfma from fusing steps such as invln2*x + 0.5 or x - k*ln2_hi,
+// which fdlibm rounds twice.
+
+inline __m256 Bits(uint32_t bits) {
+  return _mm256_castsi256_ps(_mm256_set1_epi32(static_cast<int>(bits)));
+}
+
+// a in the lanes where mask is set, b elsewhere.
+inline __m256 Select(__m256 mask, __m256 a, __m256 b) {
+  return _mm256_blendv_ps(b, a, mask);
+}
+
+inline __m256 Select(__m256i mask, __m256 a, __m256 b) {
+  return _mm256_blendv_ps(b, a, _mm256_castsi256_ps(mask));
+}
+
+// y * 2^k per lane, by adding k to y's exponent field.
+inline __m256 AddToExponent(__m256 y, __m256i k) {
+  return _mm256_castsi256_ps(
+      _mm256_add_epi32(_mm256_castps_si256(y), _mm256_slli_epi32(k, 23)));
+}
+
+// The scalar tier's Expm1f (kernels.cc) on eight arguments in (-2, 44).
+__attribute__((optimize("fp-contract=off"))) inline __m256 Expm1Lanes(
+    __m256 x) {
+  const __m256 sign_bit = Bits(0x80000000u);
+  const __m256 one = _mm256_set1_ps(1.0f);
+  const __m256 half = _mm256_set1_ps(0.5f);
+  const __m256 sign = _mm256_and_ps(x, sign_bit);
+  const __m256 ax = _mm256_andnot_ps(sign_bit, x);
+
+  // x = hi - lo + k ln2. k is 0 for |x| <= 0.5 ln2, +-1 below 1.5 ln2 and
+  // (int)(invln2*x +- 0.5) above. One form serves all three: with k = +-1
+  // it issues fdlibm's x -+ ln2_hi and lo = +-ln2_lo, and with k = 0 it
+  // leaves x as it is and c = 0.
+  const __m256 k_round = _mm256_cvtepi32_ps(_mm256_cvttps_epi32(
+      _mm256_add_ps(_mm256_mul_ps(Bits(0x3fb8aa3bu), x),  // invln2
+                    _mm256_or_ps(half, sign))));
+  __m256 kf = Select(_mm256_cmp_ps(ax, Bits(0x3f851592u), _CMP_LT_OQ),
+                     _mm256_or_ps(one, sign), k_round);
+  kf = Select(_mm256_cmp_ps(ax, Bits(0x3eb17218u), _CMP_GT_OQ), kf,
+              _mm256_setzero_ps());
+  const __m256i k = _mm256_cvttps_epi32(kf);
+  const __m256 hi = _mm256_sub_ps(x, _mm256_mul_ps(kf, Bits(0x3f317180u)));
+  const __m256 lo = _mm256_mul_ps(kf, Bits(0x3717f7d1u));
+  const __m256 r = _mm256_sub_ps(hi, lo);
+  const __m256 c = _mm256_sub_ps(_mm256_sub_ps(hi, r), lo);
+
+  // r is in the primary range.
+  const __m256 hfx = _mm256_mul_ps(half, r);
+  const __m256 hxs = _mm256_mul_ps(r, hfx);
+  __m256 p = _mm256_add_ps(Bits(0x36867e54u),  // Q4 + hxs*Q5
+                           _mm256_mul_ps(hxs, Bits(0xb457edbbu)));
+  p = _mm256_add_ps(Bits(0xb8a670cdu), _mm256_mul_ps(hxs, p));  // Q3
+  p = _mm256_add_ps(Bits(0x3ad00d01u), _mm256_mul_ps(hxs, p));  // Q2
+  p = _mm256_add_ps(Bits(0xbd088889u), _mm256_mul_ps(hxs, p));  // Q1
+  const __m256 r1 = _mm256_add_ps(one, _mm256_mul_ps(hxs, p));
+  const __m256 t =
+      _mm256_sub_ps(_mm256_set1_ps(3.0f), _mm256_mul_ps(r1, hfx));
+  const __m256 e0 = _mm256_mul_ps(
+      hxs, _mm256_div_ps(_mm256_sub_ps(r1, t),
+                         _mm256_sub_ps(_mm256_set1_ps(6.0f),
+                                       _mm256_mul_ps(r, t))));
+  const __m256 y_k0 =
+      _mm256_sub_ps(r, _mm256_sub_ps(_mm256_mul_ps(r, e0), hxs));
+
+  const __m256 e = _mm256_sub_ps(
+      _mm256_sub_ps(_mm256_mul_ps(r, _mm256_sub_ps(e0, c)), c), hxs);
+  const __m256 y_minus1 =
+      _mm256_sub_ps(_mm256_mul_ps(half, _mm256_sub_ps(r, e)), half);
+  const __m256 y_plus1 = Select(
+      _mm256_cmp_ps(r, _mm256_set1_ps(-0.25f), _CMP_LT_OQ),
+      _mm256_mul_ps(_mm256_set1_ps(-2.0f),
+                    _mm256_sub_ps(e, _mm256_add_ps(r, half))),
+      _mm256_add_ps(one,
+                    _mm256_mul_ps(_mm256_set1_ps(2.0f), _mm256_sub_ps(r, e))));
+  const __m256 e_minus_r = _mm256_sub_ps(e, r);
+  // k <= -2 or k > 56
+  const __m256 y_far =
+      _mm256_sub_ps(AddToExponent(_mm256_sub_ps(one, e_minus_r), k), one);
+  // 2 <= k < 23: 1 - 2^-k
+  const __m256 one_minus = _mm256_castsi256_ps(_mm256_sub_epi32(
+      _mm256_set1_epi32(0x3f800000),
+      _mm256_srlv_epi32(_mm256_set1_epi32(0x1000000), k)));
+  const __m256 y_mid = AddToExponent(_mm256_sub_ps(one_minus, e_minus_r), k);
+  // 23 <= k <= 56: 2^-k
+  const __m256 two_to_minus_k = _mm256_castsi256_ps(
+      _mm256_slli_epi32(_mm256_sub_epi32(_mm256_set1_epi32(0x7f), k), 23));
+  const __m256 y_high = AddToExponent(
+      _mm256_add_ps(_mm256_sub_ps(r, _mm256_add_ps(e, two_to_minus_k)), one),
+      k);
+
+  __m256 y = Select(_mm256_cmpgt_epi32(_mm256_set1_epi32(23), k), y_mid,
+                    y_high);
+  y = Select(_mm256_or_si256(_mm256_cmpgt_epi32(k, _mm256_set1_epi32(56)),
+                             _mm256_cmpgt_epi32(_mm256_set1_epi32(-1), k)),
+             y_far, y);
+  y = Select(_mm256_cmpeq_epi32(k, _mm256_set1_epi32(1)), y_plus1, y);
+  y = Select(_mm256_cmpeq_epi32(k, _mm256_set1_epi32(-1)), y_minus1, y);
+  y = Select(_mm256_cmpeq_epi32(k, _mm256_setzero_si256()), y_k0, y);
+  // |x| < 2^-25: expm1(x) rounds to x.
+  return Select(_mm256_cmp_ps(ax, Bits(0x33000000u), _CMP_LT_OQ), x, y);
+}
+
+__attribute__((optimize("fp-contract=off"))) inline __m256 TanhLanes(
+    __m256 x) {
+  const __m256 sign_bit = Bits(0x80000000u);
+  const __m256 one = _mm256_set1_ps(1.0f);
+  const __m256 two = _mm256_set1_ps(2.0f);
+  const __m256 sign = _mm256_and_ps(x, sign_bit);
+  const __m256 ax = _mm256_andnot_ps(sign_bit, x);
+  // |x| >= 1: z = 1 - 2/(t + 2) with t = expm1(2|x|); below it
+  // z = -t/(t + 2) with t = expm1(-2|x|).
+  const __m256 big = _mm256_cmp_ps(ax, one, _CMP_GE_OQ);
+  const __m256 t = Expm1Lanes(
+      _mm256_mul_ps(Select(big, two, _mm256_set1_ps(-2.0f)), ax));
+  const __m256 q = _mm256_div_ps(Select(big, two, _mm256_xor_ps(t, sign_bit)),
+                                 _mm256_add_ps(t, two));
+  __m256 z = Select(big, _mm256_sub_ps(one, q), q);
+  // |x| >= 22, infinities included: +-1.
+  z = Select(_mm256_cmp_ps(ax, _mm256_set1_ps(22.0f), _CMP_GE_OQ), one, z);
+  z = _mm256_xor_ps(z, sign);
+  // |x| < 2^-55, +-0 included: x * (1 + x).
+  z = Select(_mm256_cmp_ps(ax, Bits(0x24000000u), _CMP_LT_OQ),
+             _mm256_mul_ps(x, _mm256_add_ps(one, x)), z);
+  // NaN in, NaN out.
+  return Select(_mm256_cmp_ps(x, x, _CMP_UNORD_Q), _mm256_add_ps(x, x), z);
+}
+
+__attribute__((optimize("fp-contract=off"))) void Tanh(size_t n,
+                                                      const float* x,
+                                                      float* y) {
+  size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    _mm256_storeu_ps(y + i, TanhLanes(_mm256_loadu_ps(x + i)));
+  }
+  scalar::Tanh(n - i, x + i, y + i);
+}
+
 constexpr KernelDispatch kAvx2Table = {
     "avx2",
     GemmAccum,
@@ -340,6 +489,7 @@ constexpr KernelDispatch kAvx2Table = {
     AddBiasRelu,
     AddInto,
     AdamUpdate,
+    Tanh,
 };
 
 }  // namespace

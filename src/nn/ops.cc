@@ -10,6 +10,17 @@
 #include "nn/kernels.h"
 
 namespace alicoco::nn {
+namespace {
+
+// The logistic function, through exp(-z) for z >= 0 and exp(z) below, so
+// neither branch overflows.
+float SigmoidOf(float z) {
+  if (z >= 0.0f) return 1.0f / (1.0f + std::exp(-z));
+  const float e = std::exp(z);
+  return e / (1.0f + e);
+}
+
+}  // namespace
 
 Graph::Var Graph::MatMul(Var a, Var b) {
   const Tensor& av = nodes_[a].value;
@@ -134,11 +145,7 @@ Graph::Var Graph::AddScalar(Var a, float s) {
 
 Graph::Var Graph::Sigmoid(Var a) {
   Tensor v(nodes_[a].value, arena());
-  for (size_t i = 0; i < v.size(); ++i) {
-    float x = v.data()[i];
-    v.data()[i] = x >= 0 ? 1.0f / (1.0f + std::exp(-x))
-                         : std::exp(x) / (1.0f + std::exp(x));
-  }
+  for (size_t i = 0; i < v.size(); ++i) v.data()[i] = SigmoidOf(v.data()[i]);
   Var out = NewNode(std::move(v));
   SetBackward(out, [this, out, a] {
     const Tensor& y = nodes_[out].value;
@@ -154,7 +161,7 @@ Graph::Var Graph::Sigmoid(Var a) {
 
 Graph::Var Graph::Tanh(Var a) {
   Tensor v(nodes_[a].value, arena());
-  for (size_t i = 0; i < v.size(); ++i) v.data()[i] = std::tanh(v.data()[i]);
+  kernels::Tanh(v.size(), v.data(), v.data());
   Var out = NewNode(std::move(v));
   SetBackward(out, [this, out, a] {
     const Tensor& y = nodes_[out].value;
@@ -537,13 +544,16 @@ Graph::Var Graph::AdditiveAttention(Var a, Var b, Var v) {
     const float* ar = at.Row(i);
     for (int j = 0; j < l; ++j) {
       const float* br = bt.Row(j);
-      float acc = 0.0f;
       float* cache = tanh_cache.Row(i * l + j);
-      for (int k = 0; k < d; ++k) {
-        float th = std::tanh(ar[k] + br[k]);
-        cache[k] = th;
-        acc += vt.At(k, 0) * th;
-      }
+      for (int k = 0; k < d; ++k) cache[k] = ar[k] + br[k];
+    }
+  }
+  kernels::Tanh(tanh_cache.size(), tanh_cache.data(), tanh_cache.data());
+  for (int i = 0; i < m; ++i) {
+    for (int j = 0; j < l; ++j) {
+      const float* cache = tanh_cache.Row(i * l + j);
+      float acc = 0.0f;
+      for (int k = 0; k < d; ++k) acc += vt.At(k, 0) * cache[k];
       out_t.At(i, j) = acc;
     }
   }
@@ -697,28 +707,24 @@ Graph::Var Graph::LstmStep(Var x, Var h_prev, Var c_prev, Parameter* wx,
                    acts.data());
   Tensor tanh_c(rows, hidden, arena());
   Tensor v(rows, 2 * hidden, arena());  // [h_new, c_new]
+  const size_t h = static_cast<size_t>(hidden);
   for (int r = 0; r < rows; ++r) {
     float* gate = acts.Row(r);
     const float* cprev = cv.Row(r);
     float* tc = tanh_c.Row(r);
     float* vr = v.Row(r);
-    for (int j = 0; j < gate_cols; ++j) {
-      const float z = gate[j];
-      gate[j] = j < 3 * hidden
-                    ? (z >= 0.0f ? 1.0f / (1.0f + std::exp(-z))
-                                 : std::exp(z) / (1.0f + std::exp(z)))
-                    : std::tanh(z);
-    }
+    const float* i_g = gate;
+    const float* f_g = gate + hidden;
+    const float* o_g = gate + 2 * hidden;
+    float* g_g = gate + 3 * hidden;
+    float* c_new = vr + hidden;
+    for (int j = 0; j < 3 * hidden; ++j) gate[j] = SigmoidOf(gate[j]);
+    kernels::Tanh(h, g_g, g_g);
     for (int j = 0; j < hidden; ++j) {
-      const float i_g = gate[j];
-      const float f_g = gate[hidden + j];
-      const float o_g = gate[2 * hidden + j];
-      const float g_g = gate[3 * hidden + j];
-      const float c_new = f_g * cprev[j] + i_g * g_g;
-      tc[j] = std::tanh(c_new);
-      vr[j] = o_g * tc[j];          // h
-      vr[hidden + j] = c_new;       // c
+      c_new[j] = f_g[j] * cprev[j] + i_g[j] * g_g[j];
     }
+    kernels::Tanh(h, c_new, tc);
+    for (int j = 0; j < hidden; ++j) vr[j] = o_g[j] * tc[j];  // h
   }
   Var out = NewNode(std::move(v));
   SetBackward(out, [this, out, x, h_prev, c_prev, wx, wh, b,
@@ -789,10 +795,7 @@ Graph::Var Graph::SigmoidCrossEntropyWithLogits(Var logits,
     const Tensor& x2 = nodes_[logits].value;
     Tensor& lg = nodes_[logits].grad;
     for (size_t i = 0; i < x2.size(); ++i) {
-      float xi = x2.data()[i];
-      float sig = xi >= 0 ? 1.0f / (1.0f + std::exp(-xi))
-                          : std::exp(xi) / (1.0f + std::exp(xi));
-      lg.data()[i] += g * (sig - tgt.data()[i]);
+      lg.data()[i] += g * (SigmoidOf(x2.data()[i]) - tgt.data()[i]);
     }
   });
   return out;

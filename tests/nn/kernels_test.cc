@@ -9,7 +9,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <utility>
@@ -292,6 +295,228 @@ TEST(KernelsTest, AdamUpdateDoesNotFuseMultiplyAdds) {
     EXPECT_TRUE(SameBits(m_got, m_want)) << name;
     EXPECT_TRUE(SameBits(v_got, v_want)) << name;
     EXPECT_TRUE(SameBits(w_got, w_want)) << name;
+  }
+}
+
+// ---- tanh: one function on every tier ----------------------------------
+
+// Branch edges of fdlibm's tanhf and of the expm1f it calls, as |x| bit
+// patterns: 0 (subnormals above), the smallest normal, 2^-55 (tanhf's
+// x * (1 + x) branch), 2^-26 (expm1f returns its argument below), 0.25 ln2
+// (the last k = 0 input), 0.75 ln2 (the first with k <= -2), 1, ~7.80 (the
+// first with k = 23), ~19.58 (the first with k = 57), 22, FLT_MAX and inf.
+constexpr uint32_t kTanhEdges[] = {
+    0x00000000u, 0x00800000u, 0x24000000u, 0x32800000u,
+    0x3e317218u, 0x3f051592u, 0x3f800000u, 0x40f98872u,
+    0x419ca6b9u, 0x41b00000u, 0x7f7fffffu, 0x7f800000u,
+};
+
+bool SameTanh(float want, float got) {
+  return std::isnan(want) ? std::isnan(got)
+                          : std::bit_cast<uint32_t>(want) ==
+                                std::bit_cast<uint32_t>(got);
+}
+
+// Compares every tier with scalar::Tanh over x, out of place; returns the
+// number of mismatches and reports the first.
+size_t TanhMismatches(const std::vector<float>& x) {
+  std::vector<float> want(x.size()), got(x.size());
+  scalar::Tanh(x.size(), x.data(), want.data());
+  size_t bad = 0;
+  for (const auto& [name, table] : Tiers()) {
+    table->tanh(x.size(), x.data(), got.data());
+    for (size_t i = 0; i < x.size(); ++i) {
+      if (SameTanh(want[i], got[i])) continue;
+      if (bad++ == 0) {
+        ADD_FAILURE() << name << ": tanh(0x" << std::hex
+                      << std::bit_cast<uint32_t>(x[i]) << ") = 0x"
+                      << std::bit_cast<uint32_t>(got[i]) << ", scalar 0x"
+                      << std::bit_cast<uint32_t>(want[i]);
+      }
+    }
+  }
+  return bad;
+}
+
+TEST(KernelsTest, TanhEqualsTheScalarPortOnEveryTier) {
+  // Every 251st bit pattern of all 2^32 (about 17 M inputs), in chunks.
+  constexpr uint64_t kStride = 251;
+  constexpr size_t kChunk = 4096;
+  std::vector<float> x;
+  x.reserve(kChunk);
+  size_t bad = 0;
+  for (uint64_t bits = 0; bits < (uint64_t{1} << 32); bits += kStride) {
+    x.push_back(std::bit_cast<float>(static_cast<uint32_t>(bits)));
+    if (x.size() == kChunk) {
+      bad += TanhMismatches(x);
+      x.clear();
+    }
+  }
+  // Each branch edge and its three float neighbours either side, both signs.
+  for (uint32_t edge : kTanhEdges) {
+    for (uint32_t bits = edge < 3 ? 0 : edge - 3; bits <= edge + 3; ++bits) {
+      x.push_back(std::bit_cast<float>(bits));
+      x.push_back(-std::bit_cast<float>(bits));
+    }
+  }
+  bad += TanhMismatches(x);
+  EXPECT_EQ(bad, 0u);
+
+  // Every size around the 8-lane width, out of place and in place.
+  std::vector<float> in;
+  for (int i = 0; i < 1000; ++i) in.push_back(-12.0f + 0.0241f * i);
+  std::vector<float> want(in.size());
+  scalar::Tanh(in.size(), in.data(), want.data());
+  for (size_t n : kSweepSizes) {
+    const std::vector<float> head(in.begin(), in.begin() + n);
+    const std::vector<float> want_head(want.begin(), want.begin() + n);
+    for (const auto& [name, table] : Tiers()) {
+      std::vector<float> out(n);
+      table->tanh(n, head.data(), out.data());
+      EXPECT_TRUE(SameBits(out, want_head)) << name << " n=" << n;
+      std::vector<float> inplace = head;
+      table->tanh(n, inplace.data(), inplace.data());
+      EXPECT_TRUE(SameBits(inplace, want_head)) << name << " in place n=" << n;
+    }
+  }
+}
+
+// tanhf(x) as bit patterns {x, tanhf(x)}, recorded from glibc 2.36's tanhf
+// on x86-64: the ends and four interior points of every branch, both signs.
+constexpr uint32_t kRecordedTanhf[][2] = {
+    // |x| < 2^-55, +-0 and subnormals included: x * (1 + x)
+    {0x00000000u, 0x00000000u}, {0x80000000u, 0x80000000u},
+    {0x00000001u, 0x00000001u}, {0x80000001u, 0x80000001u},
+    {0x23fffffeu, 0x23fffffeu}, {0xa3fffffeu, 0xa3fffffeu},
+    {0x23ffffffu, 0x23ffffffu}, {0xa3ffffffu, 0xa3ffffffu},
+    {0x07333333u, 0x07333333u}, {0x87333333u, 0x87333333u},
+    {0x0e666666u, 0x0e666666u}, {0x8e666666u, 0x8e666666u},
+    {0x15999999u, 0x15999999u}, {0x95999999u, 0x95999999u},
+    {0x1cccccccu, 0x1cccccccu}, {0x9cccccccu, 0x9cccccccu},
+    // 2^-55 <= |x| < 2^-26: expm1f returns its argument
+    {0x24000000u, 0x24000000u}, {0xa4000000u, 0xa4000000u},
+    {0x24000001u, 0x24000001u}, {0xa4000001u, 0xa4000001u},
+    {0x327ffffeu, 0x327ffffeu}, {0xb27ffffeu, 0xb27ffffeu},
+    {0x327fffffu, 0x327fffffu}, {0xb27fffffu, 0xb27fffffu},
+    {0x26e66666u, 0x26e66666u}, {0xa6e66666u, 0xa6e66666u},
+    {0x29ccccccu, 0x29ccccccu}, {0xa9ccccccu, 0xa9ccccccu},
+    {0x2cb33332u, 0x2cb33332u}, {0xacb33332u, 0xacb33332u},
+    {0x2f999998u, 0x2f999998u}, {0xaf999998u, 0xaf999998u},
+    // k = 0
+    {0x32800000u, 0x32800000u}, {0xb2800000u, 0xb2800000u},
+    {0x32800001u, 0x32800001u}, {0xb2800001u, 0xb2800001u},
+    {0x3e317217u, 0x3e2fb0ccu}, {0xbe317217u, 0xbe2fb0ccu},
+    {0x3e317218u, 0x3e2fb0cdu}, {0xbe317218u, 0xbe2fb0cdu},
+    {0x34d6b06bu, 0x34d6b06bu}, {0xb4d6b06bu, 0xb4d6b06bu},
+    {0x372d60d6u, 0x372d60d6u}, {0xb72d60d6u, 0xb72d60d6u},
+    {0x39841141u, 0x39841141u}, {0xb9841141u, 0xb9841141u},
+    {0x3bdac1acu, 0x3bdac0d7u}, {0xbbdac1acu, 0xbbdac0d7u},
+    // k = -1
+    {0x3e317219u, 0x3e2fb0cdu}, {0xbe317219u, 0xbe2fb0cdu},
+    {0x3e31721au, 0x3e2fb0cfu}, {0xbe31721au, 0xbe2fb0cfu},
+    {0x3f051590u, 0x3ef486f5u}, {0xbf051590u, 0xbef486f5u},
+    {0x3f051591u, 0x3ef486f8u}, {0xbf051591u, 0xbef486f8u},
+    {0x3e5bc5fdu, 0x3e5875c1u}, {0xbe5bc5fdu, 0xbe5875c1u},
+    {0x3e8619e2u, 0x3e831dd5u}, {0xbe8619e2u, 0xbe831dd5u},
+    {0x3eb06dc7u, 0x3ea9c31eu}, {0xbeb06dc7u, 0xbea9c31eu},
+    {0x3edac1acu, 0x3ece59aeu}, {0xbedac1acu, 0xbece59aeu},
+    // k <= -2
+    {0x3f051592u, 0x3ef486f8u}, {0xbf051592u, 0xbef486f8u},
+    {0x3f051593u, 0x3ef486fbu}, {0xbf051593u, 0xbef486fbu},
+    {0x3f7ffffeu, 0x3f42f7d5u}, {0xbf7ffffeu, 0xbf42f7d5u},
+    {0x3f7fffffu, 0x3f42f7d5u}, {0xbf7fffffu, 0xbf42f7d5u},
+    {0x3f1daadbu, 0x3f0c5aafu}, {0xbf1daadbu, 0xbf0c5aafu},
+    {0x3f364024u, 0x3f1ca3fau}, {0xbf364024u, 0xbf1ca3fau},
+    {0x3f4ed56du, 0x3f2b1fd8u}, {0xbf4ed56du, 0xbf2b1fd8u},
+    {0x3f676ab6u, 0x3f37ddafu}, {0xbf676ab6u, 0xbf37ddafu},
+    // 2 <= k < 23
+    {0x3f800000u, 0x3f42f7d6u}, {0xbf800000u, 0xbf42f7d6u},
+    {0x3f800001u, 0x3f42f7d6u}, {0xbf800001u, 0xbf42f7d6u},
+    {0x40f98870u, 0x3f7ffffau}, {0xc0f98870u, 0xbf7ffffau},
+    {0x40f98871u, 0x3f7ffffau}, {0xc0f98871u, 0xbf7ffffau},
+    {0x3fcb81b0u, 0x3f6b8ddbu}, {0xbfcb81b0u, 0xbf6b8ddbu},
+    {0x40170360u, 0x3f7b78d5u}, {0xc0170360u, 0xbf7b78d5u},
+    {0x40628510u, 0x3f7f919fu}, {0xc0628510u, 0xbf7f919fu},
+    {0x40ae06c0u, 0x3f7ffd86u}, {0xc0ae06c0u, 0xbf7ffd86u},
+    // 23 <= k <= 56
+    {0x40f98872u, 0x3f7ffffau}, {0xc0f98872u, 0xbf7ffffau},
+    {0x40f98873u, 0x3f7ffffau}, {0xc0f98873u, 0xbf7ffffau},
+    {0x419ca6b7u, 0x3f800000u}, {0xc19ca6b7u, 0xbf800000u},
+    {0x419ca6b8u, 0x3f800000u}, {0xc19ca6b8u, 0xbf800000u},
+    {0x411a2819u, 0x3f800000u}, {0xc11a2819u, 0xbf800000u},
+    {0x413ac7c1u, 0x3f800000u}, {0xc13ac7c1u, 0xbf800000u},
+    {0x415b6768u, 0x3f800000u}, {0xc15b6768u, 0xbf800000u},
+    {0x417c0710u, 0x3f800000u}, {0xc17c0710u, 0xbf800000u},
+    // k > 56
+    {0x419ca6b9u, 0x3f800000u}, {0xc19ca6b9u, 0xbf800000u},
+    {0x419ca6bau, 0x3f800000u}, {0xc19ca6bau, 0xbf800000u},
+    {0x41affffeu, 0x3f800000u}, {0xc1affffeu, 0xbf800000u},
+    {0x41afffffu, 0x3f800000u}, {0xc1afffffu, 0xbf800000u},
+    {0x41a08560u, 0x3f800000u}, {0xc1a08560u, 0xbf800000u},
+    {0x41a46408u, 0x3f800000u}, {0xc1a46408u, 0xbf800000u},
+    {0x41a842afu, 0x3f800000u}, {0xc1a842afu, 0xbf800000u},
+    {0x41ac2157u, 0x3f800000u}, {0xc1ac2157u, 0xbf800000u},
+    // |x| >= 22: +-1
+    {0x41b00000u, 0x3f800000u}, {0xc1b00000u, 0xbf800000u},
+    {0x41b00001u, 0x3f800000u}, {0xc1b00001u, 0xbf800000u},
+    {0x7f7ffffeu, 0x3f800000u}, {0xff7ffffeu, 0xbf800000u},
+    {0x7f7fffffu, 0x3f800000u}, {0xff7fffffu, 0xbf800000u},
+    {0x4e0cccccu, 0x3f800000u}, {0xce0cccccu, 0xbf800000u},
+    {0x5a699999u, 0x3f800000u}, {0xda699999u, 0xbf800000u},
+    {0x66c66665u, 0x3f800000u}, {0xe6c66665u, 0xbf800000u},
+    {0x73233332u, 0x3f800000u}, {0xf3233332u, 0xbf800000u},
+    // infinities and NaNs
+    {0x7f800000u, 0x3f800000u}, {0xff800000u, 0xbf800000u},
+    {0x7fc00000u, 0x7fc00000u}, {0xffc00000u, 0xffc00000u},
+    {0x7f800001u, 0x7fc00001u}, {0xff800001u, 0xffc00001u},
+    {0x7fa00000u, 0x7fe00000u}, {0x7fffffffu, 0x7fffffffu},
+    {0xffffffffu, 0xffffffffu}, {0x7fc12345u, 0x7fc12345u},
+    {0xffa54321u, 0xffe54321u}, {0x7f900000u, 0x7fd00000u},
+};
+
+TEST(KernelsTest, TanhMatchesRecordedLibmValues) {
+  std::vector<float> x, want;
+  for (const auto& pair : kRecordedTanhf) {
+    x.push_back(std::bit_cast<float>(pair[0]));
+    want.push_back(std::bit_cast<float>(pair[1]));
+  }
+  std::vector<std::pair<const char*, void (*)(size_t, const float*, float*)>>
+      tanhs = {{"scalar", scalar::Tanh}};
+  for (const auto& [name, table] : Tiers()) {
+    tanhs.emplace_back(name, table->tanh);
+  }
+  for (const auto& [name, tanh] : tanhs) {
+    std::vector<float> got(x.size());
+    tanh(x.size(), x.data(), got.data());
+    for (size_t i = 0; i < x.size(); ++i) {
+      EXPECT_TRUE(SameTanh(want[i], got[i]))
+          << name << ": tanh(0x" << std::hex << std::bit_cast<uint32_t>(x[i])
+          << ") = 0x" << std::bit_cast<uint32_t>(got[i]) << ", libm 0x"
+          << std::bit_cast<uint32_t>(want[i]);
+    }
+  }
+}
+
+TEST(KernelsTest, AddBiasTanhTailsRunTheScalarPort) {
+  // The scalar AddBiasTanh and the columns past the last full 8-lane block
+  // of the AVX2 one equal scalar::Tanh(x + bias) bit for bit.
+  Rng rng(107);
+  const int rows = 3, cols = 13;
+  auto x = RandomVec(static_cast<size_t>(rows) * cols, &rng);
+  for (float& v : x) v *= 4.0f;
+  auto bias = RandomVec(cols, &rng);
+  std::vector<float> want(x.size());
+  for (size_t i = 0; i < x.size(); ++i) want[i] = x[i] + bias[i % cols];
+  scalar::Tanh(want.size(), want.data(), want.data());
+  std::vector<float> got(x.size());
+  scalar::AddBiasTanh(rows, cols, x.data(), bias.data(), got.data());
+  EXPECT_TRUE(SameBits(got, want));
+  if (const KernelDispatch* simd = avx2::Table()) {
+    simd->add_bias_tanh(rows, cols, x.data(), bias.data(), got.data());
+    for (size_t i = 0; i < x.size(); ++i) {
+      if (static_cast<int>(i % cols) < 8) continue;
+      EXPECT_TRUE(SameTanh(want[i], got[i])) << "avx2 tail index " << i;
+    }
   }
 }
 

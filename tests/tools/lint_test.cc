@@ -207,6 +207,34 @@ TEST(BannedRandRuleTest, IgnoresMethodsAndMentions) {
                   .empty());
 }
 
+TEST(LibmTanhRuleTest, FlagsLibmTanhCalls) {
+  auto hits = RuleHits("src/nn/x.cc",
+                       "y = std::tanh(x);\n"
+                       "y = tanhf(x);\n"
+                       "y = ::tanh(x);\n",
+                       "libm-tanh");
+  ASSERT_EQ(hits.size(), 3u);
+  EXPECT_EQ(hits[0].line, 1);
+  EXPECT_EQ(hits[1].line, 2);
+  EXPECT_EQ(hits[2].line, 3);
+}
+
+TEST(LibmTanhRuleTest, IgnoresMethodsAndMentions) {
+  EXPECT_TRUE(RuleHits("src/nn/x.cc",
+                       "Var h = g->Tanh(x);\n"
+                       "kernels::Tanh(n, x, y);\n"
+                       "ActiveKernels().tanh(n, x, y);\n"
+                       "void (*tanh)(size_t, const float*, float*);\n"
+                       "float tanh_c = 0.0f;  // std::tanh(c) in a comment\n"
+                       "const char* s = \"tanhf(x)\";\n",
+                       "libm-tanh")
+                  .empty());
+  // Tests and tools may compare against libm.
+  EXPECT_TRUE(
+      RuleHits("tests/nn/x.cc", "EXPECT_EQ(y, std::tanh(x));", "libm-tanh")
+          .empty());
+}
+
 TEST(BareFopenRuleTest, FlagsUnwrappedFopen) {
   auto hits =
       RuleHits("src/kg/x.cc", "FILE* f = fopen(\"a\", \"r\");", "bare-fopen");
@@ -450,7 +478,7 @@ TEST(RuleRegistryTest, IdsAreUniqueKebabCaseAndDocumented) {
   auto sorted = ids;
   std::sort(sorted.begin(), sorted.end());
   EXPECT_EQ(std::unique(sorted.begin(), sorted.end()), sorted.end());
-  EXPECT_EQ(ids.size(), 11u);
+  EXPECT_EQ(ids.size(), 12u);
 }
 
 /// Every fixture under tests/tools/fixtures/ declares its repo-logical

@@ -649,6 +649,39 @@ class DirectStderrLogRule : public Rule {
   }
 };
 
+// ---- libm-tanh ----------------------------------------------------------
+
+class LibmTanhRule : public Rule {
+ public:
+  std::string_view id() const override { return "libm-tanh"; }
+  std::string_view rationale() const override {
+    return "every tanh in library code goes through nn::kernels::Tanh, "
+           "which computes fdlibm's tanhf in both kernel tiers; a libm call "
+           "is several times slower per value and makes the built net "
+           "depend on the host's libm";
+  }
+  std::string_view example_bad() const override {
+    return "for (int k = 0; k < d; ++k) h[k] = std::tanh(z[k]);";
+  }
+  std::string_view example_good() const override {
+    return "nn::kernels::Tanh(d, z, h);  // one call, eight lanes a step";
+  }
+  void Check(const FileContext& file,
+             std::vector<Finding>* out) const override {
+    if (!StartsWith(file.path, "src/")) return;
+    auto code = CodeTokens(file);
+    for (size_t i = 0; i < code.size(); ++i) {
+      const Token* t = code[i];
+      if (!IsIdent(t, "tanh") && !IsIdent(t, "tanhf")) continue;
+      if (!IsPunct(At(code, i + 1), "(")) continue;
+      const Token* prev = Prev(code, i);
+      if (IsPunct(prev, ".") || IsPunct(prev, "->")) continue;
+      Report(file, *t, id(),
+             "'" + t->text + "()' calls libm (use nn::kernels::Tanh)", out);
+    }
+  }
+};
+
 }  // namespace
 
 const std::vector<std::unique_ptr<Rule>>& RuleRegistry() {
@@ -665,6 +698,7 @@ const std::vector<std::unique_ptr<Rule>>& RuleRegistry() {
     rules.push_back(std::make_unique<LockDisciplineRule>());
     rules.push_back(std::make_unique<MutexNameLiteralRule>());
     rules.push_back(std::make_unique<DirectStderrLogRule>());
+    rules.push_back(std::make_unique<LibmTanhRule>());
     return rules;
   }();
   return kRules;
