@@ -23,10 +23,13 @@
 // Clean timing comes from perfbench (BENCHMARK.json). Nothing here gates.
 //
 // Usage: obs_report [--outdir DIR]
+// DIR is created with its parents if it does not exist; when that fails,
+// obs_report exits 2 before running anything.
 
 #include <time.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <string>
@@ -169,6 +172,13 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "usage: obs_report [--outdir DIR]\n");
       return 2;
     }
+  }
+  std::error_code dir_error;
+  std::filesystem::create_directories(outdir, dir_error);
+  if (dir_error) {
+    std::fprintf(stderr, "obs_report: cannot create --outdir %s: %s\n",
+                 outdir.c_str(), dir_error.message().c_str());
+    return 2;
   }
 
   obs::Tracer tracer;

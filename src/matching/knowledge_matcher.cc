@@ -1,11 +1,34 @@
 #include "matching/knowledge_matcher.h"
 
 #include <algorithm>
+#include <atomic>
 
 #include "common/logging.h"
 #include "matching/match_pyramid.h"
 
 namespace alicoco::matching {
+
+namespace {
+
+uint64_t NextMemoId() {
+  static std::atomic<uint64_t> next{1};
+  return next.fetch_add(1);
+}
+
+// The concept side of the last forward-only Logit on this thread: every
+// value Logit computes from the concept alone (DESIGN §5, "The stage-7
+// forward pass"). Its tensors are heap copies, never arena memory.
+struct ConceptMemo {
+  uint64_t matcher = 0;  // memo_id_ of the matcher that filled it; 0: none
+  std::vector<int> concept_ids;
+  nn::Tensor w_enc;               // m x f, the concept CNN output
+  nn::Tensor att_w;               // m x f, att_w1(w_enc)
+  std::vector<nn::Tensor> proj;   // per pyramid layer k, kw * pyramid_k
+};
+
+thread_local ConceptMemo tls_concept_memo;
+
+}  // namespace
 
 KnowledgeMatcher::KnowledgeMatcher(const KnowledgeMatcherConfig& config,
                                    const KnowledgeResources& resources,
@@ -13,7 +36,8 @@ KnowledgeMatcher::KnowledgeMatcher(const KnowledgeMatcherConfig& config,
                                    const text::Vocabulary* corpus_vocab)
     : NeuralMatcherBase(config.base, embeddings, corpus_vocab),
       kcfg_(config),
-      res_(resources) {
+      res_(resources),
+      memo_id_(NextMemoId()) {
   ALICOCO_CHECK(res_.pos_tagger != nullptr) << "POS tagger required";
   ALICOCO_CHECK_GT(kcfg_.cnn_filters, 0);
   ALICOCO_CHECK_GT(kcfg_.cnn_window, 0);
@@ -107,13 +131,33 @@ nn::Graph::Var KnowledgeMatcher::Logit(nn::Graph* g,
     return cnn.Apply(g, x);
   };
 
-  nn::Graph::Var w_enc = encode_side(concept_ids, *concept_cnn_);  // m x f
-  nn::Graph::Var t_enc = encode_side(item_ids, *item_cnn_);        // l x f
+  // Scoring runs many items against one concept, so a forward-only graph
+  // takes the concept side from this thread's memo when the last such
+  // Logit saw the same matcher and concept ids, and refills the memo on a
+  // miss. A recording graph always builds the concept side, with its nodes
+  // in the order below: Backward sums the shared gradients (emb_ is read
+  // four times, w_enc twice) in reverse node order.
+  ConceptMemo* memo =
+      g->forward_only() && !train ? &tls_concept_memo : nullptr;
+  const bool hit = memo != nullptr && memo->matcher == memo_id_ &&
+                   memo->concept_ids == concept_ids;
+  const bool fill = memo != nullptr && !hit;
+  auto stored = [g](const nn::Tensor& value) {
+    return g->Input(nn::Tensor(value, g->arena()));
+  };
 
-  // Two-way additive attention (Eq. 11-14).
-  nn::Graph::Var att = g->AdditiveAttention(att_w1_->Apply(g, w_enc),
-                                            att_w2_->Apply(g, t_enc),
-                                            g->Use(att_v_));  // m x l
+  nn::Graph::Var w_enc = hit ? stored(memo->w_enc)  // m x f
+                             : encode_side(concept_ids, *concept_cnn_);
+  nn::Graph::Var t_enc = encode_side(item_ids, *item_cnn_);  // l x f
+
+  // Two-way additive attention (Eq. 11-14). Its three inputs keep the node
+  // order they had as the arguments of one call, which GCC evaluates last
+  // first.
+  nn::Graph::Var att_v = g->Use(att_v_);
+  nn::Graph::Var att_t = att_w2_->Apply(g, t_enc);
+  nn::Graph::Var att_w =
+      hit ? stored(memo->att_w) : att_w1_->Apply(g, w_enc);
+  nn::Graph::Var att = g->AdditiveAttention(att_w, att_t, att_v);  // m x l
   nn::Graph::Var alpha_w =
       g->SoftmaxRows(g->Transpose(g->SumCols(att)));  // 1 x m
   nn::Graph::Var alpha_t = g->SoftmaxRows(g->SumRows(att));  // 1 x l
@@ -121,29 +165,40 @@ nn::Graph::Var KnowledgeMatcher::Logit(nn::Graph* g,
   nn::Graph::Var i = g->MatMul(alpha_t, t_enc);  // 1 x f
 
   // Knowledge sequence kw: concept word embeddings, plus gloss vectors and
-  // linked-class embeddings when knowledge is on (Eq. 15-16).
-  std::vector<nn::Graph::Var> kw_parts = {emb_->Lookup(g, concept_ids)};
-  if (kcfg_.use_knowledge) {
-    nn::Tensor gloss_mat(static_cast<int>(concept_ids.size()),
-                         gloss_of_id_.cols());
-    for (size_t w = 0; w < concept_ids.size(); ++w) {
-      const float* src = gloss_of_id_.Row(concept_ids[w]);
-      std::copy(src, src + gloss_of_id_.cols(),
-                gloss_mat.Row(static_cast<int>(w)));
-    }
-    kw_parts.push_back(
-        g->Tanh(gloss_proj_->Apply(g, g->Input(std::move(gloss_mat)))));
-    std::vector<int> classes =
-        res_.concept_classes(vocab_.Decode(concept_ids));
-    if (!classes.empty()) {
-      for (int& cid : classes) {
-        ALICOCO_CHECK(cid >= 0 && cid < res_.num_classes);
+  // linked-class embeddings when knowledge is on (Eq. 15-16). A memo hit
+  // needs only its projections below.
+  nn::Graph::Var kw = -1;  // (m+g+m') x d
+  if (!hit) {
+    std::vector<nn::Graph::Var> kw_parts = {emb_->Lookup(g, concept_ids)};
+    if (kcfg_.use_knowledge) {
+      nn::Tensor gloss_mat(static_cast<int>(concept_ids.size()),
+                           gloss_of_id_.cols(), g->arena());
+      for (size_t w = 0; w < concept_ids.size(); ++w) {
+        const float* src = gloss_of_id_.Row(concept_ids[w]);
+        std::copy(src, src + gloss_of_id_.cols(),
+                  gloss_mat.Row(static_cast<int>(w)));
       }
-      kw_parts.push_back(class_emb_->Lookup(g, classes));
+      kw_parts.push_back(
+          g->Tanh(gloss_proj_->Apply(g, g->Input(std::move(gloss_mat)))));
+      std::vector<int> classes =
+          res_.concept_classes(vocab_.Decode(concept_ids));
+      if (!classes.empty()) {
+        for (int& cid : classes) {
+          ALICOCO_CHECK(cid >= 0 && cid < res_.num_classes);
+        }
+        kw_parts.push_back(class_emb_->Lookup(g, classes));
+      }
     }
+    kw = g->ConcatRows(kw_parts);
   }
-  nn::Graph::Var kw = g->ConcatRows(kw_parts);          // (m+g+m') x d
-  nn::Graph::Var t_words = emb_->Lookup(g, item_ids);   // l x d
+  nn::Graph::Var t_words = emb_->Lookup(g, item_ids);  // l x d
+  if (fill) {
+    memo->matcher = memo_id_;
+    memo->concept_ids = concept_ids;
+    memo->w_enc = g->Value(w_enc);
+    memo->att_w = g->Value(att_w);
+    memo->proj.resize(pyramid_.size());
+  }
 
   // K-layer bilinear matching pyramid (Eq. 16-17): per layer, a dynamic
   // grid pool plus best-alignment statistics (the paper's per-layer CNN +
@@ -151,7 +206,9 @@ nn::Graph::Var KnowledgeMatcher::Logit(nn::Graph* g,
   std::vector<nn::Graph::Var> layer_feats;
   layer_feats.reserve(pyramid_.size());
   for (size_t k = 0; k < pyramid_.size(); ++k) {
-    nn::Graph::Var proj = g->MatMul(kw, g->Use(pyramid_[k]));
+    nn::Graph::Var proj = hit ? stored(memo->proj[k])
+                              : g->MatMul(kw, g->Use(pyramid_[k]));
+    if (fill) memo->proj[k] = g->Value(proj);
     nn::Graph::Var match = g->MatMulTransB(proj, t_words);
     // Stats before the grid: see match_pyramid.h.
     nn::Graph::Var stats = BestAlignmentStats(g, match);

@@ -37,7 +37,10 @@ struct KnowledgeMatcherConfig {
 
 /// External knowledge plumbing; pointers must outlive the matcher. The POS
 /// tagger and the gloss resources are read once per vocabulary token when
-/// training builds the model; concept_classes is called on every Logit.
+/// training builds the model. concept_classes is called on every training
+/// Logit, but Score keeps each thread's last concept side, so scoring calls
+/// it once per run of one concept on a thread: it must give the same
+/// classes for the same tokens while the matcher scores.
 struct KnowledgeResources {
   const text::PosTagger* pos_tagger = nullptr;  ///< required
   /// Required when use_knowledge: gloss vectors for concept words.
@@ -70,6 +73,9 @@ class KnowledgeMatcher : public NeuralMatcherBase {
  private:
   KnowledgeMatcherConfig kcfg_;
   KnowledgeResources res_;
+  /// Process-unique, never reused: keys this matcher's entries in the
+  /// per-thread concept-side memo (a freed matcher's address can repeat).
+  const uint64_t memo_id_;
   /// Filled by BuildModel, indexed by vocabulary id: POS tag ids, and
   /// gloss encodings (vocab x gloss dim; empty without knowledge).
   std::vector<int> pos_of_id_;

@@ -70,7 +70,7 @@ nn::Graph::Var DynamicGridPool(nn::Graph* g, nn::Graph::Var matrix,
                                int grid) {
   const nn::Tensor& x = g->Value(matrix);
   ALICOCO_CHECK(grid > 0 && x.rows() > 0 && x.cols() > 0);
-  nn::Tensor pooled(1, grid * grid);
+  nn::Tensor pooled(1, grid * grid, g->arena());
   for (int r = 0; r < grid; ++r) {
     const Band rows = GridBand(r, grid, x.rows());
     for (int c = 0; c < grid; ++c) {
@@ -86,7 +86,7 @@ nn::Graph::Var DynamicGridPool(nn::Graph* g, nn::Graph::Var matrix,
     // Each row band's cells sum into a band gradient, last cell first, and
     // the bands add into the input last to first: the composed graph's
     // order.
-    nn::Tensor band(x.rows(), x.cols());
+    nn::Tensor band(x.rows(), x.cols(), g->arena());
     for (int r = grid - 1; r >= 0; --r) {
       const Band rows = GridBand(r, grid, x.rows());
       band.Zero();
@@ -115,7 +115,7 @@ nn::Graph::Var BestAlignmentStats(nn::Graph* g, nn::Graph::Var matrix) {
     if (i == 0 || best > row_max) row_max = best;
     row_sum += best;
   }
-  nn::Tensor stats(1, 4);
+  nn::Tensor stats(1, 4, g->arena());
   stats.At(0, 0) = col_max;
   stats.At(0, 1) = col_sum * (1.0f / static_cast<float>(l));
   stats.At(0, 2) = row_max;
@@ -126,7 +126,7 @@ nn::Graph::Var BestAlignmentStats(nn::Graph* g, nn::Graph::Var matrix) {
     // Row bests first, then column bests. Every best gets its share of the
     // mean's gradient; the one the forward took as the max also gets the
     // max's gradient.
-    nn::Tensor part(m, l);
+    nn::Tensor part(m, l, g->arena());
     int top = 0;
     float top_best = x.At(0, RowArgmax(x, 0));
     for (int i = 1; i < m; ++i) {

@@ -116,6 +116,9 @@ class Graph {
   /// the graph does. Nothing allocated from it may outlive the graph.
   std::pmr::memory_resource* arena() const { return lease_.resource; }
 
+  /// True for a graph built with kForwardOnly (it can never run Backward).
+  bool forward_only() const { return forward_only_; }
+
   /// Leaf holding a constant value (no gradient flows out of the graph).
   Var Input(Tensor value);
 

@@ -59,13 +59,14 @@ step "instrumented pipeline smoke"
 # One probed run of the bench pipeline with every probe attached. Its
 # times are perturbed by the probes, so nothing here compares them; the
 # step checks that the run completes and that attribution reaches its
-# outputs.
-mkdir -p build/obs
-build/bench/obs_report --outdir build/obs
-test -s build/obs/profile.collapsed
-test -s build/obs/trace.jsonl
-test -s build/obs/metrics.prom
-stages="$(grep -c '^attribution_allocs{stage="' build/obs/metrics.prom || true)"
+# outputs. obs_report creates its --outdir, so the run directory is left
+# for it to make.
+rm -rf build/obs/run
+build/bench/obs_report --outdir build/obs/run
+test -s build/obs/run/profile.collapsed
+test -s build/obs/run/trace.jsonl
+test -s build/obs/run/metrics.prom
+stages="$(grep -c '^attribution_allocs{stage="' build/obs/run/metrics.prom || true)"
 if [ "${stages}" -ne 9 ]; then
   echo "expected 9 attribution_allocs series in metrics.prom, found ${stages}"
   exit 1
@@ -106,7 +107,9 @@ cmake --build --preset tsan -j "${JOBS}"
 # The threaded surface: the thread pool (incl. the race stress suite), the
 # observability registry/tracer stress suite, the profiling-tier stress
 # suite (sample ring, instrumented mutex, flight recorder), the per-thread
-# graph arenas, the trainers that fan out over the pool, the serving apps
+# graph arenas, the trainers that fan out over the pool, the knowledge
+# matcher's per-thread concept-side memo (KnowledgeMatchingRaceTest scores
+# concept-grouped pairs from the pool, as stage 7 does), the serving apps
 # shared by concurrent clients, and one full AliCoCoBuilder::Build
 # (PipelineTest.AllStagesProduceStructure runs the shared Build): its
 # trainers on the build's pool, stage-7 scoring whose workers read the net
