@@ -26,8 +26,8 @@
 #include "nn/crf.h"
 #include "nn/kernels.h"
 #include "nn/layers.h"
-#include "nn/parallel_train.h"
 #include "nn/rnn.h"
+#include "nn/trainer.h"
 #include "text/bm25.h"
 #include "text/segmenter.h"
 
@@ -97,6 +97,24 @@ void BM_AffineTanhUnfused(benchmark::State& state) {
 }
 BENCHMARK(BM_AffineTanhUnfused);
 
+// One 32-example batch through nn::Train: the example graphs, their shards
+// over `pool` (null: the calling thread), the reduction and the Adam step.
+void TrainBatch(nn::ParameterStore* store, const nn::Mlp& mlp,
+                const std::vector<nn::Tensor>& xs, ThreadPool* pool) {
+  nn::Train(store, xs.size(),
+            {.model = "bench",
+             .epochs = 1,
+             .lr = 0.01f,
+             .batch_size = static_cast<int>(xs.size()),
+             .seed = 43,
+             .example_rng = nn::ExampleRng::kPerExample,
+             .pool = pool},
+            [&](nn::Graph* g, size_t i,
+                Rng*) -> std::optional<nn::Graph::Var> {
+              return g->MeanAll(mlp.Apply(g, g->Input(xs[i])));
+            });
+}
+
 // Data-parallel batch accumulation across a worker pool.
 void BM_ParallelTrainBatch(benchmark::State& state) {
   int threads = static_cast<int>(state.range(0));
@@ -108,16 +126,10 @@ void BM_ParallelTrainBatch(benchmark::State& state) {
     xs.push_back(nn::Tensor::Randn(1, 24, 0.5f, &rng));
   }
   ThreadPool pool(static_cast<size_t>(threads));
-  nn::ParallelTrainer trainer(threads > 0 ? &pool : nullptr);
   for (auto _ : state) {
-    store.ZeroGrad();
-    float loss = trainer.AccumulateBatch(xs.size(), [&](nn::Graph* g,
-                                                        size_t i) -> float {
-      nn::Graph::Var l = g->MeanAll(mlp.Apply(g, g->Input(xs[i])));
-      g->Backward(l);
-      return g->Value(l).At(0, 0);
-    });
-    benchmark::DoNotOptimize(loss);
+    TrainBatch(&store, mlp, xs, threads > 0 ? &pool : nullptr);
+    benchmark::DoNotOptimize(store.params()[0]->value.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() * static_cast<long>(xs.size()));
 }
@@ -459,9 +471,9 @@ std::vector<std::pair<std::string, double>> RunKernelSuite() {
     });
   }
 
-  // Data-parallel batch accumulation: sequential path and a 2-worker pool
-  // (the pooled entry measures sharding + reduction overhead on single-core
-  // CI boxes, and real speedup where cores exist).
+  // One training batch through nn::Train: sequential path and a 2-worker
+  // pool (the pooled entry measures sharding + reduction overhead on
+  // single-core CI boxes, and real speedup where cores exist).
   {
     nn::ParameterStore store;
     nn::Mlp mlp(&store, "mlp", {24, 24, 1}, &rng);
@@ -469,21 +481,9 @@ std::vector<std::pair<std::string, double>> RunKernelSuite() {
     for (int i = 0; i < 32; ++i) {
       xs.push_back(nn::Tensor::Randn(1, 24, 0.5f, &rng));
     }
-    auto batch = [&](nn::ParallelTrainer* trainer) {
-      store.ZeroGrad();
-      float loss = trainer->AccumulateBatch(
-          xs.size(), [&](nn::Graph* g, size_t i) -> float {
-            nn::Graph::Var l = g->MeanAll(mlp.Apply(g, g->Input(xs[i])));
-            g->Backward(l);
-            return g->Value(l).At(0, 0);
-          });
-      benchmark::DoNotOptimize(loss);
-    };
-    nn::ParallelTrainer seq(nullptr);
-    add("train_batch32_seq", [&] { batch(&seq); });
+    add("train_batch32_seq", [&] { TrainBatch(&store, mlp, xs, nullptr); });
     ThreadPool pool(2);
-    nn::ParallelTrainer par(&pool);
-    add("train_batch32_pool2", [&] { batch(&par); });
+    add("train_batch32_pool2", [&] { TrainBatch(&store, mlp, xs, &pool); });
   }
   return out;
 }

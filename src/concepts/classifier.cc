@@ -1,12 +1,11 @@
 #include "concepts/classifier.h"
 
-#include <algorithm>
 #include <cmath>
 #include <unordered_set>
 
 #include "common/logging.h"
 #include "concepts/criteria.h"
-#include "nn/parallel_train.h"
+#include "nn/trainer.h"
 #include "text/tokenizer.h"
 
 namespace alicoco::concepts {
@@ -91,36 +90,24 @@ void ConceptClassifier::Train(const std::vector<LabeledConcept>& data) {
   head_ = std::make_unique<nn::Mlp>(
       &store_, "head", std::vector<int>{concat_dim, 16, 1}, &init_rng_);
 
-  // Training loop: minibatches sharded across the optional worker pool.
-  nn::Adam adam(config_.lr);
-  Rng shuffle_rng(config_.seed ^ 0xD1CE);
-  nn::ParallelTrainer trainer(config_.pool);
-  std::vector<size_t> order(data.size());
-  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-  const size_t batch = static_cast<size_t>(std::max(1, config_.batch_size));
-  for (int epoch = 0; epoch < config_.epochs; ++epoch) {
-    shuffle_rng.Shuffle(&order);
-    store_.ZeroGrad();
-    for (size_t start = 0; start < order.size(); start += batch) {
-      const size_t count = std::min(batch, order.size() - start);
-      trainer.AccumulateBatch(count, [&](nn::Graph* g, size_t bi) -> float {
-        const size_t idx = order[start + bi];
+  nn::Train(
+      &store_, data.size(),
+      {.model = "classifier",
+       .epochs = config_.epochs,
+       .lr = config_.lr,
+       .batch_size = config_.batch_size,
+       .seed = config_.seed ^ 0xD1CE,
+       .example_rng = nn::ExampleRng::kPerExample,
+       .pool = config_.pool},
+      [&](nn::Graph* g, size_t idx,
+          Rng* rng) -> std::optional<nn::Graph::Var> {
         const auto& sample = data[idx];
-        if (sample.tokens.empty()) return 0.0f;
-        Rng ex_rng(nn::ExampleSeed(config_.seed ^ 0xD1CE,
-                                   static_cast<uint64_t>(epoch), idx));
-        nn::Graph::Var logit =
-            Logit(g, sample.tokens, /*train=*/true, &ex_rng);
+        if (sample.tokens.empty()) return std::nullopt;
+        nn::Graph::Var logit = Logit(g, sample.tokens, /*train=*/true, rng);
         nn::Tensor target(1, 1);
         target.At(0, 0) = static_cast<float>(sample.label);
-        nn::Graph::Var loss = g->SigmoidCrossEntropyWithLogits(logit, target);
-        g->Backward(loss);
-        return g->Value(loss).At(0, 0);
+        return g->SigmoidCrossEntropyWithLogits(logit, target);
       });
-      adam.Step(&store_);
-      store_.ZeroGrad();
-    }
-  }
   trained_ = true;
 }
 

@@ -25,7 +25,6 @@
 
 #include "eval/metrics.h"
 #include "nn/layers.h"
-#include "nn/optimizer.h"
 #include "nn/rnn.h"
 #include "text/gloss_encoder.h"
 #include "text/ngram_lm.h"

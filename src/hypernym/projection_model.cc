@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "common/logging.h"
+#include "nn/trainer.h"
 #include "text/tokenizer.h"
 
 namespace alicoco::hypernym {
@@ -60,8 +61,6 @@ nn::Graph::Var ProjectionModel::Logit(nn::Graph* g, const nn::Tensor& p,
 void ProjectionModel::Train(const std::vector<LabeledPair>& data) {
   ALICOCO_CHECK(!trained_);
   ALICOCO_CHECK(!data.empty());
-  nn::Adam adam(config_.lr);
-  Rng rng(config_.seed ^ 0xC0FFEE);
   float positive_weight = 1.0f;
   if (config_.balance_classes) {
     size_t pos = 0;
@@ -72,35 +71,26 @@ void ProjectionModel::Train(const std::vector<LabeledPair>& data) {
           static_cast<float>(data.size() - pos) / static_cast<float>(pos));
     }
   }
-  std::vector<size_t> order(data.size());
-  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-  for (int epoch = 0; epoch < config_.epochs; ++epoch) {
-    rng.Shuffle(&order);
-    store_.ZeroGrad();
-    int in_batch = 0;
-    for (size_t idx : order) {
-      const LabeledPair& pair = data[idx];
-      nn::Graph g;
-      nn::Graph::Var logit =
-          Logit(&g, PhraseEmbedding(pair.hypo), PhraseEmbedding(pair.hyper));
-      nn::Tensor target(1, 1);
-      target.At(0, 0) = static_cast<float>(pair.label);
-      nn::Graph::Var loss = g.SigmoidCrossEntropyWithLogits(logit, target);
-      if (pair.label == 1 && positive_weight != 1.0f) {
-        loss = g.ScalarMul(loss, positive_weight);
-      }
-      g.Backward(loss);
-      if (++in_batch >= config_.batch_size) {
-        adam.Step(&store_);
-        store_.ZeroGrad();
-        in_batch = 0;
-      }
-    }
-    if (in_batch > 0) {
-      adam.Step(&store_);
-      store_.ZeroGrad();
-    }
-  }
+  nn::Train(
+      &store_, data.size(),
+      {.model = "projection",
+       .epochs = config_.epochs,
+       .lr = config_.lr,
+       .batch_size = config_.batch_size,
+       .seed = config_.seed ^ 0xC0FFEE,
+       .example_rng = nn::ExampleRng::kPerExample},
+      [&](nn::Graph* g, size_t idx, Rng*) -> std::optional<nn::Graph::Var> {
+        const LabeledPair& pair = data[idx];
+        nn::Graph::Var logit =
+            Logit(g, PhraseEmbedding(pair.hypo), PhraseEmbedding(pair.hyper));
+        nn::Tensor target(1, 1);
+        target.At(0, 0) = static_cast<float>(pair.label);
+        nn::Graph::Var loss = g->SigmoidCrossEntropyWithLogits(logit, target);
+        if (pair.label == 1 && positive_weight != 1.0f) {
+          loss = g->ScalarMul(loss, positive_weight);
+        }
+        return loss;
+      });
   trained_ = true;
 }
 

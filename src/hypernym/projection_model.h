@@ -14,7 +14,6 @@
 #include "eval/metrics.h"
 #include "nn/graph.h"
 #include "nn/layers.h"
-#include "nn/optimizer.h"
 #include "text/skipgram.h"
 #include "text/vocabulary.h"
 

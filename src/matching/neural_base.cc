@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/check.h"
+#include "nn/trainer.h"
 
 namespace alicoco::matching {
 
@@ -59,33 +60,23 @@ void NeuralMatcherBase::Train(const MatchingDataset& dataset) {
   ObserveVocabulary();
   BuildModel();
 
-  nn::Adam adam(config_.lr);
-  Rng rng(config_.seed ^ 0xBEAD);
-  std::vector<size_t> order(dataset.train.size());
-  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-  for (int epoch = 0; epoch < config_.epochs; ++epoch) {
-    rng.Shuffle(&order);
-    store_.ZeroGrad();
-    int in_batch = 0;
-    for (size_t idx : order) {
-      const auto& ex = dataset.train[idx];
-      nn::Graph g;
-      nn::Graph::Var logit = Logit(&g, Encode(ex.concept_tokens),
-                                   Encode(ex.item_tokens), true, &rng);
-      nn::Tensor target(1, 1);
-      target.At(0, 0) = static_cast<float>(ex.label);
-      g.Backward(g.SigmoidCrossEntropyWithLogits(logit, target));
-      if (++in_batch >= config_.batch_size) {
-        adam.Step(&store_);
-        store_.ZeroGrad();
-        in_batch = 0;
-      }
-    }
-    if (in_batch > 0) {
-      adam.Step(&store_);
-      store_.ZeroGrad();
-    }
-  }
+  nn::Train(
+      &store_, dataset.train.size(),
+      {.model = "matcher",
+       .epochs = config_.epochs,
+       .lr = config_.lr,
+       .batch_size = config_.batch_size,
+       .seed = config_.seed ^ 0xBEAD,
+       .example_rng = nn::ExampleRng::kShuffleStream},
+      [&](nn::Graph* g, size_t idx,
+          Rng* rng) -> std::optional<nn::Graph::Var> {
+        const auto& ex = dataset.train[idx];
+        nn::Graph::Var logit = Logit(g, Encode(ex.concept_tokens),
+                                     Encode(ex.item_tokens), true, rng);
+        nn::Tensor target(1, 1);
+        target.At(0, 0) = static_cast<float>(ex.label);
+        return g->SigmoidCrossEntropyWithLogits(logit, target);
+      });
   trained_ = true;
 }
 

@@ -1,6 +1,6 @@
 // Shared machinery for the trainable matchers: vocabulary construction over
-// the dataset, pretrained-initialized embedding tables, and the BCE
-// training loop.
+// the dataset, pretrained-initialized embedding tables, and the BCE loss
+// that nn::Train minimizes.
 
 #ifndef ALICOCO_MATCHING_NEURAL_BASE_H_
 #define ALICOCO_MATCHING_NEURAL_BASE_H_
@@ -12,7 +12,6 @@
 #include "common/status.h"
 #include "matching/dataset.h"
 #include "nn/layers.h"
-#include "nn/optimizer.h"
 #include "obs/metrics.h"
 #include "text/skipgram.h"
 #include "text/vocabulary.h"

@@ -1,11 +1,10 @@
 #include "mining/sequence_labeler.h"
 
-#include <algorithm>
 #include <fstream>
 
 #include "common/logging.h"
-#include "nn/parallel_train.h"
 #include "nn/serialize.h"
+#include "nn/trainer.h"
 
 namespace alicoco::mining {
 namespace {
@@ -46,44 +45,31 @@ void SequenceLabeler::Train(const std::vector<LabeledSentence>& data) {
 
   BuildModel();
 
-  nn::Adam adam(config_.lr);
-  Rng shuffle_rng(config_.seed ^ 0xFEED);
-  nn::ParallelTrainer trainer(config_.pool);
-  std::vector<size_t> order(data.size());
-  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-
-  const size_t batch = static_cast<size_t>(std::max(1, config_.batch_size));
-  for (int epoch = 0; epoch < config_.epochs; ++epoch) {
-    shuffle_rng.Shuffle(&order);
-    store_.ZeroGrad();
-    for (size_t start = 0; start < order.size(); start += batch) {
-      const size_t count = std::min(batch, order.size() - start);
-      trainer.AccumulateBatch(count, [&](nn::Graph* g, size_t bi) -> float {
-        const size_t idx = order[start + bi];
+  nn::Train(
+      &store_, data.size(),
+      {.model = "labeler",
+       .epochs = config_.epochs,
+       .lr = config_.lr,
+       .batch_size = config_.batch_size,
+       .seed = config_.seed ^ 0xFEED,
+       .example_rng = nn::ExampleRng::kPerExample,
+       .pool = config_.pool},
+      [&](nn::Graph* g, size_t idx,
+          Rng* rng) -> std::optional<nn::Graph::Var> {
         const LabeledSentence& s = data[idx];
-        if (s.tokens.empty()) return 0.0f;
-        // Per-example stream: masking/dropout draws are identical no matter
-        // how the batch is sharded across workers.
-        Rng ex_rng(nn::ExampleSeed(config_.seed ^ 0xFEED,
-                                   static_cast<uint64_t>(epoch), idx));
+        if (s.tokens.empty()) return std::nullopt;
         std::vector<int> ids = vocab_.Encode(s.tokens);
         for (int& id : ids) {
-          if (ex_rng.Bernoulli(config_.word_unk_prob)) {
+          if (rng->Bernoulli(config_.word_unk_prob)) {
             id = text::Vocabulary::kUnkId;
           }
         }
         std::vector<int> gold;
         gold.reserve(s.iob.size());
         for (const auto& l : s.iob) gold.push_back(LabelId(l));
-        nn::Graph::Var emissions = Emissions(g, ids, /*train=*/true, &ex_rng);
-        nn::Graph::Var loss = crf_->NegLogLikelihood(g, emissions, gold);
-        g->Backward(loss);
-        return g->Value(loss).At(0, 0);
+        nn::Graph::Var emissions = Emissions(g, ids, /*train=*/true, rng);
+        return crf_->NegLogLikelihood(g, emissions, gold);
       });
-      adam.Step(&store_);
-      store_.ZeroGrad();
-    }
-  }
   trained_ = true;
 }
 

@@ -18,7 +18,6 @@
 #include "mining/distant_supervision.h"
 #include "nn/crf.h"
 #include "nn/layers.h"
-#include "nn/optimizer.h"
 #include "nn/rnn.h"
 #include "text/vocabulary.h"
 

@@ -163,6 +163,7 @@ Parameter* ParameterStore::Create(const std::string& name, int rows, int cols,
       break;
   }
   p->grad = Tensor(rows, cols);
+  p->index = params_.size();
   Parameter* raw = p.get();
   params_.push_back(std::move(p));
   return raw;
@@ -183,6 +184,14 @@ size_t ParameterStore::TotalWeights() const {
   size_t total = 0;
   for (const auto& p : params_) total += p->value.size();
   return total;
+}
+
+void GradientBuffer::ReduceInto() {
+  for (size_t i = 0; i < grads_.size(); ++i) {
+    if (grads_[i].empty()) continue;
+    store_->params()[i]->grad.AddInPlace(grads_[i]);
+    grads_[i].Zero();
+  }
 }
 
 Graph::Var Graph::NewNode(Tensor value) {

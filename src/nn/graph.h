@@ -2,9 +2,10 @@
 //
 // Models build a fresh Graph per example (define-by-run), compose ops into a
 // scalar loss, call Backward(), and the gradients of every Parameter used in
-// the graph accumulate into Parameter::grad. An Optimizer then applies the
-// accumulated batch gradient. Prediction and scoring build a forward-only
-// Graph instead, which computes the same values but records no tape.
+// the graph accumulate into Parameter::grad. Adam then applies the
+// accumulated batch gradient (nn::Train in nn/trainer.h runs that loop).
+// Prediction and scoring build a forward-only Graph instead, which computes
+// the same values but records no tape.
 //
 // Memory (DESIGN §5): a Graph draws its node storage, op values,
 // gradients, backward closures and their scratch from a bump arena that
@@ -42,10 +43,11 @@ namespace alicoco::nn {
 struct Parameter {
   std::string name;
   Tensor value;
-  Tensor grad;  ///< same shape as value; zeroed by ZeroGrad
+  Tensor grad;       ///< same shape as value; zeroed by ZeroGrad
+  size_t index = 0;  ///< position in its ParameterStore
 };
 
-/// Owns all parameters of a model; optimizers iterate over it.
+/// Owns all parameters of a model; Adam and GradientBuffer index them.
 class ParameterStore {
  public:
   enum class Init { kZero, kXavier, kGaussian };
@@ -72,16 +74,35 @@ class ParameterStore {
   std::vector<std::unique_ptr<Parameter>> params_;
 };
 
-/// Redirects parameter-gradient accumulation away from Parameter::grad.
-/// Data-parallel training hands each worker thread its own sink so graphs
-/// built concurrently against a shared ParameterStore never write shared
-/// state; the per-thread buffers are reduced after the batch barrier.
-/// GradFor is only ever called from the thread that owns the sink.
-class GradientSink {
+/// One training shard's parameter gradients. A graph built with a buffer
+/// adds every parameter gradient here instead of into Parameter::grad, so
+/// graphs built concurrently against one store never write shared state.
+/// Slots are indexed by Parameter::index; a slot is allocated on first use
+/// and kept, zeroed, across batches. GradFor runs only on the thread that
+/// owns the buffer, ReduceInto on the coordinating thread after the batch.
+class GradientBuffer {
  public:
-  virtual ~GradientSink() = default;
-  /// Accumulation buffer for `p`, same shape as p->value.
-  virtual Tensor* GradFor(Parameter* p) = 0;
+  explicit GradientBuffer(const ParameterStore* store)
+      : store_(store), grads_(store->params().size()) {}
+
+  /// The slot for `p`, same shape as p->value. CHECK-fails unless `p` is
+  /// the store's parameter at p->index: a graph that mixes stores fails
+  /// instead of adding into another parameter's slot.
+  Tensor* GradFor(const Parameter* p) {
+    ALICOCO_CHECK(p->index < grads_.size() &&
+                  store_->params()[p->index].get() == p)
+        << "parameter " << p->name << " is not in this buffer's store";
+    Tensor& grad = grads_[p->index];
+    if (grad.empty()) grad = Tensor(p->value.rows(), p->value.cols());
+    return &grad;
+  }
+
+  /// Adds every allocated slot into its parameter's grad and zeroes it.
+  void ReduceInto();
+
+ private:
+  const ParameterStore* store_;
+  std::vector<Tensor> grads_;
 };
 
 class GraphArena;
@@ -97,10 +118,10 @@ class Graph {
   struct ForwardOnly {};
   static constexpr ForwardOnly kForwardOnly{};
 
-  /// With a sink, every parameter gradient this graph produces goes to
-  /// sink->GradFor(p) instead of p->grad.
-  explicit Graph(GradientSink* sink = nullptr)
-      : sink_(sink), nodes_(lease_.resource) {}
+  /// With a buffer, every parameter gradient this graph produces goes to
+  /// buffer->GradFor(p) instead of p->grad.
+  explicit Graph(GradientBuffer* buffer = nullptr)
+      : buffer_(buffer), nodes_(lease_.resource) {}
   /// A graph that never runs Backward: every op computes the same value as
   /// on a recording graph, but no backward closure is stored, and Backward
   /// CHECK-fails. Scoring and prediction use it.
@@ -210,7 +231,7 @@ class Graph {
   /// backward invokes `backward` with the node's output gradient. The
   /// closure must push gradients to its inputs via AccumulateGrad, and to
   /// parameters via ParamGrad (never directly through Parameter::grad,
-  /// which would bypass the sink). A forward-only graph drops `backward`;
+  /// which would bypass the buffer). A forward-only graph drops `backward`;
   /// a recording one moves it into the arena.
   template <typename F>
   Var Custom(Tensor value, F&& backward) {
@@ -224,11 +245,11 @@ class Graph {
   /// Adds `g` into the gradient buffer of node `v` (for Custom backwards).
   void AccumulateGrad(Var v, const Tensor& g);
 
-  /// Where gradients for `p` accumulate: the sink's buffer if one is
+  /// Where gradients for `p` accumulate: the buffer's slot if one is
   /// installed, p->grad otherwise. Custom backwards must route parameter
   /// gradients through this so data-parallel training stays race-free.
   Tensor* ParamGrad(Parameter* p) {
-    return sink_ != nullptr ? sink_->GradFor(p) : &p->grad;
+    return buffer_ != nullptr ? buffer_->GradFor(p) : &p->grad;
   }
 
   /// Runs reverse-mode accumulation from `loss` (must be 1x1). Parameter
@@ -291,7 +312,7 @@ class Graph {
   Var AffineAct(Var x, Parameter* w, Parameter* b, int act);
 
   ArenaLease lease_;
-  GradientSink* sink_ = nullptr;
+  GradientBuffer* buffer_ = nullptr;
   bool forward_only_ = false;
   // A deque, so a node never moves: ops hold `const Tensor&` into earlier
   // nodes across NewNode.

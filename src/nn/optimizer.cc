@@ -6,7 +6,7 @@
 
 namespace alicoco::nn {
 
-double Optimizer::ClipGlobalNorm(ParameterStore* store, double max_norm) {
+double ClipGlobalNorm(ParameterStore* store, double max_norm) {
   double sq = 0.0;
   for (const auto& p : store->params()) sq += p->grad.SquaredNorm();
   double norm = std::sqrt(sq);
@@ -15,13 +15,6 @@ double Optimizer::ClipGlobalNorm(ParameterStore* store, double max_norm) {
     for (const auto& p : store->params()) p->grad.Scale(scale);
   }
   return norm;
-}
-
-void Sgd::Step(ParameterStore* store) {
-  ClipGlobalNorm(store, clip_norm_);
-  for (const auto& p : store->params()) {
-    p->value.Axpy(-lr_, p->grad);
-  }
 }
 
 void Adam::Step(ParameterStore* store) {
@@ -36,8 +29,11 @@ void Adam::Step(ParameterStore* store) {
       1.0f - std::pow(beta2_, static_cast<float>(t_)),
       lr_,
       eps_};
+  if (slots_.size() < store->params().size()) {
+    slots_.resize(store->params().size());
+  }
   for (const auto& p : store->params()) {
-    auto& slot = slots_[p.get()];
+    Slot& slot = slots_[p->index];
     if (slot.m.empty()) {
       slot.m = Tensor(p->value.rows(), p->value.cols());
       slot.v = Tensor(p->value.rows(), p->value.cols());

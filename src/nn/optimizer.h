@@ -1,54 +1,30 @@
-// Gradient-descent optimizers with global-norm clipping.
+// Adam with global-norm gradient clipping.
 
 #ifndef ALICOCO_NN_OPTIMIZER_H_
 #define ALICOCO_NN_OPTIMIZER_H_
 
-#include <unordered_map>
+#include <vector>
 
 #include "nn/graph.h"
 
 namespace alicoco::nn {
 
-/// Applies accumulated gradients to parameters; callers ZeroGrad afterwards.
-class Optimizer {
- public:
-  virtual ~Optimizer() = default;
+/// Scales all gradients in `store` so their global L2 norm is at most
+/// `max_norm` (no-op when max_norm <= 0). Returns the pre-clip norm.
+double ClipGlobalNorm(ParameterStore* store, double max_norm);
 
-  /// One update from the gradients currently in `store`.
-  virtual void Step(ParameterStore* store) = 0;
-
- protected:
-  /// Scales all gradients so the global L2 norm is at most `max_norm`
-  /// (no-op when max_norm <= 0). Returns the pre-clip norm.
-  static double ClipGlobalNorm(ParameterStore* store, double max_norm);
-};
-
-/// Plain SGD.
-class Sgd : public Optimizer {
- public:
-  explicit Sgd(float lr, double clip_norm = 5.0)
-      : lr_(lr), clip_norm_(clip_norm) {}
-  void Step(ParameterStore* store) override;
-
-  void set_lr(float lr) { lr_ = lr; }
-  float lr() const { return lr_; }
-
- private:
-  float lr_;
-  double clip_norm_;
-};
-
-/// Adam (Kingma & Ba) with bias correction.
-class Adam : public Optimizer {
+/// Adam (Kingma & Ba) with bias correction. Applies the gradients
+/// accumulated in a store; callers ZeroGrad afterwards.
+class Adam {
  public:
   explicit Adam(float lr, float beta1 = 0.9f, float beta2 = 0.999f,
                 float eps = 1e-8f, double clip_norm = 5.0)
       : lr_(lr), beta1_(beta1), beta2_(beta2), eps_(eps),
         clip_norm_(clip_norm) {}
-  void Step(ParameterStore* store) override;
 
-  void set_lr(float lr) { lr_ = lr; }
-  float lr() const { return lr_; }
+  /// One update from the gradients currently in `store`. Every call must
+  /// pass the same store: moment slots are indexed by Parameter::index.
+  void Step(ParameterStore* store);
 
  private:
   struct Slot {
@@ -58,7 +34,7 @@ class Adam : public Optimizer {
   float lr_, beta1_, beta2_, eps_;
   double clip_norm_;
   int64_t t_ = 0;
-  std::unordered_map<const Parameter*, Slot> slots_;
+  std::vector<Slot> slots_;
 };
 
 }  // namespace alicoco::nn

@@ -24,6 +24,12 @@ thread_local const ScopedSpan* tls_innermost_span = nullptr;
 
 }  // namespace
 
+Tracer* CurrentTracer() {
+  // Null-tracer spans never join the stack, so an open span has a tracer.
+  return tls_innermost_span == nullptr ? nullptr
+                                       : tls_innermost_span->tracer_;
+}
+
 Tracer::Tracer() : clock_(&SteadyNowUs) {}
 
 Tracer::Tracer(Clock clock) : clock_(std::move(clock)) {}

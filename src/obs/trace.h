@@ -47,6 +47,12 @@ struct SpanRecord {
 };
 
 class ScopedSpan;
+class Tracer;
+
+/// The tracer of the innermost span open on the calling thread, or null
+/// when none is open. Code that takes no tracer (nn::Train) opens its spans
+/// in it, so they nest under the caller's and vanish in untraced runs.
+Tracer* CurrentTracer();
 
 /// Thread-safe span collector.
 class Tracer {
@@ -113,6 +119,8 @@ class ScopedSpan {
   uint64_t parent_id() const { return record_.parent_id; }
 
  private:
+  friend Tracer* CurrentTracer();
+
   Tracer* tracer_;  // null = disabled
   SpanRecord record_;
   // Next-outer open span on this thread (any tracer), forming the

@@ -4,6 +4,7 @@
 #include <unordered_set>
 
 #include "common/logging.h"
+#include "nn/trainer.h"
 #include "text/tokenizer.h"
 
 namespace alicoco::tagging {
@@ -76,48 +77,35 @@ void ConceptTagger::Train(const std::vector<TaggedExample>& data) {
   crf_ = std::make_unique<nn::LinearChainCrf>(&store_, "crf", num_labels,
                                               &init_rng_);
 
-  nn::Adam adam(config_.lr);
-  Rng rng(config_.seed ^ 0xFACADE);
-  std::vector<size_t> order(data.size());
-  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-  for (int epoch = 0; epoch < config_.epochs; ++epoch) {
-    rng.Shuffle(&order);
-    store_.ZeroGrad();
-    int in_batch = 0;
-    for (size_t idx : order) {
-      const auto& ex = data[idx];
-      if (ex.tokens.empty()) continue;
-      nn::Graph g;
-      nn::Graph::Var emissions = Emissions(&g, ex.tokens, true, &rng);
-      nn::Graph::Var loss;
-      if (config_.use_fuzzy_crf) {
-        std::vector<std::vector<int>> allowed(ex.tokens.size());
-        for (size_t t = 0; t < ex.tokens.size(); ++t) {
-          for (const auto& label : ex.allowed_iob[t]) {
-            allowed[t].push_back(LabelId(label));
+  nn::Train(
+      &store_, data.size(),
+      {.model = "tagger",
+       .epochs = config_.epochs,
+       .lr = config_.lr,
+       .batch_size = config_.batch_size,
+       .seed = config_.seed ^ 0xFACADE,
+       .example_rng = nn::ExampleRng::kShuffleStream},
+      [&](nn::Graph* g, size_t idx,
+          Rng* rng) -> std::optional<nn::Graph::Var> {
+        const auto& ex = data[idx];
+        if (ex.tokens.empty()) return std::nullopt;
+        nn::Graph::Var emissions = Emissions(g, ex.tokens, true, rng);
+        if (config_.use_fuzzy_crf) {
+          std::vector<std::vector<int>> allowed(ex.tokens.size());
+          for (size_t t = 0; t < ex.tokens.size(); ++t) {
+            for (const auto& label : ex.allowed_iob[t]) {
+              allowed[t].push_back(LabelId(label));
+            }
           }
+          return crf_->FuzzyNegLogLikelihood(g, emissions, allowed);
         }
-        loss = crf_->FuzzyNegLogLikelihood(&g, emissions, allowed);
-      } else {
         std::vector<int> gold;
         gold.reserve(ex.tokens.size());
         for (const auto& allowed : ex.allowed_iob) {
           gold.push_back(LabelId(allowed.front()));
         }
-        loss = crf_->NegLogLikelihood(&g, emissions, gold);
-      }
-      g.Backward(loss);
-      if (++in_batch >= config_.batch_size) {
-        adam.Step(&store_);
-        store_.ZeroGrad();
-        in_batch = 0;
-      }
-    }
-    if (in_batch > 0) {
-      adam.Step(&store_);
-      store_.ZeroGrad();
-    }
-  }
+        return crf_->NegLogLikelihood(g, emissions, gold);
+      });
   trained_ = true;
 }
 

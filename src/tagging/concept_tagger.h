@@ -21,7 +21,6 @@
 #include "eval/metrics.h"
 #include "nn/crf.h"
 #include "nn/layers.h"
-#include "nn/optimizer.h"
 #include "nn/rnn.h"
 #include "text/gloss_encoder.h"
 #include "text/pos_tagger.h"

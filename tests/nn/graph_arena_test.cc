@@ -13,7 +13,6 @@
 
 #include "common/thread_pool.h"
 #include "nn/graph.h"
-#include "nn/parallel_train.h"
 #include "tagger_net.h"
 
 namespace alicoco::nn {
@@ -131,10 +130,10 @@ TEST(GraphArenaRaceTest, ConcurrentGraphsMatchSerial) {
     TaggerResult train;
     Tensor nested;
   };
-  auto run_task = [&](size_t i, GradientBuffer* sink) {
+  auto run_task = [&](size_t i, GradientBuffer* buffer) {
     TaskResult r;
     {
-      Graph g(sink);
+      Graph g(buffer);
       Graph::Var logits = net.Logits(&g, outer[i].ids);
       {
         Graph nested(Graph::kForwardOnly);
@@ -147,22 +146,24 @@ TEST(GraphArenaRaceTest, ConcurrentGraphsMatchSerial) {
       r.train.logits = g.Value(logits);
     }
     for (const auto& p : net.store.params()) {
-      r.train.grads.push_back(*sink->GradFor(p.get()));
+      r.train.grads.push_back(*buffer->GradFor(p.get()));
     }
     return r;
   };
 
-  std::vector<GradientBuffer> serial_sinks(kTasks);
+  std::vector<GradientBuffer> serial_buffers(kTasks,
+                                             GradientBuffer(&net.store));
   std::vector<TaskResult> serial;
   for (size_t i = 0; i < kTasks; ++i) {
-    serial.push_back(run_task(i, &serial_sinks[i]));
+    serial.push_back(run_task(i, &serial_buffers[i]));
   }
 
-  std::vector<GradientBuffer> pooled_sinks(kTasks);
+  std::vector<GradientBuffer> pooled_buffers(kTasks,
+                                             GradientBuffer(&net.store));
   std::vector<TaskResult> pooled(kTasks);
   ThreadPool pool(4);
   for (size_t i = 0; i < kTasks; ++i) {
-    pool.Submit([&, i] { pooled[i] = run_task(i, &pooled_sinks[i]); });
+    pool.Submit([&, i] { pooled[i] = run_task(i, &pooled_buffers[i]); });
   }
   pool.Wait();
 

@@ -201,6 +201,50 @@ TEST(PipelineTest, StageSpansFormOneTreeInExecutionOrder) {
                             "pipeline.item_association.score"}));
   EXPECT_GE(static_cast<double>(step_us),
             0.95 * static_cast<double>(assoc.duration_us));
+
+  // Each model's nn::Train span sits under the stage that trains it, with
+  // one epoch span per configured epoch.
+  ASSERT_EQ(steps.size(), 3u);
+  auto attribute = [](const obs::SpanRecord& s, const std::string& key) {
+    for (const auto& [k, v] : s.attributes) {
+      if (k == key) return v;
+    }
+    return std::string();
+  };
+  auto trainings = [&](const std::string& model, uint64_t parent,
+                       int epochs) {
+    std::vector<const obs::SpanRecord*> found;
+    for (const obs::SpanRecord& s : spans) {
+      if (s.name != model + ".train") continue;
+      EXPECT_EQ(s.parent_id, parent) << s.name;
+      EXPECT_EQ(attribute(s, "epochs"), std::to_string(epochs)) << s.name;
+      int epoch_spans = 0;
+      for (const obs::SpanRecord& e : spans) {
+        epoch_spans += e.parent_id == s.id && e.name == model + ".epoch";
+      }
+      EXPECT_EQ(epoch_spans, epochs) << s.name;
+      found.push_back(&s);
+    }
+    std::sort(found.begin(), found.end(),
+              [](const obs::SpanRecord* x, const obs::SpanRecord* y) {
+                return x->id < y->id;
+              });
+    return found;
+  };
+  EXPECT_EQ(trainings("labeler", stages[2]->id, 3).size(), 1u);
+  EXPECT_EQ(trainings("projection", stages[3]->id, 3).size(), 1u);
+  EXPECT_EQ(trainings("tagger", stages[5]->id, 4).size(), 1u);
+  EXPECT_EQ(trainings("matcher", steps[0]->id, 4).size(), 1u);
+  // Stage 5 trains a fresh classifier in every audit round (at most 5), on
+  // a training set that grows by each round's audited labels.
+  const std::vector<const obs::SpanRecord*> rounds =
+      trainings("classifier", stages[4]->id, 3);
+  ASSERT_GE(rounds.size(), 1u);
+  EXPECT_LE(rounds.size(), 5u);
+  for (size_t i = 1; i < rounds.size(); ++i) {
+    EXPECT_LT(std::stoul(attribute(*rounds[i - 1], "examples")),
+              std::stoul(attribute(*rounds[i], "examples")));
+  }
 }
 
 TEST(PipelineTest, PublishesTheMetricsPerfbenchReads) {

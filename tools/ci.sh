@@ -107,7 +107,8 @@ cmake --build --preset tsan -j "${JOBS}"
 # The threaded surface: the thread pool (incl. the race stress suite), the
 # observability registry/tracer stress suite, the profiling-tier stress
 # suite (sample ring, instrumented mutex, flight recorder), the per-thread
-# graph arenas, the trainers that fan out over the pool, the knowledge
+# graph arenas, nn::Train's pooled shards (every pooled trainer test is in
+# ParallelTrainingTest, which `Training` selects), the knowledge
 # matcher's per-thread concept-side memo (KnowledgeMatchingRaceTest scores
 # concept-grouped pairs from the pool, as stage 7 does), the serving apps
 # shared by concurrent clients, and one full AliCoCoBuilder::Build
