@@ -93,8 +93,10 @@ int main() {
   }
   epochs.Print();
   std::printf(
-      "\nShape check: epoch 1 discovers the bulk; later epochs converge as "
-      "the dictionary absorbs the corpus (the paper's continuous loop).\n"
+      "\nShape check: epoch 1 discovers the bulk; later epochs replay epoch "
+      "1's rejections (the labeler is trained once and every epoch reads the "
+      "same corpus, so they re-propose what epoch 1 rejected and accept "
+      "none; the paper's loop reads new text every epoch).\n"
       "Initial holdout targets: %zu\n",
       world.holdout_surfaces().size());
   return 0;

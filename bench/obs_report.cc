@@ -11,8 +11,6 @@
 //                        (`attribution_<column>{stage="..."}`)
 //   trace.jsonl          every span, including nested stage detail
 //   build.log            Logger records routed through obs::FileLogSink
-//   crash_flight.jsonl   flight-recorder dump — only on CHECK failure
-//                        or fatal signal
 //
 // Per-stage figures come from the builder's own `pipeline.<stage>` spans:
 // a span listener reads process CPU time, the heap counters and the
@@ -43,7 +41,6 @@
 #include "common/table_printer.h"
 #include "obs/exporters.h"
 #include "obs/prof/cpu_profiler.h"
-#include "obs/prof/flight_recorder.h"
 #include "obs/prof/heap_stats.h"
 #include "obs/prof/lock_metrics.h"
 #include "pipeline/builder.h"
@@ -63,20 +60,6 @@ bool WriteFile(const std::string& path, const std::string& content) {
   out << content;
   return out.good();
 }
-
-/// Routes one record to both the file sink and the flight recorder.
-class TeeLogSink : public alicoco::LogSink {
- public:
-  TeeLogSink(alicoco::LogSink* a, alicoco::LogSink* b) : a_(a), b_(b) {}
-  void Write(const alicoco::LogRecord& record) override {
-    if (a_ != nullptr) a_->Write(record);
-    if (b_ != nullptr) b_->Write(record);
-  }
-
- private:
-  alicoco::LogSink* const a_;
-  alicoco::LogSink* const b_;
-};
 
 /// CPU time of the whole process (workers included), in microseconds.
 uint64_t ProcessCpuUs() {
@@ -184,21 +167,13 @@ int main(int argc, char** argv) {
   obs::Tracer tracer;
   obs::Registry registry;
 
-  // Profiling tier: flight recorder first (so crash dumps cover world
-  // generation too), then contention sink, heap tracking, CPU profiler.
-  obs::prof::FlightRecorder recorder(2048);
-  recorder.InstallCrashDump(outdir + "/crash_flight.jsonl");
-
+  // Profiling tier: contention sink, heap tracking, CPU profiler.
   obs::prof::LockContentionMetrics lock_metrics(&registry);
   ScopedLockStatsSink scoped_sink(&lock_metrics);
 
   StageCosts costs(&lock_metrics);
   tracer.SetSpanListener(
-      [flight = obs::prof::MakeSpanFlightListener(&recorder),
-       &costs](const SpanRecord& span) {
-        flight(span);
-        costs.OnSpan(span);
-      });
+      [&costs](const SpanRecord& span) { costs.OnSpan(span); });
 
   obs::prof::SetHeapTrackingEnabled(true);
   if (!obs::prof::HeapHookLinked()) {
@@ -208,17 +183,14 @@ int main(int argc, char** argv) {
   }
 
   obs::FileLogSink log_sink(outdir + "/build.log");
-  obs::prof::FlightRecorderLogSink flight_log_sink(&recorder);
-  TeeLogSink tee(log_sink.status().ok() ? &log_sink : nullptr,
-                 &flight_log_sink);
-  if (!log_sink.status().ok()) {
+  if (log_sink.status().ok()) {
+    Logger::SetSink(&log_sink);
+  } else {
     std::fprintf(stderr, "obs_report: %s (logging to stderr)\n",
                  log_sink.status().ToString().c_str());
   }
-  Logger::SetSink(&tee);
 
   std::printf("== obs_report: instrumented pipeline run (bench world) ==\n");
-  recorder.Record("obs_report start");
   datagen::World world = [&] {
     bench::StageTimer t("generate world");
     return datagen::World::Generate(bench::BenchWorldConfig());
@@ -262,7 +234,6 @@ int main(int argc, char** argv) {
     }
   }
   Logger::SetSink(nullptr);
-  recorder.Record("pipeline done");
   if (!net.ok()) {
     std::fprintf(stderr, "pipeline failed: %s\n",
                  net.status().ToString().c_str());

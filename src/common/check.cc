@@ -1,21 +1,7 @@
 #include "common/check.h"
 
-#include <atomic>
 #include <cstdio>
 #include <cstdlib>
-
-namespace alicoco {
-namespace {
-
-constinit std::atomic<CheckFailureHandler> g_check_failure_handler{nullptr};
-
-}  // namespace
-
-void SetCheckFailureHandler(CheckFailureHandler handler) {
-  g_check_failure_handler.store(handler, std::memory_order_release);
-}
-
-}  // namespace alicoco
 
 namespace alicoco::internal {
 
@@ -30,12 +16,7 @@ CheckFailure::CheckFailure(const char* file, int line,
 }
 
 CheckFailure::~CheckFailure() {
-  const std::string message = stream_.str();
-  std::fprintf(stderr, "%s\n", message.c_str());
-  if (CheckFailureHandler handler =
-          g_check_failure_handler.load(std::memory_order_acquire)) {
-    handler(message.c_str());
-  }
+  std::fprintf(stderr, "%s\n", stream_.str().c_str());
   std::abort();
 }
 

@@ -19,20 +19,6 @@
 #include <sstream>
 #include <string>
 
-namespace alicoco {
-
-/// Called with the fully rendered failure message just before a failed
-/// CHECK aborts. The flight recorder (obs/prof/flight_recorder.h) installs
-/// one to dump its ring of recent events next to the crash. The handler
-/// runs on the failing thread inside the abort path: it must not CHECK,
-/// allocate unboundedly, or assume any lock is free.
-using CheckFailureHandler = void (*)(const char* message);
-
-/// Installs `handler` process-wide (nullptr detaches). Thread-safe.
-void SetCheckFailureHandler(CheckFailureHandler handler);
-
-}  // namespace alicoco
-
 namespace alicoco::internal {
 
 /// Accumulates the failure message; aborts in the destructor at the end of

@@ -41,16 +41,19 @@ void ConceptClassifier::Train(const std::vector<LabeledConcept>& data) {
   }
 
   // Model construction.
+  constexpr int kCharDim = 10;
+  constexpr int kCharHidden = 10;
+  constexpr int kWordDim = 20;
+  constexpr int kWordHidden = 16;
   char_emb_ = std::make_unique<nn::Embedding>(
-      &store_, "char_emb", char_vocab_.size(), config_.char_dim, &init_rng_);
-  char_bilstm_ = std::make_unique<nn::BiLstm>(
-      &store_, "char_bilstm", config_.char_dim, config_.char_hidden,
-      &init_rng_);
+      &store_, "char_emb", char_vocab_.size(), kCharDim, &init_rng_);
+  char_bilstm_ = std::make_unique<nn::BiLstm>(&store_, "char_bilstm", kCharDim,
+                                              kCharHidden, &init_rng_);
   word_emb_ = std::make_unique<nn::Embedding>(
-      &store_, "word_emb", word_vocab_.size(), config_.word_dim, &init_rng_);
+      &store_, "word_emb", word_vocab_.size(), kWordDim, &init_rng_);
   if (config_.use_pretrained) {
     // Initialize word vectors from the corpus-pretrained table.
-    ALICOCO_CHECK(res_.embeddings->dim() == config_.word_dim)
+    ALICOCO_CHECK(res_.embeddings->dim() == kWordDim)
         << "pretrained dim mismatch";
     nn::Parameter* table = word_emb_->parameter();
     for (int wid = 2; wid < word_vocab_.size(); ++wid) {
@@ -60,13 +63,12 @@ void ConceptClassifier::Train(const std::vector<LabeledConcept>& data) {
         continue;
       }
       const float* e = res_.embeddings->Embedding(cid);
-      for (int k = 0; k < config_.word_dim; ++k) table->value.At(wid, k) = e[k];
+      for (int k = 0; k < kWordDim; ++k) table->value.At(wid, k) = e[k];
     }
   }
-  word_bilstm_ = std::make_unique<nn::BiLstm>(
-      &store_, "word_bilstm", config_.word_dim, config_.word_hidden,
-      &init_rng_);
-  int wdim = 2 * config_.word_hidden;
+  word_bilstm_ = std::make_unique<nn::BiLstm>(&store_, "word_bilstm", kWordDim,
+                                              kWordHidden, &init_rng_);
+  int wdim = 2 * kWordHidden;
   word_attn_ = std::make_unique<nn::SelfAttention>(&store_, "word_attn", wdim,
                                                    &init_rng_);
   if (config_.use_knowledge) {
@@ -84,18 +86,20 @@ void ConceptClassifier::Train(const std::vector<LabeledConcept>& data) {
         &store_, "wide", std::vector<int>{WideFeatures::kDim, 12, 8},
         &init_rng_);
   }
-  int concat_dim = 2 * config_.char_hidden + wdim +
+  int concat_dim = 2 * kCharHidden + wdim +
                    (config_.use_knowledge ? wdim + kKnowledgeFeatureDim : 0) +
                    (config_.use_wide ? 8 : 0);
   head_ = std::make_unique<nn::Mlp>(
       &store_, "head", std::vector<int>{concat_dim, 16, 1}, &init_rng_);
 
+  constexpr float kLr = 0.01f;
+  constexpr int kBatchSize = 16;
   nn::Train(
       &store_, data.size(),
       {.model = "classifier",
        .epochs = config_.epochs,
-       .lr = config_.lr,
-       .batch_size = config_.batch_size,
+       .lr = kLr,
+       .batch_size = kBatchSize,
        .seed = config_.seed ^ 0xD1CE,
        .example_rng = nn::ExampleRng::kPerExample,
        .pool = config_.pool},
@@ -128,8 +132,12 @@ nn::Graph::Var ConceptClassifier::Logit(nn::Graph* g,
   // Word side: embeddings -> BiLSTM -> self-attention.
   std::vector<int> word_ids = word_vocab_.Encode(tokens);
   if (train && rng != nullptr) {
+    // Probability of replacing a training word with <unk>: discourages
+    // memorizing specific word combinations so the model must rely on the
+    // generalizable channels (wide + knowledge features).
+    constexpr float kWordUnkProb = 0.2f;
     for (int& id : word_ids) {
-      if (rng->Bernoulli(config_.word_unk_prob)) {
+      if (rng->Bernoulli(kWordUnkProb)) {
         id = text::Vocabulary::kUnkId;
       }
     }

@@ -47,17 +47,7 @@ struct ConceptClassifierConfig {
   bool use_wide = true;
   bool use_pretrained = true;  ///< pretrained embeddings + LM wide features
   bool use_knowledge = true;   ///< gloss-enhanced module
-  int char_dim = 10;
-  int char_hidden = 10;
-  int word_dim = 20;
-  int word_hidden = 16;
   int epochs = 4;
-  float lr = 0.01f;
-  int batch_size = 16;
-  /// Probability of replacing a training word with <unk>: discourages
-  /// memorizing specific word combinations so the model must rely on the
-  /// generalizable channels (wide + knowledge features).
-  float word_unk_prob = 0.2f;
   uint64_t seed = 31;
   /// Optional worker pool for data-parallel minibatches (not owned; null
   /// trains on the calling thread). The trained model depends on the pool's

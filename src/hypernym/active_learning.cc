@@ -182,7 +182,8 @@ ActiveLearningResult ActiveLearner::Run(SamplingStrategy strategy,
         pick_order.resize(k);
         break;
       case SamplingStrategy::kUcs: {
-        size_t k_unc = static_cast<size_t>(config_.alpha * k);
+        constexpr double kAlpha = 0.5;  ///< UCS mix
+        size_t k_unc = static_cast<size_t>(kAlpha * k);
         size_t k_conf = k - k_unc;
         std::vector<size_t> by_unc = pick_order;
         std::partial_sort(by_unc.begin(),

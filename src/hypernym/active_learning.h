@@ -50,7 +50,6 @@ RankingMetrics TrainOnPoolAndEvaluate(const text::SkipgramModel* embeddings,
 /// Loop configuration.
 struct ActiveLearningConfig {
   size_t per_round = 2000;  ///< K: labels bought per iteration
-  double alpha = 0.5;       ///< UCS mix
   int max_rounds = 10;
   int patience = 2;         ///< stop after this many non-improving rounds
   ProjectionConfig model;

@@ -16,14 +16,14 @@ ProjectionModel::ProjectionModel(const text::SkipgramModel* embeddings,
       config_(config),
       init_rng_(config.seed) {
   ALICOCO_CHECK(embeddings != nullptr && vocab != nullptr);
+  constexpr int kLayers = 4;  ///< K bilinear layers (Eq. 1)
   int d = embeddings_->dim();
-  for (int k = 0; k < config_.k_layers; ++k) {
+  for (int k = 0; k < kLayers; ++k) {
     tensors_.push_back(store_.Create("T" + std::to_string(k), d, d,
                                      nn::ParameterStore::Init::kXavier,
                                      &init_rng_));
   }
-  head_ = std::make_unique<nn::Linear>(&store_, "head", config_.k_layers, 1,
-                                       &init_rng_);
+  head_ = std::make_unique<nn::Linear>(&store_, "head", kLayers, 1, &init_rng_);
 }
 
 nn::Tensor ProjectionModel::PhraseEmbedding(const std::string& surface) const {
@@ -63,20 +63,23 @@ void ProjectionModel::Train(const std::vector<LabeledPair>& data) {
   ALICOCO_CHECK(!data.empty());
   float positive_weight = 1.0f;
   if (config_.balance_classes) {
+    constexpr float kMaxPositiveWeight = 30.0f;
     size_t pos = 0;
     for (const auto& pair : data) pos += pair.label;
     if (pos > 0 && pos < data.size()) {
       positive_weight = std::min(
-          config_.max_positive_weight,
+          kMaxPositiveWeight,
           static_cast<float>(data.size() - pos) / static_cast<float>(pos));
     }
   }
+  constexpr float kLr = 0.01f;
+  constexpr int kBatchSize = 16;
   nn::Train(
       &store_, data.size(),
       {.model = "projection",
        .epochs = config_.epochs,
-       .lr = config_.lr,
-       .batch_size = config_.batch_size,
+       .lr = kLr,
+       .batch_size = kBatchSize,
        .seed = config_.seed ^ 0xC0FFEE,
        .example_rng = nn::ExampleRng::kPerExample},
       [&](nn::Graph* g, size_t idx, Rng*) -> std::optional<nn::Graph::Var> {
@@ -101,14 +104,6 @@ double ProjectionModel::Score(const std::string& hypo,
       Logit(&g, PhraseEmbedding(hypo), PhraseEmbedding(hyper));
   float x = g.Value(logit).At(0, 0);
   return 1.0 / (1.0 + std::exp(-static_cast<double>(x)));
-}
-
-std::vector<double> ProjectionModel::ScoreAll(
-    const std::vector<LabeledPair>& pairs) const {
-  std::vector<double> out;
-  out.reserve(pairs.size());
-  for (const auto& p : pairs) out.push_back(Score(p.hypo, p.hyper));
-  return out;
 }
 
 RankingMetrics EvaluateRanking(const ProjectionModel& model,

@@ -28,15 +28,11 @@ struct LabeledPair {
 
 /// Hyperparameters of the projection model.
 struct ProjectionConfig {
-  int k_layers = 4;       ///< K bilinear layers (Eq. 1)
   int epochs = 4;
-  float lr = 0.01f;
-  int batch_size = 16;
   /// Up-weight positive examples by the negative:positive ratio (capped),
   /// so scores are calibrated around 0.5 despite the 1:N sampling — the
   /// uncertainty signal of Algorithm 1 depends on this.
   bool balance_classes = true;
-  float max_positive_weight = 30.0f;
   uint64_t seed = 23;
 };
 
@@ -54,9 +50,6 @@ class ProjectionModel {
 
   /// P(h is a hypernym of p).
   double Score(const std::string& hypo, const std::string& hyper) const;
-
-  /// Scores many pairs.
-  std::vector<double> ScoreAll(const std::vector<LabeledPair>& pairs) const;
 
  private:
   nn::Tensor PhraseEmbedding(const std::string& surface) const;

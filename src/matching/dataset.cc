@@ -24,7 +24,8 @@ MatchingDataset BuildMatchingDataset(const datagen::World& world,
   std::vector<size_t> order(usable.size());
   std::iota(order.begin(), order.end(), 0);
   rng.Shuffle(&order);
-  size_t n_test = static_cast<size_t>(config.test_concept_fraction *
+  constexpr double kTestConceptFraction = 0.3;  // concepts held out for test
+  size_t n_test = static_cast<size_t>(kTestConceptFraction *
                                       static_cast<double>(usable.size()));
 
   const auto& items = world.item_profiles();
@@ -42,7 +43,8 @@ MatchingDataset BuildMatchingDataset(const datagen::World& world,
     for (kg::ItemId item : positives) {
       out->push_back(MatchingExample{concept_tokens, net.Get(item).title,
                                      item.value, 1});
-      for (int n = 0; n < config.negatives_per_positive; ++n) {
+      constexpr int kNegativesPerPositive = 1;
+      for (int n = 0; n < kNegativesPerPositive; ++n) {
         for (int attempt = 0; attempt < 32; ++attempt) {
           const auto& neg = items[rng.Uniform(items.size())];
           if (positive_ids.count(neg.id.value)) continue;

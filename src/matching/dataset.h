@@ -41,9 +41,7 @@ struct MatchingDataset {
 };
 
 struct MatchingDatasetConfig {
-  int negatives_per_positive = 1;
-  double test_concept_fraction = 0.3;  ///< concepts held out for test
-  int rank_candidates = 20;            ///< negatives per ranking query
+  int rank_candidates = 20;  ///< negatives per ranking query
   size_t max_positives_per_concept = 12;
   uint64_t seed = 71;
 };

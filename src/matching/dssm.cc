@@ -5,12 +5,10 @@ namespace alicoco::matching {
 void DssmMatcher::BuildModel() {
   emb_ = MakeEmbedding("emb");
   concept_tower_ = std::make_unique<nn::Mlp>(
-      &store_, "concept_tower",
-      std::vector<int>{config_.embed_dim, config_.hidden, config_.hidden},
+      &store_, "concept_tower", std::vector<int>{kEmbedDim, kHidden, kHidden},
       &init_rng_);
   item_tower_ = std::make_unique<nn::Mlp>(
-      &store_, "item_tower",
-      std::vector<int>{config_.embed_dim, config_.hidden, config_.hidden},
+      &store_, "item_tower", std::vector<int>{kEmbedDim, kHidden, kHidden},
       &init_rng_);
   scale_ = store_.Create("scale", 1, 1, nn::ParameterStore::Init::kZero,
                          nullptr);

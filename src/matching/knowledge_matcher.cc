@@ -28,6 +28,8 @@ struct ConceptMemo {
 
 thread_local ConceptMemo tls_concept_memo;
 
+constexpr int kPoolGrid = 3;  // each pyramid layer pools to kPoolGrid^2 cells
+
 }  // namespace
 
 KnowledgeMatcher::KnowledgeMatcher(const KnowledgeMatcherConfig& config,
@@ -39,11 +41,6 @@ KnowledgeMatcher::KnowledgeMatcher(const KnowledgeMatcherConfig& config,
       res_(resources),
       memo_id_(NextMemoId()) {
   ALICOCO_CHECK(res_.pos_tagger != nullptr) << "POS tagger required";
-  ALICOCO_CHECK_GT(kcfg_.cnn_filters, 0);
-  ALICOCO_CHECK_GT(kcfg_.cnn_window, 0);
-  ALICOCO_CHECK_GT(kcfg_.pos_dim, 0);
-  ALICOCO_CHECK_GT(kcfg_.pyramid_layers, 0);
-  ALICOCO_CHECK_GT(kcfg_.pool_grid, 0);
   if (kcfg_.use_knowledge) {
     ALICOCO_CHECK(res_.gloss_encoder != nullptr && res_.gloss_lookup &&
                   res_.concept_classes && res_.num_classes > 0)
@@ -52,17 +49,20 @@ KnowledgeMatcher::KnowledgeMatcher(const KnowledgeMatcherConfig& config,
 }
 
 void KnowledgeMatcher::BuildModel() {
-  int d = config_.embed_dim;
-  int f = kcfg_.cnn_filters;
+  constexpr int kPosDim = 6;
+  constexpr int kCnnFilters = 24;
+  constexpr int kCnnWindow = 3;
+  constexpr int kPyramidLayers = 3;  ///< K of Eq. 16
+  int d = kEmbedDim;
+  int f = kCnnFilters;
   emb_ = MakeEmbedding("emb");
   pos_emb_ = std::make_unique<nn::Embedding>(
-      &store_, "pos_emb", text::kNumPosTags, kcfg_.pos_dim, &init_rng_);
-  int in_dim = d + kcfg_.pos_dim;
+      &store_, "pos_emb", text::kNumPosTags, kPosDim, &init_rng_);
+  int in_dim = d + kPosDim;
   concept_cnn_ = std::make_unique<nn::Conv1D>(&store_, "concept_cnn", in_dim,
-                                              f, kcfg_.cnn_window,
-                                              &init_rng_);
+                                              f, kCnnWindow, &init_rng_);
   item_cnn_ = std::make_unique<nn::Conv1D>(&store_, "item_cnn", in_dim, f,
-                                           kcfg_.cnn_window, &init_rng_);
+                                           kCnnWindow, &init_rng_);
   att_w1_ = std::make_unique<nn::Linear>(&store_, "att_w1", f, f, &init_rng_);
   att_w2_ = std::make_unique<nn::Linear>(&store_, "att_w2", f, f, &init_rng_);
   att_v_ = store_.Create("att_v", f, 1, nn::ParameterStore::Init::kXavier,
@@ -94,7 +94,7 @@ void KnowledgeMatcher::BuildModel() {
       std::copy(vec.begin(), vec.end(), gloss_of_id_.Row(id));
     }
   }
-  for (int k = 0; k < kcfg_.pyramid_layers; ++k) {
+  for (int k = 0; k < kPyramidLayers; ++k) {
     // Near-identity init: layer 0 starts as a plain dot-product matrix (the
     // MatchPyramid interaction); later layers perturb it so the K layers
     // learn distinct similarity facets.
@@ -104,15 +104,13 @@ void KnowledgeMatcher::BuildModel() {
     for (int j = 0; j < d; ++j) wk->value.At(j, j) += 1.0f;
     pyramid_.push_back(wk);
   }
-  int grid_feats = kcfg_.pool_grid * kcfg_.pool_grid + 4;
+  int grid_feats = kPoolGrid * kPoolGrid + 4;
   pyramid_mlp_ = std::make_unique<nn::Mlp>(
       &store_, "pyramid_mlp",
-      std::vector<int>{kcfg_.pyramid_layers * grid_feats, config_.hidden},
-      &init_rng_);
-  int head_in = config_.hidden + (kcfg_.use_attention_channel ? 3 * f : 0);
+      std::vector<int>{kPyramidLayers * grid_feats, kHidden}, &init_rng_);
+  int head_in = kHidden + (kcfg_.use_attention_channel ? 3 * f : 0);
   head_ = std::make_unique<nn::Mlp>(
-      &store_, "head", std::vector<int>{head_in, config_.hidden, 1},
-      &init_rng_);
+      &store_, "head", std::vector<int>{head_in, kHidden, 1}, &init_rng_);
 }
 
 nn::Graph::Var KnowledgeMatcher::Logit(nn::Graph* g,
@@ -213,7 +211,7 @@ nn::Graph::Var KnowledgeMatcher::Logit(nn::Graph* g,
     // Stats before the grid: see match_pyramid.h.
     nn::Graph::Var stats = BestAlignmentStats(g, match);
     layer_feats.push_back(
-        g->ConcatCols({DynamicGridPool(g, match, kcfg_.pool_grid), stats}));
+        g->ConcatCols({DynamicGridPool(g, match, kPoolGrid), stats}));
   }
   nn::Graph::Var ci =
       g->Tanh(pyramid_mlp_->Apply(g, g->ConcatCols(layer_feats)));

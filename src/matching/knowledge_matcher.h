@@ -28,11 +28,6 @@ struct KnowledgeMatcherConfig {
   /// Ablation knob: drop the attention-weighted c/i channel (Eq. 11-14)
   /// and score from the matching pyramid alone.
   bool use_attention_channel = true;
-  int pos_dim = 6;
-  int cnn_filters = 24;
-  int cnn_window = 3;
-  int pyramid_layers = 3;  ///< K of Eq. 16
-  int pool_grid = 3;
 };
 
 /// External knowledge plumbing; pointers must outlive the matcher. The POS

@@ -169,8 +169,7 @@ nn::Graph::Var BestAlignmentStats(nn::Graph* g, nn::Graph::Var matrix) {
 void MatchPyramidMatcher::BuildModel() {
   emb_ = MakeEmbedding("emb");
   head_ = std::make_unique<nn::Mlp>(
-      &store_, "head", std::vector<int>{kGrid * kGrid, config_.hidden, 1},
-      &init_rng_);
+      &store_, "head", std::vector<int>{kGrid * kGrid, kHidden, 1}, &init_rng_);
 }
 
 nn::Graph::Var MatchPyramidMatcher::Logit(nn::Graph* g,

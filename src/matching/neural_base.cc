@@ -17,7 +17,7 @@ NeuralMatcherBase::NeuralMatcherBase(const NeuralMatcherConfig& config,
       init_rng_(config.seed) {
   if (pretrained_ != nullptr) {
     ALICOCO_CHECK(corpus_vocab_ != nullptr);
-    ALICOCO_CHECK(pretrained_->dim() == config_.embed_dim)
+    ALICOCO_CHECK(pretrained_->dim() == kEmbedDim)
         << "pretrained dim mismatch";
   }
 }
@@ -25,7 +25,7 @@ NeuralMatcherBase::NeuralMatcherBase(const NeuralMatcherConfig& config,
 std::unique_ptr<nn::Embedding> NeuralMatcherBase::MakeEmbedding(
     const std::string& name) {
   auto emb = std::make_unique<nn::Embedding>(
-      &store_, name, vocab_.size(), config_.embed_dim, &init_rng_);
+      &store_, name, vocab_.size(), kEmbedDim, &init_rng_);
   if (pretrained_ != nullptr) {
     nn::Parameter* table = emb->parameter();
     for (int wid = 2; wid < vocab_.size(); ++wid) {
@@ -35,7 +35,7 @@ std::unique_ptr<nn::Embedding> NeuralMatcherBase::MakeEmbedding(
         continue;
       }
       const float* e = pretrained_->Embedding(cid);
-      for (int k = 0; k < config_.embed_dim; ++k) {
+      for (int k = 0; k < kEmbedDim; ++k) {
         table->value.At(wid, k) = e[k];
       }
     }
@@ -57,15 +57,16 @@ void NeuralMatcherBase::Train(const MatchingDataset& dataset) {
     for (const auto& t : ex.concept_tokens) vocab_.Add(t);
     for (const auto& t : ex.item_tokens) vocab_.Add(t);
   }
-  ObserveVocabulary();
   BuildModel();
 
+  constexpr float kLr = 0.01f;
+  constexpr int kBatchSize = 16;
   nn::Train(
       &store_, dataset.train.size(),
       {.model = "matcher",
        .epochs = config_.epochs,
-       .lr = config_.lr,
-       .batch_size = config_.batch_size,
+       .lr = kLr,
+       .batch_size = kBatchSize,
        .seed = config_.seed ^ 0xBEAD,
        .example_rng = nn::ExampleRng::kShuffleStream},
       [&](nn::Graph* g, size_t idx,

@@ -20,11 +20,7 @@ namespace alicoco::matching {
 
 /// Hyperparameters shared by the neural matchers.
 struct NeuralMatcherConfig {
-  int embed_dim = 20;
-  int hidden = 16;
   int epochs = 3;
-  float lr = 0.01f;
-  int batch_size = 16;
   uint64_t seed = 61;
 };
 
@@ -59,15 +55,16 @@ class NeuralMatcherBase : public Matcher {
                                const std::vector<int>& item_ids, bool train,
                                Rng* rng) const = 0;
 
-  /// Hook: subclasses may capture extra per-example context (the knowledge
-  /// matcher resolves concept-linked primitives from tokens).
-  virtual void ObserveVocabulary() {}
-
   /// Creates an embedding layer initialized from the pretrained table where
   /// token strings overlap.
   std::unique_ptr<nn::Embedding> MakeEmbedding(const std::string& name);
 
   std::vector<int> Encode(const std::vector<std::string>& tokens) const;
+
+  /// Word-embedding width, which a pretrained table must match, and the
+  /// hidden width of every matcher's layers.
+  static constexpr int kEmbedDim = 20;
+  static constexpr int kHidden = 16;
 
   NeuralMatcherConfig config_;
   const text::SkipgramModel* pretrained_;

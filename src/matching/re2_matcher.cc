@@ -3,16 +3,15 @@
 namespace alicoco::matching {
 
 void Re2Matcher::BuildModel() {
-  int d = config_.embed_dim;
+  int d = kEmbedDim;
   emb_ = MakeEmbedding("emb");
   align_proj_ = std::make_unique<nn::Linear>(&store_, "align", d, d,
                                              &init_rng_);
   // Fusion input: [x; aligned; x - aligned; x * aligned] -> hidden.
-  fuse_ = std::make_unique<nn::Linear>(&store_, "fuse", 4 * d,
-                                       config_.hidden, &init_rng_);
+  fuse_ = std::make_unique<nn::Linear>(&store_, "fuse", 4 * d, kHidden,
+                                       &init_rng_);
   head_ = std::make_unique<nn::Mlp>(
-      &store_, "head", std::vector<int>{2 * config_.hidden, config_.hidden, 1},
-      &init_rng_);
+      &store_, "head", std::vector<int>{2 * kHidden, kHidden, 1}, &init_rng_);
 }
 
 nn::Graph::Var Re2Matcher::FuseSide(nn::Graph* g, nn::Graph::Var self,

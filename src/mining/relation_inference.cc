@@ -37,7 +37,8 @@ std::vector<InferredRelation> ProposalsFromStats(
     rel.subject = kg::ConceptId(pair.first);
     rel.object = kg::ConceptId(pair.second);
     rel.support = joint;
-    rel.confidence = std::min(config.max_confidence, 1.0 - 1.0 / lift);
+    rel.confidence =
+        std::min(RelationInference::kMaxConfidence, 1.0 - 1.0 / lift);
     out.push_back(rel);
   }
   std::sort(out.begin(), out.end(),

@@ -33,12 +33,14 @@ struct InferredRelation {
 struct RelationInferenceConfig {
   double min_lift = 1.5;    ///< co-occurrence lift over independence
   size_t min_support = 5;   ///< minimum co-occurring items
-  double max_confidence = 0.99;
 };
 
 /// Infers schema-typed relations from item statistics in a net.
 class RelationInference {
  public:
+  /// Cap on a proposal's lift-derived confidence.
+  static constexpr double kMaxConfidence = 0.99;
+
   /// `net` must outlive the engine and carry the "suitable_when" /
   /// "used_when" schema relations.
   explicit RelationInference(const kg::ConceptNet* net);

@@ -45,12 +45,18 @@ void SequenceLabeler::Train(const std::vector<LabeledSentence>& data) {
 
   BuildModel();
 
+  constexpr float kLr = 0.01f;
+  constexpr int kBatchSize = 8;
+  // Probability of replacing a training token with <unk>: teaches the
+  // model to extend spans over out-of-vocabulary modifiers — essential for
+  // discovering genuinely new concepts.
+  constexpr float kWordUnkProb = 0.15f;
   nn::Train(
       &store_, data.size(),
       {.model = "labeler",
        .epochs = config_.epochs,
-       .lr = config_.lr,
-       .batch_size = config_.batch_size,
+       .lr = kLr,
+       .batch_size = kBatchSize,
        .seed = config_.seed ^ 0xFEED,
        .example_rng = nn::ExampleRng::kPerExample,
        .pool = config_.pool},
@@ -60,7 +66,7 @@ void SequenceLabeler::Train(const std::vector<LabeledSentence>& data) {
         if (s.tokens.empty()) return std::nullopt;
         std::vector<int> ids = vocab_.Encode(s.tokens);
         for (int& id : ids) {
-          if (rng->Bernoulli(config_.word_unk_prob)) {
+          if (rng->Bernoulli(kWordUnkProb)) {
             id = text::Vocabulary::kUnkId;
           }
         }
@@ -153,8 +159,9 @@ Result<SequenceLabeler> SequenceLabeler::Load(const std::string& path) {
 nn::Graph::Var SequenceLabeler::Emissions(nn::Graph* g,
                                           const std::vector<int>& ids,
                                           bool train, Rng* rng) const {
+  constexpr float kDropout = 0.1f;
   nn::Graph::Var x = embedding_->Lookup(g, ids);
-  x = g->Dropout(x, config_.dropout, train, rng);
+  x = g->Dropout(x, kDropout, train, rng);
   nn::Graph::Var h = bilstm_->Run(g, x);
   return proj_->Apply(g, h);
 }

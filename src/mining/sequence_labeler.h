@@ -32,13 +32,6 @@ struct SequenceLabelerConfig {
   int word_dim = 24;
   int hidden_dim = 24;
   int epochs = 3;
-  float lr = 0.01f;
-  int batch_size = 8;
-  float dropout = 0.1f;
-  /// Probability of replacing a training token with <unk>: teaches the
-  /// model to extend spans over out-of-vocabulary modifiers — essential for
-  /// discovering genuinely new concepts.
-  float word_unk_prob = 0.15f;
   uint64_t seed = 11;
   /// Optional worker pool for data-parallel minibatches (not owned; null
   /// trains on the calling thread). The trained model depends on the pool's

@@ -75,11 +75,10 @@ Status CpuProfiler::Start(const CpuProfilerOptions& options) {
     return Status::InvalidArgument(
         StringPrintf("sample_hz %d outside (0, 10000]", options.sample_hz));
   }
-  if (options.ring_capacity == 0) {
-    return Status::InvalidArgument("ring_capacity must be positive");
-  }
-
-  ring_ = std::make_unique<SampleRing<RawSample>>(options.ring_capacity);
+  // Ring capacity in samples (rounded up to a power of two). 8192 at
+  // 197Hz is over 40 CPU-seconds of headroom between drains.
+  constexpr size_t kRingCapacity = 8192;
+  ring_ = std::make_unique<SampleRing<RawSample>>(kRingCapacity);
   collected_.clear();
   samples_.store(0, std::memory_order_relaxed);
   truncated_.store(0, std::memory_order_relaxed);

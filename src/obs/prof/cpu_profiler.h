@@ -42,9 +42,6 @@ struct CpuProfilerOptions {
   /// SIGPROF delivery rate in CPU-time Hz. An off-round prime-ish default
   /// avoids lockstep with periodic workloads.
   int sample_hz = 197;
-  /// Ring capacity in samples (rounded up to a power of two). 8192 at
-  /// 197Hz is over 40 CPU-seconds of headroom between drains.
-  size_t ring_capacity = 8192;
 };
 
 /// Aggregated, symbolized result of one profiling session.

@@ -75,10 +75,11 @@ class Tracer {
   uint64_t NowUs() const { return clock_(); }
 
   /// Observer invoked (outside the tracer lock, on the closing thread)
-  /// for every finished span, in addition to normal collection — the
-  /// flight recorder uses this to keep a ring of recent spans. Set before
-  /// spans start closing and keep the callee alive until tracing ends;
-  /// the listener must be thread-safe.
+  /// for every finished span, in addition to normal collection —
+  /// obs_report's `StageCosts` uses this to charge each stage span the
+  /// process-wide cost counters' growth. Set before spans start closing
+  /// and keep the callee alive until tracing ends; the listener must be
+  /// thread-safe.
   using SpanListener = std::function<void(const SpanRecord&)>;
   void SetSpanListener(SpanListener listener);
 

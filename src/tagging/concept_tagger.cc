@@ -49,21 +49,26 @@ void ConceptTagger::Train(const std::vector<TaggedExample>& data) {
   }
 
   int num_labels = static_cast<int>(label_names_.size());
+  constexpr int kCharDim = 8;
+  constexpr int kCharFilters = 10;
+  constexpr int kCharWindow = 3;
+  constexpr int kWordDim = 20;
+  constexpr int kPosDim = 6;
+  constexpr int kHiddenDim = 18;
   char_emb_ = std::make_unique<nn::Embedding>(
-      &store_, "char_emb", char_vocab_.size(), config_.char_dim, &init_rng_);
-  char_cnn_ = std::make_unique<nn::Conv1D>(&store_, "char_cnn",
-                                           config_.char_dim,
-                                           config_.char_filters,
-                                           config_.char_window, &init_rng_);
+      &store_, "char_emb", char_vocab_.size(), kCharDim, &init_rng_);
+  char_cnn_ = std::make_unique<nn::Conv1D>(&store_, "char_cnn", kCharDim,
+                                           kCharFilters, kCharWindow,
+                                           &init_rng_);
   word_emb_ = std::make_unique<nn::Embedding>(
-      &store_, "word_emb", word_vocab_.size(), config_.word_dim, &init_rng_);
+      &store_, "word_emb", word_vocab_.size(), kWordDim, &init_rng_);
   pos_emb_ = std::make_unique<nn::Embedding>(&store_, "pos_emb",
-                                             text::kNumPosTags,
-                                             config_.pos_dim, &init_rng_);
-  int input_dim = config_.word_dim + config_.char_filters + config_.pos_dim;
+                                             text::kNumPosTags, kPosDim,
+                                             &init_rng_);
+  int input_dim = kWordDim + kCharFilters + kPosDim;
   bilstm_ = std::make_unique<nn::BiLstm>(&store_, "bilstm", input_dim,
-                                         config_.hidden_dim, &init_rng_);
-  int state_dim = 2 * config_.hidden_dim;
+                                         kHiddenDim, &init_rng_);
+  int state_dim = 2 * kHiddenDim;
   if (config_.use_knowledge) {
     // Project [h; tm] back to the state width before self-attention (Eq. 7).
     tm_proj_ = std::make_unique<nn::Linear>(
@@ -77,12 +82,14 @@ void ConceptTagger::Train(const std::vector<TaggedExample>& data) {
   crf_ = std::make_unique<nn::LinearChainCrf>(&store_, "crf", num_labels,
                                               &init_rng_);
 
+  constexpr float kLr = 0.01f;
+  constexpr int kBatchSize = 8;
   nn::Train(
       &store_, data.size(),
       {.model = "tagger",
        .epochs = config_.epochs,
-       .lr = config_.lr,
-       .batch_size = config_.batch_size,
+       .lr = kLr,
+       .batch_size = kBatchSize,
        .seed = config_.seed ^ 0xFACADE,
        .example_rng = nn::ExampleRng::kShuffleStream},
       [&](nn::Graph* g, size_t idx,

@@ -49,15 +49,7 @@ std::vector<TaggedExample> BuildDistantExamples(
 struct ConceptTaggerConfig {
   bool use_fuzzy_crf = true;
   bool use_knowledge = true;  ///< TM context-matrix augmentation
-  int char_dim = 8;
-  int char_filters = 10;
-  int char_window = 3;
-  int word_dim = 20;
-  int pos_dim = 6;
-  int hidden_dim = 18;
   int epochs = 5;
-  float lr = 0.01f;
-  int batch_size = 8;
   uint64_t seed = 43;
 };
 

@@ -60,7 +60,8 @@ void SkipgramModel::TrainPair(int center, int context, float lr, Rng* rng) {
   int d = config_.dim;
   float* v_in = &in_[static_cast<size_t>(center) * d];
   std::vector<float> grad_in(static_cast<size_t>(d), 0.0f);
-  for (int n = 0; n <= config_.negatives; ++n) {
+  constexpr int kNegatives = 5;  ///< negative samples per positive
+  for (int n = 0; n <= kNegatives; ++n) {
     int target;
     float label;
     if (n == 0) {
@@ -96,6 +97,8 @@ void SkipgramModel::Train(const std::vector<std::vector<int>>& corpus,
     corpus_total += static_cast<double>(vocab.Count(id));
   }
 
+  constexpr float kLr = 0.05f;  ///< initial learning rate (linearly decayed)
+  constexpr int kWindow = 4;    ///< max context offset
   for (int epoch = 0; epoch < config_.epochs; ++epoch) {
     for (const auto& sentence : corpus) {
       // Apply frequent-word subsampling to a working copy.
@@ -121,9 +124,9 @@ void SkipgramModel::Train(const std::vector<std::vector<int>>& corpus,
       for (size_t i = 0; i < kept.size(); ++i) {
         float progress = static_cast<float>(trained) /
                          static_cast<float>(std::max<int64_t>(budget, 1));
-        float lr = config_.lr * std::max(0.05f, 1.0f - progress);
-        int win = 1 + static_cast<int>(rng.Uniform(
-                          static_cast<uint64_t>(config_.window)));
+        float lr = kLr * std::max(0.05f, 1.0f - progress);
+        int win = 1 + static_cast<int>(
+                          rng.Uniform(static_cast<uint64_t>(kWindow)));
         for (int off = -win; off <= win; ++off) {
           if (off == 0) continue;
           int64_t j = static_cast<int64_t>(i) + off;

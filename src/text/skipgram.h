@@ -18,10 +18,7 @@ namespace alicoco::text {
 /// Training configuration for SGNS.
 struct SkipgramConfig {
   int dim = 24;            ///< embedding dimensionality
-  int window = 4;          ///< max context offset
-  int negatives = 5;       ///< negative samples per positive
   int epochs = 3;
-  float lr = 0.05f;        ///< initial learning rate (linearly decayed)
   double subsample = 1e-3; ///< frequent-word subsampling threshold; <=0 off
   uint64_t seed = 17;
 };

@@ -34,7 +34,7 @@ TEST(RelationInferenceTest, SuitableWhenProposalsAreMostlyGold) {
   // Confidences are sane and sorted descending.
   for (size_t i = 0; i < proposals.size(); ++i) {
     EXPECT_GT(proposals[i].confidence, 0.0);
-    EXPECT_LE(proposals[i].confidence, cfg.max_confidence);
+    EXPECT_LE(proposals[i].confidence, RelationInference::kMaxConfidence);
     EXPECT_GE(proposals[i].support, cfg.min_support);
     if (i > 0) {
       EXPECT_GE(proposals[i - 1].confidence, proposals[i].confidence);

@@ -11,7 +11,6 @@
 #include "common/lock_stats.h"
 #include "common/mutex.h"
 #include "obs/metrics.h"
-#include "obs/prof/flight_recorder.h"
 #include "obs/prof/lock_metrics.h"
 #include "obs/prof/sample_ring.h"
 
@@ -100,44 +99,6 @@ TEST(ProfRaceTest, NamedMutexHammerWithSinkInstalled) {
       registry.FindCounter("lock.acquires{mutex=race.hammer.mu}");
   ASSERT_NE(acquires, nullptr);
   EXPECT_GE(acquires->value(), static_cast<uint64_t>(kThreads) * kIters);
-}
-
-TEST(ProfRaceTest, FlightRecorderConcurrentRecordAndSnapshot) {
-  FlightRecorder recorder(128);
-  constexpr int kWriters = 4;
-  constexpr int kPerWriter = 5000;
-  std::atomic<bool> writing{true};
-
-  std::vector<std::thread> writers;
-  for (int w = 0; w < kWriters; ++w) {
-    writers.emplace_back([&, w] {
-      for (int i = 0; i < kPerWriter; ++i) {
-        recorder.Record("mark", "writer-" + std::to_string(w) + "-event-" +
-                                    std::to_string(i));
-      }
-    });
-  }
-  std::thread reader([&] {
-    while (writing.load(std::memory_order_acquire)) {
-      std::vector<std::string> lines = recorder.Snapshot();
-      EXPECT_LE(lines.size(), 128u);
-      // Accepted lines must be whole: Snapshot discards torn slots, so
-      // every survivor parses as one complete JSON object.
-      for (const std::string& line : lines) {
-        ASSERT_FALSE(line.empty());
-        EXPECT_EQ(line.front(), '{');
-        EXPECT_EQ(line.back(), '}');
-      }
-    }
-  });
-  for (auto& t : writers) t.join();
-  writing.store(false, std::memory_order_release);
-  reader.join();
-
-  EXPECT_EQ(recorder.recorded(),
-            static_cast<uint64_t>(kWriters) * kPerWriter);
-  std::vector<std::string> final_lines = recorder.Snapshot();
-  EXPECT_EQ(final_lines.size(), 128u);
 }
 
 }  // namespace

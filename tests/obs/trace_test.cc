@@ -99,6 +99,20 @@ TEST(TracerTest, DrainClearsTheCollection) {
   EXPECT_EQ(tracer.size(), 0u);
 }
 
+TEST(TracerTest, SpanListenerSeesEachFinishedSpanAndCollectionGoesOn) {
+  Tracer tracer;
+  std::vector<std::string> seen;
+  tracer.SetSpanListener(
+      [&seen](const SpanRecord& span) { seen.push_back(span.name); });
+  {
+    ScopedSpan outer(&tracer, "pipeline.build");
+    ScopedSpan inner(&tracer, "pipeline.mining");
+  }
+  EXPECT_EQ(seen, (std::vector<std::string>{"pipeline.mining",
+                                            "pipeline.build"}));
+  EXPECT_EQ(tracer.size(), 2u);
+}
+
 TEST(ScopedSpanTest, NullTracerIsANoOp) {
   ScopedSpan span(nullptr, "ignored");
   span.AddAttribute("k", "v");

@@ -11,9 +11,9 @@
 #      ALICOCO_SIMD=scalar so the portable kernel tier stays covered on
 #      AVX2 hardware
 #   3. instrumented pipeline smoke: one probed obs_report run must exit 0
-#      and leave a collapsed-stack profile, a trace and a Prometheus dump
-#      carrying all nine per-stage attribution series (no timing gate:
-#      clean timing is perfbench's, see BENCHMARK.json)
+#      and leave a collapsed-stack profile, a trace, a build log and a
+#      Prometheus dump carrying all nine per-stage attribution series (no
+#      timing gate: clean timing is perfbench's, see BENCHMARK.json)
 #   4. kernel smoke gate (bench_micro vs committed BENCH_kernels.json)
 #   5. ASan+UBSan build + full ctest   (DCHECKs forced on), then an
 #      explicit corrupted-checkpoint corpus replay: every deserializer
@@ -66,6 +66,7 @@ build/bench/obs_report --outdir build/obs/run
 test -s build/obs/run/profile.collapsed
 test -s build/obs/run/trace.jsonl
 test -s build/obs/run/metrics.prom
+test -s build/obs/run/build.log
 stages="$(grep -c '^attribution_allocs{stage="' build/obs/run/metrics.prom || true)"
 if [ "${stages}" -ne 9 ]; then
   echo "expected 9 attribution_allocs series in metrics.prom, found ${stages}"
@@ -106,7 +107,7 @@ cmake --preset tsan >/dev/null
 cmake --build --preset tsan -j "${JOBS}"
 # The threaded surface: the thread pool (incl. the race stress suite), the
 # observability registry/tracer stress suite, the profiling-tier stress
-# suite (sample ring, instrumented mutex, flight recorder), the per-thread
+# suite (ProfRace: the sample ring and the instrumented mutex), the per-thread
 # graph arenas, nn::Train's pooled shards (every pooled trainer test is in
 # ParallelTrainingTest, which `Training` selects), the knowledge
 # matcher's per-thread concept-side memo (KnowledgeMatchingRaceTest scores

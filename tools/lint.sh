@@ -3,7 +3,7 @@
 #
 #   tools/lint.sh [build-dir]
 #
-# Three layers:
+# Two layers:
 #   1. alicoco_lint, the in-repo analyzer (tools/lint/): lexer-aware banned
 #      patterns, include hygiene, determinism rules, and lock discipline,
 #      with findings as stable `file:line:rule-id: message` lines and the
@@ -17,9 +17,9 @@
 #      compile_commands.json in the build dir (default: build/). Skipped
 #      with a warning when clang-tidy is not installed; CI installs only
 #      g++, so this layer does not run there.
-#   3. Grep fallback for the banned-pattern subset, run ONLY when layer 1
-#      could not run (no compiler/cmake available) -- the gate never
-#      silently passes on nothing.
+#
+# Without cmake or a C++ compiler alicoco_lint cannot be built, so the gate
+# fails at once with one line naming the missing tool.
 #
 # Exit status 0 iff every layer that ran is clean.
 
@@ -34,32 +34,30 @@ fail() { printf 'LINT FAIL: %s\n' "$*"; FAIL=1; }
 
 # ---- Layer 1: alicoco_lint ----------------------------------------------
 
-ANALYZER_RAN=0
-if command -v cmake >/dev/null 2>&1 && { command -v c++ >/dev/null 2>&1 \
-    || command -v g++ >/dev/null 2>&1 || command -v clang++ >/dev/null 2>&1; }; then
-  if [ ! -f "${BUILD_DIR}/CMakeCache.txt" ]; then
-    note "configuring ${BUILD_DIR}..."
-    cmake -B "${BUILD_DIR}" -S . >/dev/null || fail "cmake configure"
-  fi
-  if [ -f "${BUILD_DIR}/CMakeCache.txt" ]; then
-    note "building alicoco_lint..."
-    if cmake --build "${BUILD_DIR}" --target alicoco_lint -j >/dev/null; then
-      ANALYZER_RAN=1
-      if ! "${BUILD_DIR}/tools/lint/alicoco_lint" --root .; then
-        fail "alicoco_lint reported findings"
-      fi
-      mkdir -p "${BUILD_DIR}/lint"
-      note "running project passes (include-graph, lock-order, discarded-result, dataflow, interprocedural, taint)..."
-      if ! "${BUILD_DIR}/tools/lint/alicoco_lint" --root . --project src \
-          --sarif "${BUILD_DIR}/lint/alicoco_lint.sarif" --stats; then
-        fail "alicoco_lint --project src reported findings"
-      fi
-    else
-      fail "alicoco_lint failed to build"
+have() { command -v "$1" >/dev/null 2>&1; }
+missing() { printf 'LINT FAIL: %s not found; alicoco_lint cannot be built\n' "$1"; exit 1; }
+have cmake || missing cmake
+have c++ || have g++ || have clang++ || missing "a C++ compiler (c++, g++, clang++)"
+
+if [ ! -f "${BUILD_DIR}/CMakeCache.txt" ]; then
+  note "configuring ${BUILD_DIR}..."
+  cmake -B "${BUILD_DIR}" -S . >/dev/null || fail "cmake configure"
+fi
+if [ -f "${BUILD_DIR}/CMakeCache.txt" ]; then
+  note "building alicoco_lint..."
+  if cmake --build "${BUILD_DIR}" --target alicoco_lint -j >/dev/null; then
+    if ! "${BUILD_DIR}/tools/lint/alicoco_lint" --root .; then
+      fail "alicoco_lint reported findings"
     fi
+    mkdir -p "${BUILD_DIR}/lint"
+    note "running project passes (include-graph, lock-order, discarded-result, dataflow, interprocedural, taint)..."
+    if ! "${BUILD_DIR}/tools/lint/alicoco_lint" --root . --project src \
+        --sarif "${BUILD_DIR}/lint/alicoco_lint.sarif" --stats; then
+      fail "alicoco_lint --project src reported findings"
+    fi
+  else
+    fail "alicoco_lint failed to build"
   fi
-else
-  note "no cmake/compiler found; falling back to the grep layer"
 fi
 
 # ---- Layer 2: clang-tidy ------------------------------------------------
@@ -83,76 +81,6 @@ if command -v clang-tidy >/dev/null 2>&1; then
   fi
 else
   note "clang-tidy not found; skipping the clang-tidy layer"
-fi
-
-# ---- Layer 3: grep fallback ---------------------------------------------
-# Runs only when alicoco_lint could not be built; a toolchain-free
-# approximation of its banned-pattern rules.
-
-if [ "$ANALYZER_RAN" -eq 0 ]; then
-  mapfile -t ALL_FILES < <(find src bench examples tests -name fixtures -prune \
-    -o \( -name '*.cc' -o -name '*.h' -o -name '*.cpp' \) -print | sort)
-
-  # Strip /* */ block comments, // line comments, and string literals
-  # crudely enough for these greps while preserving the line structure so
-  # reported line numbers stay meaningful.
-  strip_noise() {
-    awk 'BEGIN { inc = 0 }
-    {
-      line = $0; out = ""; i = 1; n = length(line)
-      while (i <= n) {
-        two = substr(line, i, 2)
-        if (inc) {
-          if (two == "*/") { inc = 0; i += 2 } else { i += 1 }
-          continue
-        }
-        if (two == "/*") { inc = 1; i += 2; continue }
-        if (two == "//") { break }
-        c = substr(line, i, 1)
-        if (c == "\"") {
-          out = out "\"\""; i += 1
-          while (i <= n) {
-            d = substr(line, i, 1)
-            if (d == "\\") { i += 2; continue }
-            if (d == "\"") { i += 1; break }
-            i += 1
-          }
-          continue
-        }
-        out = out c; i += 1
-      }
-      print out
-    }' "$1"
-  }
-
-  # Raw new/delete are allowed only under src/nn (arena-style tensor
-  # buffers); everywhere else ownership must be containers/smart pointers.
-  for f in "${ALL_FILES[@]}"; do
-    case "$f" in src/nn/*) continue ;; esac
-    if strip_noise "$f" | grep -nE '(^|[^[:alnum:]_.])new[[:space:]]+[[:alnum:]_:<]|(^|[^[:alnum:]_.=][[:space:]])delete[[:space:]]*(\[\])?[[:space:]]+[[:alnum:]_]' >/dev/null; then
-      strip_noise "$f" | grep -nE '(^|[^[:alnum:]_.])new[[:space:]]+[[:alnum:]_:<]|(^|[^[:alnum:]_.=][[:space:]])delete[[:space:]]*(\[\])?[[:space:]]+[[:alnum:]_]' \
-        | sed "s|^|$f:|"
-      fail "raw new/delete outside src/nn in $f"
-    fi
-  done
-
-  # rand()/srand() are banned: all randomness goes through common/rng.h so
-  # datagen stays deterministic per seed.
-  for f in "${ALL_FILES[@]}"; do
-    if strip_noise "$f" | grep -nE '(^|[^[:alnum:]_])s?rand[[:space:]]*\(' >/dev/null; then
-      strip_noise "$f" | grep -nE '(^|[^[:alnum:]_])s?rand[[:space:]]*\(' | sed "s|^|$f:|"
-      fail "rand()/srand() in $f (use common/rng.h)"
-    fi
-  done
-
-  # fopen must be wrapped in the FilePtr RAII alias so the handle is closed
-  # on every path.
-  for f in "${ALL_FILES[@]}"; do
-    if strip_noise "$f" | grep -nE 'fopen[[:space:]]*\(' | grep -vE 'FilePtr|unique_ptr' >/dev/null; then
-      strip_noise "$f" | grep -nE 'fopen[[:space:]]*\(' | grep -vE 'FilePtr|unique_ptr' | sed "s|^|$f:|"
-      fail "unchecked fopen in $f (wrap in FilePtr)"
-    fi
-  done
 fi
 
 if [ "$FAIL" -eq 0 ]; then
