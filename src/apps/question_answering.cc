@@ -1,11 +1,8 @@
 #include "apps/question_answering.h"
 
 #include <algorithm>
-#include <map>
-#include <unordered_set>
 
 #include "common/logging.h"
-#include "common/string_util.h"
 #include "text/tokenizer.h"
 
 namespace alicoco::apps {
@@ -13,6 +10,33 @@ namespace alicoco::apps {
 NeedsQuestionAnswerer::NeedsQuestionAnswerer(const kg::ConceptNet* net)
     : net_(net) {
   ALICOCO_CHECK(net != nullptr);
+  // Each key is a string a question span can be looked up by, with the
+  // answers of the net's own surface lookups for it. Any other span
+  // names nothing.
+  auto add_surface = [&](const std::string& surface) {
+    auto [it, inserted] = surfaces_.try_emplace(surface);
+    if (!inserted) return;
+    Surface& entry = it->second;
+    if (auto ec = net->FindEcConcept(surface)) entry.ec = ec->value;
+    entry.voters_begin = static_cast<uint32_t>(voters_.size());
+    for (kg::ConceptId prim : net->FindPrimitive(surface)) {
+      for (kg::EcConceptId ec : net->EcConceptsForPrimitive(prim)) {
+        voters_.push_back(ec.value);
+      }
+    }
+    entry.voters_end = static_cast<uint32_t>(voters_.size());
+  };
+  interpretation_size_.reserve(net->num_ec_concepts());
+  for (const kg::EcommerceConcept& ec : net->ec_concepts()) {
+    add_surface(ec.surface);
+    interpretation_size_.push_back(
+        static_cast<uint32_t>(net->PrimitivesForEc(ec.id).size()));
+  }
+  for (const kg::PrimitiveConcept& prim : net->primitives()) {
+    add_surface(prim.surface);
+  }
+  num_primitives_ = net->num_primitive_concepts();
+  num_interpretation_links_ = net->num_ec_primitive_links();
 }
 
 NeedsAnswer NeedsQuestionAnswerer::BuildAnswer(kg::EcConceptId id,
@@ -44,64 +68,67 @@ NeedsAnswer NeedsQuestionAnswerer::BuildAnswer(kg::EcConceptId id,
 
 std::vector<std::pair<double, uint32_t>> NeedsQuestionAnswerer::Rank(
     const std::string& question, size_t limit) const {
+  ALICOCO_CHECK_EQ(net_->num_ec_concepts(), interpretation_size_.size())
+      << "concept added to the net after the answerer was built";
+  ALICOCO_CHECK_EQ(net_->num_primitive_concepts(), num_primitives_)
+      << "primitive concept added to the net after the answerer was built";
+  ALICOCO_CHECK_EQ(net_->num_ec_primitive_links(), num_interpretation_links_)
+      << "interpretation link added to the net after the answerer was built";
   std::vector<std::string> tokens = text::Tokenize(question);
   std::vector<std::pair<double, uint32_t>> ranked;
   if (tokens.empty()) return ranked;
 
-  // Pass 1: direct surface containment — longest e-commerce-concept
-  // surface found as a contiguous token span. Score = matched tokens /
-  // concept length (1.0 for exact needs mentions).
-  std::map<uint32_t, double> matched;  // ec id -> score
+  // Per concept: the best direct-match score and the summed votes, 0.0
+  // until the concept is first recognized (both are positive after).
+  struct Tally {
+    double direct = 0.0;
+    double votes = 0.0;
+  };
+  std::vector<Tally> tally(interpretation_size_.size());
+  std::vector<uint32_t> recognized;  // concept ids, in order of first hit
+  auto hit = [&](uint32_t ec) -> Tally& {
+    Tally& t = tally[ec];
+    if (t.direct == 0.0 && t.votes == 0.0) recognized.push_back(ec);
+    return t;
+  };
   constexpr size_t kMaxSpan = 6;
+  std::string key;  // the span's surface, reused across spans
   for (size_t i = 0; i < tokens.size(); ++i) {
-    std::string key;
+    key.clear();
     for (size_t len = 1; len <= kMaxSpan && i + len <= tokens.size(); ++len) {
       if (len > 1) key += ' ';
       key += tokens[i + len - 1];
-      auto ec = net_->FindEcConcept(key);
-      if (ec.has_value()) {
-        double score = 1.0 + 0.1 * static_cast<double>(len);
-        auto it = matched.find(ec->value);
-        if (it == matched.end() || it->second < score) {
-          matched[ec->value] = score;
-        }
+      auto it = surfaces_.find(key);
+      if (it == surfaces_.end()) continue;
+      const Surface& surface = it->second;
+      // Direct surface containment: the span is an e-commerce concept's
+      // surface. Score = 1 + 0.1 x matched tokens, so the longest wins.
+      if (surface.ec != Surface::kNoConcept) {
+        Tally& t = hit(surface.ec);
+        t.direct =
+            std::max(t.direct, 1.0 + 0.1 * static_cast<double>(len));
+      }
+      // Interpretation match: a primitive concept recognized in the
+      // question votes for the e-commerce concepts it interprets
+      // ("barbecue" alone recalls "outdoor barbecue").
+      for (uint32_t k = surface.voters_begin; k < surface.voters_end; ++k) {
+        hit(voters_[k]).votes += static_cast<double>(len);
       }
     }
   }
 
-  // Pass 2: interpretation match — primitive concepts recognized in the
-  // question vote for the e-commerce concepts they interpret ("barbecue"
-  // alone recalls "outdoor barbecue").
-  std::map<uint32_t, double> votes;
-  std::map<uint32_t, size_t> interp_size;
-  for (size_t i = 0; i < tokens.size(); ++i) {
-    std::string key;
-    for (size_t len = 1; len <= kMaxSpan && i + len <= tokens.size(); ++len) {
-      if (len > 1) key += ' ';
-      key += tokens[i + len - 1];
-      for (kg::ConceptId prim : net_->FindPrimitive(key)) {
-        for (kg::EcConceptId ec : net_->EcConceptsForPrimitive(prim)) {
-          votes[ec.value] += static_cast<double>(len);
-          if (!interp_size.count(ec.value)) {
-            interp_size[ec.value] = net_->PrimitivesForEc(ec).size();
-          }
-        }
-      }
+  ranked.reserve(recognized.size());
+  for (uint32_t ec : recognized) {
+    const Tally& t = tally[ec];
+    double score = t.direct;
+    if (t.votes > 0.0) {
+      size_t interp = std::max<size_t>(1, interpretation_size_[ec]);
+      double coverage = t.votes / static_cast<double>(interp);
+      // Below every direct match; the better of the two counts.
+      score = std::max(score, std::min(0.99, 0.5 * coverage));
     }
+    ranked.emplace_back(score, ec);
   }
-  for (const auto& [ec, vote] : votes) {
-    size_t interp = std::max<size_t>(1, interp_size[ec]);
-    double coverage = vote / static_cast<double>(interp);
-    double score = std::min(0.99, 0.5 * coverage);  // below direct matches
-    auto it = matched.find(ec);
-    if (it == matched.end() || it->second < score) {
-      matched[ec] = std::max(
-          it == matched.end() ? 0.0 : it->second, score);
-    }
-  }
-
-  ranked.reserve(matched.size());
-  for (const auto& [ec, score] : matched) ranked.emplace_back(score, ec);
   // A total order, so the best `limit` are those a full sort puts first.
   limit = std::min(limit, ranked.size());
   std::partial_sort(ranked.begin(), ranked.begin() + limit, ranked.end(),

@@ -5,6 +5,11 @@
 // engine answers from the concept net — recognize the need (event /
 // e-commerce concept) inside the question, surface the knowledge card:
 // the interpretation, the isA context, and the associated items.
+//
+// Recognition ranks from a surface table built once per net: every
+// e-commerce and primitive concept surface maps to the concept it names
+// and to the concepts its primitive senses interpret. A question span
+// costs one hash lookup; the card itself is read from the net.
 
 #ifndef ALICOCO_APPS_QUESTION_ANSWERING_H_
 #define ALICOCO_APPS_QUESTION_ANSWERING_H_
@@ -12,6 +17,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -34,8 +40,11 @@ struct NeedsAnswer {
 /// net. Pure retrieval — no trained model, so it runs on any net.
 class NeedsQuestionAnswerer {
  public:
-  /// `net` must outlive the answerer and must not change after it is
-  /// built.
+  /// Builds the surface table from `net` once. `net` must outlive the
+  /// answerer and must not change after it is built: the table is not
+  /// refreshed, and answering on a net that has gained e-commerce
+  /// concepts, primitive concepts or interpretation links since fails a
+  /// CHECK.
   explicit NeedsQuestionAnswerer(const kg::ConceptNet* net);
 
   /// Answers a question. Recognition: the longest e-commerce-concept
@@ -50,6 +59,17 @@ class NeedsQuestionAnswerer {
                                      size_t max_items = 8) const;
 
  private:
+  /// What a surface names: the e-commerce concept FindEcConcept returns
+  /// for it (kNoConcept if none), and in voters_[voters_begin ..
+  /// voters_end) the concepts its senses interpret, FindPrimitive x
+  /// EcConceptsForPrimitive in that order.
+  struct Surface {
+    static constexpr uint32_t kNoConcept = UINT32_MAX;
+    uint32_t ec = kNoConcept;
+    uint32_t voters_begin = 0;
+    uint32_t voters_end = 0;
+  };
+
   /// The best `limit` recognized needs as (score, concept id), best first.
   std::vector<std::pair<double, uint32_t>> Rank(const std::string& question,
                                                 size_t limit) const;
@@ -58,6 +78,15 @@ class NeedsQuestionAnswerer {
                           size_t max_items) const;
 
   const kg::ConceptNet* net_;
+  // The surface table, keyed by every e-commerce and primitive concept
+  // surface of the net.
+  std::unordered_map<std::string, Surface> surfaces_;
+  std::vector<uint32_t> voters_;
+  // PrimitivesForEc(ec).size(), indexed by e-commerce concept id; its size
+  // is the concept count the table was built from.
+  std::vector<uint32_t> interpretation_size_;
+  size_t num_primitives_ = 0;
+  size_t num_interpretation_links_ = 0;
 };
 
 }  // namespace alicoco::apps

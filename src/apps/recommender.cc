@@ -77,6 +77,15 @@ CognitiveRecommender::CognitiveRecommender(const kg::ConceptNet* net,
     for (const auto& edge : ranked) ranked_items_.push_back(edge.first);
     row_begin_.push_back(static_cast<uint32_t>(ranked_items_.size()));
   }
+  item_row_begin_.reserve(net->num_items() + 1);
+  item_row_begin_.push_back(0);
+  for (const kg::Item& item : net->items()) {
+    for (kg::EcConceptId ec : net->EcConceptsForItem(item.id)) {
+      item_concepts_.push_back(ec.value);
+    }
+    item_row_begin_.push_back(static_cast<uint32_t>(item_concepts_.size()));
+  }
+  num_item_ec_links_ = net->num_item_ec_links();
   if (metrics != nullptr) {
     recommend_latency_us_ =
         metrics->GetHistogram("serving.recommender.recommend_latency_us");
@@ -93,17 +102,24 @@ CognitiveRecommender::Recommend(const datagen::UserHistory& user,
   if (recommend_latency_us_ != nullptr) {
     start = std::chrono::steady_clock::now();
   }
+  ALICOCO_CHECK_EQ(net_->num_ec_concepts(), vote_weight_.size())
+      << "concept added to the net after the recommender was built";
+  ALICOCO_CHECK_EQ(net_->num_item_ec_links(), num_item_ec_links_)
+      << "item-concept link added to the net after the recommender was built";
   // Vote for concepts linked to the clicked items; damp by concept size so
   // huge generic concepts don't dominate. Each concept's votes add up in
-  // clicked-item and edge order.
+  // clicked-item and edge order. An item the table does not know has no
+  // edges: the link count above would have grown with them.
   std::vector<double> votes(vote_weight_.size(), 0.0);
   std::vector<uint32_t> voted;  // concept ids, in order of first vote
+  const size_t num_items = item_row_begin_.size() - 1;
   for (kg::ItemId item : user.clicked) {
-    for (kg::EcConceptId ec : net_->EcConceptsForItem(item)) {
-      ALICOCO_CHECK_LT(size_t{ec.value}, vote_weight_.size())
-          << "concept added to the net after the recommender was built";
-      if (votes[ec.value] == 0.0) voted.push_back(ec.value);
-      votes[ec.value] += vote_weight_[ec.value];
+    if (item.value >= num_items) continue;
+    for (uint32_t k = item_row_begin_[item.value];
+         k < item_row_begin_[item.value + 1]; ++k) {
+      const uint32_t ec = item_concepts_[k];
+      if (votes[ec] == 0.0) voted.push_back(ec);
+      votes[ec] += vote_weight_[ec];
     }
   }
   // A total order, so the top cards do not depend on the vote order.

@@ -43,9 +43,10 @@ class ItemCf {
 /// none.
 class CognitiveRecommender {
  public:
-  /// Builds the read table from `net` once. `net` must outlive the
-  /// recommender and must not change after it is built: the table is not
-  /// refreshed, and a vote for a concept added later fails a CHECK.
+  /// Builds the read tables from `net` once. `net` must outlive the
+  /// recommender and must not change after it is built: the tables are not
+  /// refreshed, and recommending on a net that has gained e-commerce
+  /// concepts or item-concept links since fails a CHECK.
   explicit CognitiveRecommender(const kg::ConceptNet* net,
                                 obs::Registry* metrics = nullptr);
 
@@ -63,13 +64,18 @@ class CognitiveRecommender {
 
  private:
   const kg::ConceptNet* net_;
-  // The read table, indexed by e-commerce concept id: the vote weight
+  // The read tables. Indexed by e-commerce concept id: the vote weight
   // 1 / log2(2 + |items|) that damps popular concepts, and the concept's
   // items by descending edge probability (ItemsForEcRanked order) in
-  // ranked_items_[row_begin_[ec] .. row_begin_[ec + 1]).
+  // ranked_items_[row_begin_[ec] .. row_begin_[ec + 1]). Indexed by item
+  // id: the item's concepts in EcConceptsForItem order, in
+  // item_concepts_[item_row_begin_[item] .. item_row_begin_[item + 1]).
   std::vector<double> vote_weight_;
   std::vector<uint32_t> row_begin_;
   std::vector<kg::ItemId> ranked_items_;
+  std::vector<uint32_t> item_row_begin_;
+  std::vector<uint32_t> item_concepts_;
+  size_t num_item_ec_links_ = 0;
   obs::Histogram* recommend_latency_us_ = nullptr;
   obs::Counter* requests_served_ = nullptr;
   obs::Counter* cards_returned_ = nullptr;

@@ -258,6 +258,11 @@ Status BuildState::DiscoverHypernyms(Stage& stage) {
 
 // ---- Stage 5: e-commerce concept generation + classification ----
 Status BuildState::GenerateEcConcepts(Stage& stage) {
+  // Sub-stage spans: generate (phrase mining, pattern combination and the
+  // criteria filter), then per audit round the classifier's own train span,
+  // score and audit.
+  std::optional<obs::ScopedSpan> generate_span(
+      std::in_place, config.tracer, "pipeline.ec_concepts.generate");
   concepts::PhraseMiner phrase_miner(/*min_count=*/3, /*max_len=*/4);
   std::vector<std::vector<std::string>> query_guides;
   query_guides.reserve(world.sentences().size());  // upper bound
@@ -322,6 +327,7 @@ Status BuildState::GenerateEcConcepts(Stage& stage) {
     if (has_carrier) continue;
     pool.push_back(&tokens);
   }
+  generate_span.reset();
 
   // Quality-control loop (Section 5.2.2): audit a random sample of each
   // candidate batch; audited labels join the training data and the model
@@ -344,12 +350,16 @@ Status BuildState::GenerateEcConcepts(Stage& stage) {
     concepts::ConceptClassifier classifier(cls_cfg, cls_res);
     classifier.Train(annotated);
 
-    batch.clear();
-    for (const auto* tokens : pool) {
-      if (audited.count(tokens)) continue;
-      if (classifier.Score(*tokens) >= threshold) batch.push_back(tokens);
+    {
+      obs::ScopedSpan score_span(config.tracer, "pipeline.ec_concepts.score");
+      batch.clear();
+      for (const auto* tokens : pool) {
+        if (audited.count(tokens)) continue;
+        if (classifier.Score(*tokens) >= threshold) batch.push_back(tokens);
+      }
     }
     if (batch.empty()) break;
+    obs::ScopedSpan audit_span(config.tracer, "pipeline.ec_concepts.audit");
     Rng shuffle_rng(config.seed + static_cast<uint64_t>(iteration));
     shuffle_rng.Shuffle(&batch);
     size_t audit_n = std::min(kAuditSample, batch.size());

@@ -1,7 +1,8 @@
 // The serving apps answer from read tables built once per net. These tests
 // pin every response to the per-call computation the tables replaced, kept
-// here as references: on the shared generated world, under concurrent
-// serving, and when the net grows after the apps were built.
+// here as references: on the shared generated world, on a hand-built net of
+// edge cases, under concurrent serving, and when the net grows after the
+// apps were built.
 
 #include <gtest/gtest.h>
 
@@ -291,6 +292,180 @@ TEST(AppsReferenceTest, AnswerIsTheFirstOfAnswerAllAndBothEqualReference) {
   EXPECT_GT(answered, 0u);
 }
 
+// ---- edge cases on a hand-built net ----
+
+/// The paper's barbecue scenario plus the surfaces a generated world rarely
+/// or never holds: hyphenated tokens, surfaces of six and seven tokens,
+/// surfaces no tokenized question can spell, a primitive surface with two
+/// senses, and surfaces that are prefixes of others.
+struct EdgeCaseNet {
+  kg::ConceptNet net;
+  kg::EcConceptId outdoor_barbecue, barbecue, padded_trousers, reunion,
+      spring_outing, spring_mattress, spring_sale;
+  std::vector<kg::ItemId> items;
+
+  EdgeCaseNet() {
+    auto& tax = net.taxonomy();
+    const kg::ClassId category = *tax.AddDomain("Category");
+    const kg::ClassId location = *tax.AddDomain("Location");
+    const kg::ClassId event = *tax.AddDomain("Event");
+    const kg::ClassId time = *tax.AddDomain("Time");
+    auto prim = [&](const std::string& surface, kg::ClassId cls) {
+      return *net.GetOrAddPrimitiveConcept(surface, cls);
+    };
+    auto ec = [&](const std::vector<std::string>& tokens,
+                  const std::vector<kg::ConceptId>& interpretation) {
+      const kg::EcConceptId id = *net.GetOrAddEcConcept(tokens);
+      for (kg::ConceptId p : interpretation) {
+        EXPECT_TRUE(net.LinkEcToPrimitive(id, p).ok());
+      }
+      return id;
+    };
+    const kg::ConceptId outdoor = prim("outdoor", location);
+    const kg::ConceptId bbq = prim("barbecue", event);
+    const kg::ConceptId padded = prim("cotton-padded", category);
+    const kg::ConceptId trousers = prim("trousers", category);
+    const kg::ConceptId winter = prim("winter", time);
+    const kg::ConceptId family = prim("family reunion", event);
+    // One surface, two senses in two classes, each interpreting a concept
+    // of its own and both interpreting a third.
+    const kg::ConceptId spring_season = prim("spring", time);
+    const kg::ConceptId spring_part = prim("spring", category);
+    const kg::ConceptId mattress = prim("mattress", category);
+    // Spelled with an uppercase letter or a double space: Tokenize never
+    // produces these, so no question can match them.
+    const kg::ConceptId grill_upper = prim("Grill", category);
+    const kg::ConceptId blanket = prim("picnic  blanket", category);
+
+    outdoor_barbecue = ec({"outdoor", "barbecue"}, {outdoor, bbq});
+    barbecue = ec({"barbecue"}, {bbq});
+    padded_trousers =
+        ec({"cotton-padded", "trousers"}, {padded, trousers, winter});
+    reunion = ec({"gifts", "for", "a", "big", "family", "reunion"}, {family});
+    ec({"what", "to", "bring", "to", "a", "family", "reunion"}, {family});
+    spring_outing = ec({"spring", "outing"}, {spring_season, outdoor});
+    spring_mattress = ec({"spring", "mattress"}, {spring_part, mattress});
+    spring_sale =
+        ec({"spring", "bedding", "sale"}, {spring_season, spring_part});
+    ec({"Grill", "party"}, {grill_upper, bbq});
+    ec({"picnic", "", "blanket"}, {blanket, outdoor});
+    // A concept with no interpretation, named only by its own surface.
+    ec({"outdoor", "barbecue", "party"}, {});
+    EXPECT_TRUE(net.AddEcIsA(outdoor_barbecue, barbecue).ok());
+
+    for (int i = 0; i < 6; ++i) {
+      items.push_back(
+          *net.AddItem({"item", std::to_string(i)}, category));
+    }
+    const std::pair<int, kg::EcConceptId> links[] = {
+        {0, outdoor_barbecue}, {0, barbecue}, {1, outdoor_barbecue},
+        {2, padded_trousers},  {3, reunion},  {3, spring_outing},
+        {4, spring_mattress},  {4, barbecue}, {5, barbecue}};
+    double probability = 1.0;
+    for (const auto& [item, concept_id] : links) {
+      EXPECT_TRUE(net.LinkItemToEc(items[item], concept_id, probability).ok());
+      probability -= 0.05;
+    }
+  }
+};
+
+TEST(AppsReferenceTest, HandBuiltEdgeCasesEqualReference) {
+  EdgeCaseNet edge;
+  const kg::ConceptNet& net = edge.net;
+  const NeedsQuestionAnswerer qa(&net);
+  const std::vector<std::string> questions = {
+      // Punctuation and uppercase in the question.
+      "What should I prepare for hosting next week's OUTDOOR Barbecue?!",
+      // A hyphenated token, as a primitive and inside a concept surface.
+      "warm cotton-padded trousers for winter",
+      "cotton-padded",
+      "cotton - padded trousers",
+      // Surfaces of six and seven tokens; kMaxSpan is six.
+      "gifts for a big family reunion",
+      "what to bring to a family reunion",
+      "family reunion",
+      // Two senses of "spring", voting for their concepts.
+      "spring",
+      "a new spring mattress for spring",
+      "spring bedding sale",
+      // Surfaces a question cannot spell.
+      "grill party",
+      "Grill party",
+      "picnic  blanket",
+      "picnic blanket",
+      // A surface that is a prefix of others.
+      "outdoor barbecue party",
+      "outdoor barbecue",
+      "outdoor",
+      // An unknown token inside a span.
+      "outdoor zzzz barbecue",
+      "gifts for a big zzzz family reunion",
+      // Nothing to recognize.
+      "",
+      "?!",
+      "zzzz",
+  };
+  for (const std::string& question : questions) {
+    for (size_t max_items : {size_t{0}, size_t{1}, size_t{8}}) {
+      const std::vector<NeedsAnswer> want =
+          ReferenceAnswerAll(net, question, max_items);
+      EXPECT_TRUE(SameAnswers(qa.AnswerAll(question, max_items), want))
+          << "'" << question << "' max_items " << max_items;
+      const std::optional<NeedsAnswer> best = qa.Answer(question, max_items);
+      EXPECT_TRUE(want.empty() ? !best.has_value()
+                               : SameAnswer(best, want.front()))
+          << "'" << question << "' max_items " << max_items;
+    }
+  }
+  // The edge cases are reached, not just agreed on.
+  auto best = [&](const std::string& question) {
+    std::optional<NeedsAnswer> answer = qa.Answer(question);
+    return answer.has_value() ? answer->concept_id.value : UINT32_MAX;
+  };
+  EXPECT_EQ(best("What should I prepare for an OUTDOOR Barbecue?!"),
+            edge.outdoor_barbecue.value);
+  EXPECT_EQ(best("warm cotton-padded trousers for winter"),
+            edge.padded_trousers.value);
+  EXPECT_EQ(best("gifts for a big family reunion"), edge.reunion.value);
+  EXPECT_EQ(qa.Answer("gifts for a big family reunion")->score,
+            1.0 + 0.1 * 6.0);
+  // Each sense of "spring" votes once: twice for the concept both
+  // interpret, once for each of the others.
+  const std::vector<NeedsAnswer> spring = qa.AnswerAll("spring");
+  ASSERT_EQ(spring.size(), 3u);
+  EXPECT_EQ(spring[0].concept_id, edge.spring_sale);
+  EXPECT_EQ(spring[0].score, 0.5);
+  EXPECT_EQ(spring[1].concept_id, edge.spring_outing);
+  EXPECT_EQ(spring[2].concept_id, edge.spring_mattress);
+  EXPECT_EQ(spring[1].score, spring[2].score);
+  EXPECT_FALSE(qa.Answer("Grill party").has_value());
+  EXPECT_FALSE(qa.Answer("picnic  blanket").has_value());
+
+  // Recommendation on the same net, with clicks on an item added after the
+  // recommender (no edges) and on an id the net does not hold.
+  const CognitiveRecommender recommender(&net, /*metrics=*/nullptr);
+  const kg::ItemId late =
+      *edge.net.AddItem({"late", "item"}, net.Get(edge.items[0]).category);
+  const std::vector<std::vector<kg::ItemId>> histories = {
+      {},
+      {edge.items[0]},
+      {edge.items[0], edge.items[4], edge.items[3]},
+      {edge.items[5], edge.items[5], late, kg::ItemId(1000)},
+      {late}};
+  const std::pair<size_t, size_t> shapes[] = {{3, 4}, {1, 1}, {8, 0}};
+  for (const auto& clicked : histories) {
+    datagen::UserHistory user;
+    user.clicked = clicked;
+    for (const auto& [num_cards, items_per_card] : shapes) {
+      EXPECT_TRUE(SameCards(
+          recommender.Recommend(user, num_cards, items_per_card),
+          ReferenceRecommend(net, user, num_cards, items_per_card)))
+          << clicked.size() << " clicks at (" << num_cards << ", "
+          << items_per_card << ")";
+    }
+  }
+}
+
 // ---- concurrent serving ----
 
 /// One response per endpoint, for request slot `i` of a 1:1:1 interleave.
@@ -378,6 +553,45 @@ TEST(AppsDeathTest, VotingForAConceptAddedAfterConstructionFails) {
   EXPECT_DEATH(recommender.Recommend(user, 3, 4),
                "added to the net after the recommender was built");
 }
+
+TEST(AppsDeathTest, RecommendingAfterALinkWasAddedFails) {
+  kg::ConceptNet net;
+  kg::ClassId category = *net.taxonomy().AddDomain("Category");
+  kg::ItemId grill = *net.AddItem({"steel", "grill"}, category);
+  kg::EcConceptId barbecue = *net.GetOrAddEcConcept({"outdoor", "barbecue"});
+  const CognitiveRecommender recommender(&net, /*metrics=*/nullptr);
+  datagen::UserHistory user;
+  user.clicked = {grill};
+  EXPECT_TRUE(recommender.Recommend(user, 3, 4).empty());
+  ASSERT_TRUE(net.LinkItemToEc(grill, barbecue).ok());
+  EXPECT_DEATH(recommender.Recommend(user, 3, 4),
+               "item-concept link added to the net after the recommender "
+               "was built");
+}
+
+TEST(AppsDeathTest, AnsweringOnANetThatGrewAfterConstructionFails) {
+  kg::ConceptNet net;
+  kg::ClassId event = *net.taxonomy().AddDomain("Event");
+  kg::ConceptId barbecue = *net.GetOrAddPrimitiveConcept("barbecue", event);
+  kg::EcConceptId outdoor_barbecue =
+      *net.GetOrAddEcConcept({"outdoor", "barbecue"});
+  const NeedsQuestionAnswerer qa(&net);
+  ASSERT_TRUE(qa.Answer("an outdoor barbecue").has_value());
+  // Each kind of growth fails on its own. Grown in this order, each one is
+  // the first the answerer checks.
+  ASSERT_TRUE(net.LinkEcToPrimitive(outdoor_barbecue, barbecue).ok());
+  EXPECT_DEATH(qa.Answer("barbecue"),
+               "interpretation link added to the net after the answerer was "
+               "built");
+  ASSERT_TRUE(net.GetOrAddPrimitiveConcept("outdoor", event).ok());
+  EXPECT_DEATH(qa.Answer("outdoor"),
+               "primitive concept added to the net after the answerer was "
+               "built");
+  ASSERT_TRUE(net.GetOrAddEcConcept({"barbecue"}).ok());
+  EXPECT_DEATH(qa.AnswerAll("barbecue"),
+               "concept added to the net after the answerer was built");
+}
+
 
 }  // namespace
 }  // namespace alicoco::apps

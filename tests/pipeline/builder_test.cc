@@ -143,14 +143,19 @@ TEST(PipelineTest, StageSpansFormOneTreeInExecutionOrder) {
   const obs::SpanRecord& root = *roots[0];
   EXPECT_EQ(root.name, "pipeline.build");
 
-  std::vector<const obs::SpanRecord*> stages;
-  for (const obs::SpanRecord& s : spans) {
-    if (s.parent_id == root.id) stages.push_back(&s);
-  }
-  std::sort(stages.begin(), stages.end(),
-            [](const obs::SpanRecord* x, const obs::SpanRecord* y) {
-              return x->id < y->id;  // ids are handed out as spans open
-            });
+  // The spans directly under `parent`, in the order they opened.
+  auto children = [&](uint64_t parent) {
+    std::vector<const obs::SpanRecord*> out;
+    for (const obs::SpanRecord& s : spans) {
+      if (s.parent_id == parent) out.push_back(&s);
+    }
+    std::sort(out.begin(), out.end(),
+              [](const obs::SpanRecord* x, const obs::SpanRecord* y) {
+                return x->id < y->id;  // ids are handed out as spans open
+              });
+    return out;
+  };
+  const std::vector<const obs::SpanRecord*> stages = children(root.id);
   std::vector<std::string> names;
   uint64_t staged_us = 0;
   for (const obs::SpanRecord* s : stages) {
@@ -181,14 +186,7 @@ TEST(PipelineTest, StageSpansFormOneTreeInExecutionOrder) {
   // Stage 7 splits into train, calibrate and score, in that order, which
   // together cover the stage.
   const obs::SpanRecord& assoc = *stages[6];
-  std::vector<const obs::SpanRecord*> steps;
-  for (const obs::SpanRecord& s : spans) {
-    if (s.parent_id == assoc.id) steps.push_back(&s);
-  }
-  std::sort(steps.begin(), steps.end(),
-            [](const obs::SpanRecord* x, const obs::SpanRecord* y) {
-              return x->id < y->id;
-            });
+  const std::vector<const obs::SpanRecord*> steps = children(assoc.id);
   std::vector<std::string> step_names;
   uint64_t step_us = 0;
   for (const obs::SpanRecord* s : steps) {
@@ -245,6 +243,32 @@ TEST(PipelineTest, StageSpansFormOneTreeInExecutionOrder) {
     EXPECT_LT(std::stoul(attribute(*rounds[i - 1], "examples")),
               std::stoul(attribute(*rounds[i], "examples")));
   }
+
+  // Stage 5 splits into generate, then per round the classifier's train
+  // span, score and audit, in that order, which together cover the stage.
+  // A round that scores no candidate above the threshold ends the loop
+  // before its audit.
+  const obs::SpanRecord& ec_stage = *stages[4];
+  std::vector<std::string> ec_step_names;
+  uint64_t ec_step_us = 0;
+  for (const obs::SpanRecord* s : children(ec_stage.id)) {
+    ec_step_names.push_back(s->name);
+    ec_step_us += s->duration_us;
+  }
+  const size_t audits =
+      std::count(ec_step_names.begin(), ec_step_names.end(),
+                 "pipeline.ec_concepts.audit");
+  EXPECT_TRUE(audits == rounds.size() || audits + 1 == rounds.size())
+      << audits << " audits in " << rounds.size() << " rounds";
+  std::vector<std::string> ec_expected = {"pipeline.ec_concepts.generate"};
+  for (size_t i = 0; i < rounds.size(); ++i) {
+    ec_expected.push_back("classifier.train");
+    ec_expected.push_back("pipeline.ec_concepts.score");
+    if (i < audits) ec_expected.push_back("pipeline.ec_concepts.audit");
+  }
+  EXPECT_EQ(ec_step_names, ec_expected);
+  EXPECT_GE(static_cast<double>(ec_step_us),
+            0.95 * static_cast<double>(ec_stage.duration_us));
 }
 
 TEST(PipelineTest, PublishesTheMetricsPerfbenchReads) {
