@@ -6,19 +6,18 @@
 //
 //   profile.collapsed    collapsed-stack CPU samples (flamegraph input)
 //   metrics.prom         Prometheus text exposition of every metric,
-//                        including per-named-mutex contention series and
-//                        the per-stage attribution gauges
+//                        including the per-stage attribution gauges
 //                        (`attribution_<column>{stage="..."}`)
 //   trace.jsonl          every span, including nested stage detail
 //   build.log            Logger records routed through obs::FileLogSink
 //
 // Per-stage figures come from the builder's own `pipeline.<stage>` spans:
-// a span listener reads process CPU time, the heap counters and the
-// named-mutex wait total once just before Build and again each time a
-// stage span closes, and charges the growth to that stage; `wall_ms` is
-// the span's duration. The probes slow the run they watch, so these times
-// are perturbed: they say where a run goes, not how fast a clean one is.
-// Clean timing comes from perfbench (BENCHMARK.json). Nothing here gates.
+// a span listener reads process CPU time and the heap counters once just
+// before Build and again each time a stage span closes, and charges the
+// growth to that stage; `wall_ms` is the span's duration. The probes slow
+// the run they watch, so these times are perturbed: they say where a run
+// goes, not how fast a clean one is. Clean timing comes from perfbench
+// (BENCHMARK.json). Nothing here gates.
 //
 // Usage: obs_report [--outdir DIR]
 // DIR is created with its parents if it does not exist; when that fails,
@@ -36,20 +35,17 @@
 #include <vector>
 
 #include "bench_util.h"
-#include "common/lock_stats.h"
 #include "common/logging.h"
 #include "common/table_printer.h"
 #include "obs/exporters.h"
 #include "obs/prof/cpu_profiler.h"
 #include "obs/prof/heap_stats.h"
-#include "obs/prof/lock_metrics.h"
 #include "pipeline/builder.h"
 
 namespace {
 
 using alicoco::obs::SpanRecord;
 using alicoco::obs::prof::HeapCounters;
-using alicoco::obs::prof::LockContentionMetrics;
 
 bool WriteFile(const std::string& path, const std::string& content) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
@@ -74,7 +70,6 @@ struct StageCost {
   std::string stage;
   double wall_ms = 0;
   double cpu_ms = 0;
-  double lock_wait_ms = 0;
   double alloc_mb = 0;
   uint64_t allocs = 0;
 };
@@ -86,8 +81,6 @@ struct StageCost {
 /// that just closed, worker-thread effort included.
 class StageCosts {
  public:
-  explicit StageCosts(const LockContentionMetrics* locks) : locks_(locks) {}
-
   /// Takes the reading the first stage is measured from.
   void Start() { last_ = Read(); }
 
@@ -100,8 +93,6 @@ class StageCosts {
     cost.stage = span.name.substr(kPrefix.size());
     cost.wall_ms = static_cast<double>(span.duration_us) / 1e3;
     cost.cpu_ms = static_cast<double>(now.cpu_us - last_.cpu_us) / 1e3;
-    cost.lock_wait_ms =
-        static_cast<double>(now.lock_wait_us - last_.lock_wait_us) / 1e3;
     cost.alloc_mb =
         static_cast<double>(now.heap.alloc_bytes - last_.heap.alloc_bytes) /
         (1024.0 * 1024.0);
@@ -118,7 +109,6 @@ class StageCosts {
 
   struct Reading {
     uint64_t cpu_us = 0;
-    uint64_t lock_wait_us = 0;
     HeapCounters heap;
   };
 
@@ -133,12 +123,10 @@ class StageCosts {
   Reading Read() const {
     Reading r;
     r.cpu_us = ProcessCpuUs();
-    r.lock_wait_us = locks_->total_wait_us();
     r.heap = alicoco::obs::prof::HeapCountersNow();
     return r;
   }
 
-  const LockContentionMetrics* const locks_;
   Reading last_;
   std::vector<StageCost> stages_;
 };
@@ -167,11 +155,8 @@ int main(int argc, char** argv) {
   obs::Tracer tracer;
   obs::Registry registry;
 
-  // Profiling tier: contention sink, heap tracking, CPU profiler.
-  obs::prof::LockContentionMetrics lock_metrics(&registry);
-  ScopedLockStatsSink scoped_sink(&lock_metrics);
-
-  StageCosts costs(&lock_metrics);
+  // Profiling tier: heap tracking, CPU profiler.
+  StageCosts costs;
   tracer.SetSpanListener(
       [&costs](const SpanRecord& span) { costs.OnSpan(span); });
 
@@ -249,19 +234,16 @@ int main(int argc, char** argv) {
   }
 
   TablePrinter table("Per-stage attribution (bench world, probed run)");
-  table.SetHeader(
-      {"stage", "wall_ms", "cpu_ms", "lock_wait_ms", "alloc_mb", "allocs"});
+  table.SetHeader({"stage", "wall_ms", "cpu_ms", "alloc_mb", "allocs"});
   double cpu_ms = 0;
   for (const StageCost& s : costs.stages()) {
     table.AddRow({s.stage, TablePrinter::Num(s.wall_ms, 1),
                   TablePrinter::Num(s.cpu_ms, 1),
-                  TablePrinter::Num(s.lock_wait_ms, 2),
                   TablePrinter::Num(s.alloc_mb, 1), std::to_string(s.allocs)});
     cpu_ms += s.cpu_ms;
     const std::string label = "{stage=" + s.stage + "}";
     registry.GetGauge("attribution.wall_ms" + label)->Set(s.wall_ms);
     registry.GetGauge("attribution.cpu_ms" + label)->Set(s.cpu_ms);
-    registry.GetGauge("attribution.lock_wait_ms" + label)->Set(s.lock_wait_ms);
     registry.GetGauge("attribution.alloc_mb" + label)->Set(s.alloc_mb);
     registry.GetGauge("attribution.allocs" + label)
         ->Set(static_cast<double>(s.allocs));
@@ -286,9 +268,9 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(cpu_profile.dropped));
   std::fputs(cpu_profile.TopNText(10).c_str(), stdout);
   std::printf(
-      "note: this run is probed (heap counting, lock sink, CPU sampler, "
-      "tracer), so its times are perturbed; clean timing comes from "
-      "perfbench (python3 perfbench/run.py --workload build).\n");
+      "note: this run is probed (heap counting, CPU sampler, tracer), so "
+      "its times are perturbed; clean timing comes from perfbench "
+      "(python3 perfbench/run.py --workload build).\n");
 
   bool io_ok = WriteFile(outdir + "/profile.collapsed",
                          cpu_profile.ToCollapsed());

@@ -13,6 +13,8 @@ SearchRelevance::SearchRelevance(const kg::ConceptNet* net,
                                  obs::Registry* metrics)
     : net_(net) {
   ALICOCO_CHECK(net != nullptr);
+  num_item_primitive_links_ = net->num_item_primitive_links();
+  num_isa_edges_ = net->num_isa_primitive();
   auto intern = [this](const std::string& term) {
     return term_ids_
         .try_emplace(term, static_cast<uint32_t>(term_ids_.size()))
@@ -118,8 +120,14 @@ std::vector<RelevanceQuery> SearchRelevance::BuildQueries(
 
 double SearchRelevance::Score(const std::string& query, kg::ItemId item,
                               bool expand_isa) const {
-  ALICOCO_CHECK_LT(size_t{item.value} + 1, row_begin_.size())
+  ALICOCO_CHECK_EQ(net_->num_items() + 1, row_begin_.size())
       << "item added to the net after the scorer was built";
+  ALICOCO_CHECK_EQ(net_->num_item_primitive_links(), num_item_primitive_links_)
+      << "item-primitive link added to the net after the scorer was built";
+  ALICOCO_CHECK_EQ(net_->num_isa_primitive(), num_isa_edges_)
+      << "isA edge added to the net after the scorer was built";
+  ALICOCO_CHECK_LT(size_t{item.value} + 1, row_begin_.size())
+      << "item not in the net";
   if (!expand_isa) {
     const auto& title = net_->Get(item).title;
     return std::find(title.begin(), title.end(), query) != title.end() ? 1.0

@@ -42,7 +42,8 @@ class SearchRelevance {
  public:
   /// Builds the read table from `net` once. `net` must outlive the scorer
   /// and must not change after the scorer is built: the table is not
-  /// refreshed, and scoring an item added later fails a CHECK.
+  /// refreshed, and scoring after an item, an item–primitive link or an
+  /// isA edge was added fails a CHECK.
   explicit SearchRelevance(const kg::ConceptNet* net,
                            obs::Registry* metrics = nullptr);
 
@@ -74,6 +75,10 @@ class SearchRelevance {
   std::unordered_map<std::string, uint32_t> term_ids_;
   std::vector<uint32_t> row_begin_;
   std::vector<uint32_t> expanded_terms_;
+  // What the table read beyond the items: Score checks these against the
+  // net.
+  size_t num_item_primitive_links_ = 0;
+  size_t num_isa_edges_ = 0;
   obs::Histogram* query_latency_us_ = nullptr;
   obs::Counter* queries_served_ = nullptr;
   obs::Counter* pairs_judged_ = nullptr;

@@ -75,9 +75,7 @@ class ThreadPool {
 
   std::vector<std::thread> workers_;  // written only in the constructor
   std::atomic<ThreadPoolObserver*> observer_{nullptr};
-  // Named: the queue lock is the pool's contention point, so the profiling
-  // tier accounts its waits/holds when a LockStatsSink is installed.
-  Mutex mu_{"thread_pool.mu"};
+  Mutex mu_;
   std::queue<Task> tasks_ ALICOCO_GUARDED_BY(mu_);
   size_t in_flight_ ALICOCO_GUARDED_BY(mu_) = 0;
   bool shutdown_ ALICOCO_GUARDED_BY(mu_) = false;

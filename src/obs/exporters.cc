@@ -121,7 +121,7 @@ std::string FormatDouble(double v) {
 }
 
 /// One TYPE line per metric family: labeled series of the same base
-/// (`lock_wait_us{mutex="a"}`, `{mutex="b"}`) share a single header.
+/// (`attribution_allocs{stage="a"}`, `{stage="b"}`) share a single header.
 void AppendTypeLine(const std::string& metric, const char* type,
                     std::set<std::string>* seen, std::string* out) {
   if (!seen->insert(metric).second) return;

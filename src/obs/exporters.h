@@ -56,7 +56,7 @@ class FileLogSink : public LogSink {
   void Write(const LogRecord& record) override ALICOCO_EXCLUDES(mu_);
 
  private:
-  Mutex mu_{"obs.log_sink.mu"};
+  Mutex mu_;
   std::ofstream out_ ALICOCO_GUARDED_BY(mu_);
   Status status_;
 };

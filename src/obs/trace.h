@@ -90,9 +90,7 @@ class Tracer {
   void Record(SpanRecord record) ALICOCO_EXCLUDES(mu_);
 
   Clock clock_;
-  // Named: every span open/close crosses this lock, so profiled runs
-  // surface tracer contention alongside the pool's.
-  mutable Mutex mu_{"obs.tracer.mu"};
+  mutable Mutex mu_;
   std::vector<SpanRecord> finished_ ALICOCO_GUARDED_BY(mu_);
   uint64_t next_id_ ALICOCO_GUARDED_BY(mu_) = 1;
   SpanListener listener_;  // written once before tracing, then read-only

@@ -541,6 +541,27 @@ TEST(AppsDeathTest, ScoringAnItemAddedAfterConstructionFails) {
                "added to the net after the scorer was built");
 }
 
+TEST(AppsDeathTest, ScoringAfterAnIsAEdgeOrTagWasAddedFails) {
+  kg::ConceptNet net;
+  kg::ClassId category = *net.taxonomy().AddDomain("Category");
+  kg::ConceptId jacket = *net.GetOrAddPrimitiveConcept("jacket", category);
+  kg::ConceptId top = *net.GetOrAddPrimitiveConcept("top", category);
+  kg::ConceptId coat = *net.GetOrAddPrimitiveConcept("coat", category);
+  kg::ItemId warm_jacket = *net.AddItem({"warm", "jacket"}, category);
+  ASSERT_TRUE(net.LinkItemToPrimitive(warm_jacket, jacket).ok());
+  const SearchRelevance search(&net, /*metrics=*/nullptr);
+  EXPECT_EQ(search.Score("top", warm_jacket, /*expand_isa=*/true), 0.0);
+  // Each kind of growth fails on its own. Grown in this order, each one is
+  // the first the scorer checks.
+  ASSERT_TRUE(net.AddIsA(jacket, top).ok());
+  EXPECT_DEATH(search.Score("top", warm_jacket, /*expand_isa=*/true),
+               "isA edge added to the net after the scorer was built");
+  ASSERT_TRUE(net.LinkItemToPrimitive(warm_jacket, coat).ok());
+  EXPECT_DEATH(search.Score("coat", warm_jacket, /*expand_isa=*/true),
+               "item-primitive link added to the net after the scorer was "
+               "built");
+}
+
 TEST(AppsDeathTest, VotingForAConceptAddedAfterConstructionFails) {
   kg::ConceptNet net;
   kg::ClassId category = *net.taxonomy().AddDomain("Category");

@@ -478,7 +478,7 @@ TEST(RuleRegistryTest, IdsAreUniqueKebabCaseAndDocumented) {
   auto sorted = ids;
   std::sort(sorted.begin(), sorted.end());
   EXPECT_EQ(std::unique(sorted.begin(), sorted.end()), sorted.end());
-  EXPECT_EQ(ids.size(), 12u);
+  EXPECT_EQ(ids.size(), 11u);
 }
 
 /// Every fixture under tests/tools/fixtures/ declares its repo-logical

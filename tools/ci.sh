@@ -107,9 +107,9 @@ cmake --preset tsan >/dev/null
 cmake --build --preset tsan -j "${JOBS}"
 # The threaded surface: the thread pool (incl. the race stress suite), the
 # observability registry/tracer stress suite, the profiling-tier stress
-# suite (ProfRace: the sample ring and the instrumented mutex), the per-thread
-# graph arenas, nn::Train's pooled shards (every pooled trainer test is in
-# ParallelTrainingTest, which `Training` selects), the knowledge
+# suite (ProfRace: the sample ring), CondVar's park-and-notify handoff, the
+# per-thread graph arenas, nn::Train's pooled shards (every pooled trainer
+# test is in ParallelTrainingTest, which `Training` selects), the knowledge
 # matcher's per-thread concept-side memo (KnowledgeMatchingRaceTest scores
 # concept-grouped pairs from the pool, as stage 7 does), the serving apps
 # shared by concurrent clients, and one full AliCoCoBuilder::Build
@@ -119,7 +119,7 @@ cmake --build --preset tsan -j "${JOBS}"
 # Running the full suite under TSan works too but takes far longer for no
 # extra thread coverage.
 TSAN_OPTIONS="halt_on_error=1" \
-  ctest --preset tsan -R 'ThreadPool|ObsRace|ProfRace|LockStats|LockContentionMetrics|GraphArena|Training|Skipgram|Classifier|Matching|Tagger|Projection|AppsRace|PipelineTest\.AllStagesProduceStructure' \
+  ctest --preset tsan -R 'ThreadPool|ObsRace|ProfRace|CondVar|GraphArena|Training|Skipgram|Classifier|Matching|Tagger|Projection|AppsRace|PipelineTest\.AllStagesProduceStructure' \
     --output-junit "${JUNIT}/tsan.xml"
 
 step "all green"

@@ -557,52 +557,6 @@ class LockDisciplineRule : public Rule {
   }
 };
 
-// ---- mutex-name-literal -------------------------------------------------
-
-class MutexNameLiteralRule : public Rule {
- public:
-  std::string_view id() const override { return "mutex-name-literal"; }
-  std::string_view rationale() const override {
-    return "a named (instrumented) Mutex must take a string literal: the "
-           "lock-stats sink keeps the pointer past the constructor, so the "
-           "name needs static storage duration (common/mutex.h)";
-  }
-  std::string_view example_bad() const override {
-    return "Mutex mu_{label_.c_str()};  // dangles when label_ reallocates";
-  }
-  std::string_view example_good() const override {
-    return "Mutex mu_{\"pipeline.worker_pool.mu\"};";
-  }
-  void Check(const FileContext& file,
-             std::vector<Finding>* out) const override {
-    // Library code only: tests may build names with controlled lifetime
-    // (e.g. proving that equal-text names fold into one metric series).
-    if (!StartsWith(file.path, "src/")) return;
-    if (file.path == "src/common/mutex.h") return;  // the wrapper itself
-    auto code = CodeTokens(file);
-    for (size_t i = 0; i + 3 < code.size(); ++i) {
-      // Declaration shape: `Mutex <name>(<arg>...)` / `Mutex <name>{<arg>...}`.
-      // References, pointers, bare `Mutex m;` declarations, and the
-      // copy-ctor deletion (`Mutex(const Mutex&)`) all fail this match.
-      if (!IsIdent(code[i], "Mutex")) continue;
-      const Token* name = code[i + 1];
-      if (name->kind != TokenKind::kIdentifier) continue;
-      const Token* open = code[i + 2];
-      const bool paren = IsPunct(open, "(");
-      if (!paren && !IsPunct(open, "{")) continue;
-      const Token* arg = code[i + 3];
-      // Empty parens/braces are default construction: an unnamed mutex.
-      if (IsPunct(arg, paren ? ")" : "}")) continue;
-      if (arg->kind == TokenKind::kString) continue;
-      Report(file, *code[i], id(),
-             "'Mutex " + name->text +
-                 "' constructed from a non-literal name (the sink keeps "
-                 "the pointer; pass a string literal)",
-             out);
-    }
-  }
-};
-
 // ---- direct-stderr-log --------------------------------------------------
 
 class DirectStderrLogRule : public Rule {
@@ -696,7 +650,6 @@ const std::vector<std::unique_ptr<Rule>>& RuleRegistry() {
     rules.push_back(std::make_unique<BannedTimeRule>());
     rules.push_back(std::make_unique<UnorderedPersistIterRule>());
     rules.push_back(std::make_unique<LockDisciplineRule>());
-    rules.push_back(std::make_unique<MutexNameLiteralRule>());
     rules.push_back(std::make_unique<DirectStderrLogRule>());
     rules.push_back(std::make_unique<LibmTanhRule>());
     return rules;
