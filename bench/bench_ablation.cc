@@ -10,7 +10,6 @@
 #include "common/table_printer.h"
 #include "matching/knowledge_matcher.h"
 #include "mining/relation_inference.h"
-#include "text/tokenizer.h"
 
 int main() {
   using namespace alicoco;
@@ -32,23 +31,8 @@ int main() {
   mdc.rank_candidates = 20;
   auto dataset = matching::BuildMatchingDataset(world, mdc);
 
-  matching::KnowledgeResources know;
-  know.pos_tagger = &world.pos_tagger();
-  know.gloss_encoder = &resources->gloss_encoder();
-  know.gloss_lookup = [&](const std::string& w) {
-    return resources->GlossOf(w);
-  };
-  know.concept_classes = [&](const std::vector<std::string>& tokens) {
-    std::vector<int> out;
-    auto ec = world.net().FindEcConcept(text::JoinTokens(tokens));
-    if (ec.has_value()) {
-      for (kg::ConceptId p : world.net().PrimitivesForEc(*ec)) {
-        out.push_back(static_cast<int>(world.net().Get(p).cls.value));
-      }
-    }
-    return out;
-  };
-  know.num_classes = static_cast<int>(world.net().taxonomy().size());
+  const matching::KnowledgeResources know =
+      matching::NetKnowledge(world, *resources, world.net());
   matching::KnowledgeResources plain;
   plain.pos_tagger = &world.pos_tagger();
 

@@ -13,7 +13,6 @@
 #include "matching/knowledge_matcher.h"
 #include "matching/match_pyramid.h"
 #include "matching/re2_matcher.h"
-#include "text/tokenizer.h"
 
 int main() {
   using namespace alicoco;
@@ -44,23 +43,8 @@ int main() {
                 dataset.rank_queries.size());
   }
 
-  matching::KnowledgeResources know;
-  know.pos_tagger = &world.pos_tagger();
-  know.gloss_encoder = &resources->gloss_encoder();
-  know.gloss_lookup = [&](const std::string& w) {
-    return resources->GlossOf(w);
-  };
-  know.concept_classes = [&](const std::vector<std::string>& tokens) {
-    std::vector<int> out;
-    auto ec = world.net().FindEcConcept(text::JoinTokens(tokens));
-    if (ec.has_value()) {
-      for (kg::ConceptId p : world.net().PrimitivesForEc(*ec)) {
-        out.push_back(static_cast<int>(world.net().Get(p).cls.value));
-      }
-    }
-    return out;
-  };
-  know.num_classes = static_cast<int>(world.net().taxonomy().size());
+  const matching::KnowledgeResources know =
+      matching::NetKnowledge(world, *resources, world.net());
 
   matching::NeuralMatcherConfig base;
   base.epochs = 7;

@@ -26,15 +26,13 @@ NeedsQuestionAnswerer::NeedsQuestionAnswerer(const kg::ConceptNet* net)
     }
     entry.voters_end = static_cast<uint32_t>(voters_.size());
   };
-  interpretation_size_.reserve(net->num_ec_concepts());
   for (const kg::EcommerceConcept& ec : net->ec_concepts()) {
     add_surface(ec.surface);
-    interpretation_size_.push_back(
-        static_cast<uint32_t>(net->PrimitivesForEc(ec.id).size()));
   }
   for (const kg::PrimitiveConcept& prim : net->primitives()) {
     add_surface(prim.surface);
   }
+  num_ec_concepts_ = net->num_ec_concepts();
   num_primitives_ = net->num_primitive_concepts();
   num_interpretation_links_ = net->num_ec_primitive_links();
 }
@@ -68,7 +66,7 @@ NeedsAnswer NeedsQuestionAnswerer::BuildAnswer(kg::EcConceptId id,
 
 std::vector<std::pair<double, uint32_t>> NeedsQuestionAnswerer::Rank(
     const std::string& question, size_t limit) const {
-  ALICOCO_CHECK_EQ(net_->num_ec_concepts(), interpretation_size_.size())
+  ALICOCO_CHECK_EQ(net_->num_ec_concepts(), num_ec_concepts_)
       << "concept added to the net after the answerer was built";
   ALICOCO_CHECK_EQ(net_->num_primitive_concepts(), num_primitives_)
       << "primitive concept added to the net after the answerer was built";
@@ -84,7 +82,7 @@ std::vector<std::pair<double, uint32_t>> NeedsQuestionAnswerer::Rank(
     double direct = 0.0;
     double votes = 0.0;
   };
-  std::vector<Tally> tally(interpretation_size_.size());
+  std::vector<Tally> tally(num_ec_concepts_);
   std::vector<uint32_t> recognized;  // concept ids, in order of first hit
   auto hit = [&](uint32_t ec) -> Tally& {
     Tally& t = tally[ec];
@@ -122,7 +120,8 @@ std::vector<std::pair<double, uint32_t>> NeedsQuestionAnswerer::Rank(
     const Tally& t = tally[ec];
     double score = t.direct;
     if (t.votes > 0.0) {
-      size_t interp = std::max<size_t>(1, interpretation_size_[ec]);
+      size_t interp = std::max<size_t>(
+          1, net_->PrimitivesForEc(kg::EcConceptId(ec)).size());
       double coverage = t.votes / static_cast<double>(interp);
       // Below every direct match; the better of the two counts.
       score = std::max(score, std::min(0.99, 0.5 * coverage));

@@ -82,9 +82,7 @@ class NeedsQuestionAnswerer {
   // surface of the net.
   std::unordered_map<std::string, Surface> surfaces_;
   std::vector<uint32_t> voters_;
-  // PrimitivesForEc(ec).size(), indexed by e-commerce concept id; its size
-  // is the concept count the table was built from.
-  std::vector<uint32_t> interpretation_size_;
+  size_t num_ec_concepts_ = 0;
   size_t num_primitives_ = 0;
   size_t num_interpretation_links_ = 0;
 };

@@ -77,14 +77,6 @@ CognitiveRecommender::CognitiveRecommender(const kg::ConceptNet* net,
     for (const auto& edge : ranked) ranked_items_.push_back(edge.first);
     row_begin_.push_back(static_cast<uint32_t>(ranked_items_.size()));
   }
-  item_row_begin_.reserve(net->num_items() + 1);
-  item_row_begin_.push_back(0);
-  for (const kg::Item& item : net->items()) {
-    for (kg::EcConceptId ec : net->EcConceptsForItem(item.id)) {
-      item_concepts_.push_back(ec.value);
-    }
-    item_row_begin_.push_back(static_cast<uint32_t>(item_concepts_.size()));
-  }
   num_item_ec_links_ = net->num_item_ec_links();
   if (metrics != nullptr) {
     recommend_latency_us_ =
@@ -108,16 +100,13 @@ CognitiveRecommender::Recommend(const datagen::UserHistory& user,
       << "item-concept link added to the net after the recommender was built";
   // Vote for concepts linked to the clicked items; damp by concept size so
   // huge generic concepts don't dominate. Each concept's votes add up in
-  // clicked-item and edge order. An item the table does not know has no
-  // edges: the link count above would have grown with them.
+  // clicked-item and edge order. An item the net does not hold reads as an
+  // empty row.
   std::vector<double> votes(vote_weight_.size(), 0.0);
   std::vector<uint32_t> voted;  // concept ids, in order of first vote
-  const size_t num_items = item_row_begin_.size() - 1;
   for (kg::ItemId item : user.clicked) {
-    if (item.value >= num_items) continue;
-    for (uint32_t k = item_row_begin_[item.value];
-         k < item_row_begin_[item.value + 1]; ++k) {
-      const uint32_t ec = item_concepts_[k];
+    for (kg::EcConceptId concept_id : net_->EcConceptsForItem(item)) {
+      const uint32_t ec = concept_id.value;
       if (votes[ec] == 0.0) voted.push_back(ec);
       votes[ec] += vote_weight_[ec];
     }

@@ -64,17 +64,14 @@ class CognitiveRecommender {
 
  private:
   const kg::ConceptNet* net_;
-  // The read tables. Indexed by e-commerce concept id: the vote weight
+  // The read tables, indexed by e-commerce concept id: the vote weight
   // 1 / log2(2 + |items|) that damps popular concepts, and the concept's
   // items by descending edge probability (ItemsForEcRanked order) in
-  // ranked_items_[row_begin_[ec] .. row_begin_[ec + 1]). Indexed by item
-  // id: the item's concepts in EcConceptsForItem order, in
-  // item_concepts_[item_row_begin_[item] .. item_row_begin_[item + 1]).
+  // ranked_items_[row_begin_[ec] .. row_begin_[ec + 1]). A clicked item's
+  // concepts are read from the net's own row.
   std::vector<double> vote_weight_;
   std::vector<uint32_t> row_begin_;
   std::vector<kg::ItemId> ranked_items_;
-  std::vector<uint32_t> item_row_begin_;
-  std::vector<uint32_t> item_concepts_;
   size_t num_item_ec_links_ = 0;
   obs::Histogram* recommend_latency_us_ = nullptr;
   obs::Counter* requests_served_ = nullptr;

@@ -43,7 +43,6 @@ void Logger::SetLevel(LogLevel level) { g_level.store(level); }
 LogLevel Logger::level() { return g_level.load(); }
 
 void Logger::SetSink(LogSink* sink) { g_sink.store(sink); }
-LogSink* Logger::sink() { return g_sink.load(); }
 
 void Logger::SetWallClock(WallClock clock) { g_wall_clock.store(clock); }
 

@@ -1,7 +1,8 @@
 // Minimal leveled logging with pluggable sinks.
 //
 // Usage: ALICOCO_LOG(Info) << "built " << n << " nodes";
-// Level filtering via Logger::SetLevel (benches silence INFO by default).
+// Level filtering via Logger::SetLevel; the level starts at INFO, and no
+// bench or example lowers it.
 //
 // Each emitted line carries a UTC timestamp and a small sequential thread
 // id in addition to file:line:
@@ -58,7 +59,6 @@ class Logger {
   /// Routes records to `sink` instead of stderr; nullptr restores stderr.
   /// The sink must outlive all logging (set it for a program's lifetime).
   static void SetSink(LogSink* sink);
-  static LogSink* sink();
 
   /// Replaces the wall clock; nullptr restores the real one. Tests inject
   /// a fixed clock to pin timestamps.

@@ -1,6 +1,7 @@
 #include "datagen/world.h"
 
 #include <algorithm>
+#include <span>
 
 #include "common/logging.h"
 #include "common/string_util.h"
@@ -1011,7 +1012,7 @@ bool World::IsGoodConcept(const std::vector<std::string>& tokens) const {
   struct Piece {
     bool literal = false;
     std::string word;
-    std::vector<kg::ConceptId> senses;
+    std::span<const kg::ConceptId> senses;
   };
   std::vector<Piece> pieces;
   size_t i = 0;
@@ -1025,7 +1026,7 @@ bool World::IsGoodConcept(const std::vector<std::string>& tokens) const {
       continue;
     }
     // Longest match first.
-    std::vector<kg::ConceptId> senses;
+    std::span<const kg::ConceptId> senses;
     size_t len = 0;
     if (i + 1 < tokens.size()) {
       senses = net_.FindPrimitive(tokens[i] + " " + tokens[i + 1]);
@@ -1037,7 +1038,7 @@ bool World::IsGoodConcept(const std::vector<std::string>& tokens) const {
     }
     if (senses.empty()) return false;  // unknown word: not a concept
     Piece p;
-    p.senses = std::move(senses);
+    p.senses = senses;
     pieces.push_back(std::move(p));
     i += len;
   }

@@ -1,7 +1,6 @@
 #include "eval/metrics.h"
 
 #include <algorithm>
-#include <cmath>
 #include <numeric>
 
 #include "common/logging.h"
@@ -233,14 +232,6 @@ double Mean(const std::vector<double>& v) {
   if (v.empty()) return 0.0;
   return std::accumulate(v.begin(), v.end(), 0.0) /
          static_cast<double>(v.size());
-}
-
-double StdDev(const std::vector<double>& v) {
-  if (v.size() < 2) return 0.0;
-  double m = Mean(v);
-  double acc = 0.0;
-  for (double x : v) acc += (x - m) * (x - m);
-  return std::sqrt(acc / static_cast<double>(v.size() - 1));
 }
 
 }  // namespace alicoco::eval

@@ -86,9 +86,6 @@ ConfidenceInterval BootstrapCi(const std::vector<double>& values,
 /// Mean of a vector (0 for empty).
 double Mean(const std::vector<double>& v);
 
-/// Sample standard deviation (0 for n < 2).
-double StdDev(const std::vector<double>& v);
-
 }  // namespace alicoco::eval
 
 #endif  // ALICOCO_EVAL_METRICS_H_

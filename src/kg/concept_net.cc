@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <deque>
+#include <unordered_set>
 
 #include "common/check.h"
 #include "common/string_util.h"
@@ -9,19 +10,17 @@
 namespace alicoco::kg {
 namespace {
 
-template <typename K, typename V>
-std::vector<V> Lookup(const std::unordered_map<K, std::vector<V>>& map, K key) {
-  auto it = map.find(key);
-  return it == map.end() ? std::vector<V>() : it->second;
+/// The row of node `id`, added (with empty rows for every lower id that has
+/// none yet) on the node's first edge.
+template <typename V, typename K>
+std::vector<V>& RowFor(std::vector<std::vector<V>>& rows, K id) {
+  if (id.value >= rows.size()) rows.resize(id.value + 1);
+  return rows[id.value];
 }
 
-template <typename K, typename V>
-bool EdgeExists(const std::unordered_map<K, std::vector<V>>& map, K key,
-                V value) {
-  auto it = map.find(key);
-  if (it == map.end()) return false;
-  return std::find(it->second.begin(), it->second.end(), value) !=
-         it->second.end();
+template <typename V>
+bool InRow(std::span<const V> row, V value) {
+  return std::find(row.begin(), row.end(), value) != row.end();
 }
 
 }  // namespace
@@ -43,7 +42,7 @@ Result<ConceptId> ConceptNet::GetOrAddPrimitiveConcept(
   ConceptId id(static_cast<uint32_t>(primitives_.size()));
   primitives_.push_back(PrimitiveConcept{id, surface, cls, {}});
   primitive_by_surface_[surface].push_back(id);
-  primitive_by_class_[cls].push_back(id);
+  RowFor(primitive_by_class_, cls).push_back(id);
   return id;
 }
 
@@ -87,7 +86,7 @@ bool ConceptNet::WouldCreateIsACycle(ConceptId hyponym,
     ConceptId cur = queue.front();
     queue.pop_front();
     if (cur == hyponym) return true;
-    for (ConceptId next : Lookup(hypernyms_, cur)) {
+    for (ConceptId next : Hypernyms(cur)) {
       if (seen.insert(next).second) queue.push_back(next);
     }
   }
@@ -102,7 +101,7 @@ bool ConceptNet::WouldCreateEcIsACycle(EcConceptId child,
     EcConceptId cur = queue.front();
     queue.pop_front();
     if (cur == child) return true;
-    for (EcConceptId next : Lookup(ec_parents_, cur)) {
+    for (EcConceptId next : EcParents(cur)) {
       if (seen.insert(next).second) queue.push_back(next);
     }
   }
@@ -116,7 +115,7 @@ Status ConceptNet::AddIsA(ConceptId hyponym, ConceptId hypernym) {
   if (hyponym == hypernym) {
     return Status::InvalidArgument("self isA rejected");
   }
-  if (EdgeExists(hypernyms_, hyponym, hypernym)) {
+  if (InRow(Hypernyms(hyponym), hypernym)) {
     return Status::AlreadyExists("isA edge exists");
   }
   if (WouldCreateIsACycle(hyponym, hypernym)) {
@@ -124,13 +123,7 @@ Status ConceptNet::AddIsA(ConceptId hyponym, ConceptId hypernym) {
         "isA cycle rejected: " + primitives_[hyponym.value].surface + " -> " +
         primitives_[hypernym.value].surface);
   }
-  // Forward/reverse adjacency must stay mirrored; a one-sided edge would
-  // corrupt closure queries silently.
-  ALICOCO_DCHECK(!EdgeExists(hyponyms_, hypernym, hyponym))
-      << "reverse isA edge already present for "
-      << primitives_[hyponym.value].surface;
-  hypernyms_[hyponym].push_back(hypernym);
-  hyponyms_[hypernym].push_back(hyponym);
+  RowFor(hypernyms_, hyponym).push_back(hypernym);
   ++isa_edge_count_;
   return Status::OK();
 }
@@ -140,14 +133,14 @@ Status ConceptNet::AddEcIsA(EcConceptId child, EcConceptId parent) {
     return Status::NotFound("unknown e-commerce concept in isA");
   }
   if (child == parent) return Status::InvalidArgument("self isA rejected");
-  if (EdgeExists(ec_parents_, child, parent)) {
+  if (InRow(EcParents(child), parent)) {
     return Status::AlreadyExists("ec isA edge exists");
   }
   if (WouldCreateEcIsACycle(child, parent)) {
     return Status::FailedPrecondition("ec isA cycle rejected");
   }
-  ec_parents_[child].push_back(parent);
-  ec_children_[parent].push_back(child);
+  RowFor(ec_parents_, child).push_back(parent);
+  RowFor(ec_children_, parent).push_back(child);
   ++ec_isa_edge_count_;
   return Status::OK();
 }
@@ -156,11 +149,11 @@ Status ConceptNet::LinkEcToPrimitive(EcConceptId ec, ConceptId primitive) {
   if (!Contains(ec) || !Contains(primitive)) {
     return Status::NotFound("unknown node in ec->primitive link");
   }
-  if (EdgeExists(ec_to_prim_, ec, primitive)) {
+  if (InRow(PrimitivesForEc(ec), primitive)) {
     return Status::AlreadyExists("link exists");
   }
-  ec_to_prim_[ec].push_back(primitive);
-  prim_to_ec_[primitive].push_back(ec);
+  RowFor(ec_to_prim_, ec).push_back(primitive);
+  RowFor(prim_to_ec_, primitive).push_back(ec);
   ++ec_prim_edge_count_;
   return Status::OK();
 }
@@ -169,11 +162,10 @@ Status ConceptNet::LinkItemToPrimitive(ItemId item, ConceptId primitive) {
   if (!Contains(item) || !Contains(primitive)) {
     return Status::NotFound("unknown node in item->primitive link");
   }
-  if (EdgeExists(item_to_prim_, item, primitive)) {
+  if (InRow(PrimitivesForItem(item), primitive)) {
     return Status::AlreadyExists("link exists");
   }
-  item_to_prim_[item].push_back(primitive);
-  prim_to_item_[primitive].push_back(item);
+  RowFor(item_to_prim_, item).push_back(primitive);
   ++item_prim_edge_count_;
   return Status::OK();
 }
@@ -186,11 +178,11 @@ Status ConceptNet::LinkItemToEc(ItemId item, EcConceptId ec,
   if (probability <= 0.0 || probability > 1.0) {
     return Status::InvalidArgument("edge probability must be in (0, 1]");
   }
-  if (EdgeExists(item_to_ec_, item, ec)) {
+  if (InRow(EcConceptsForItem(item), ec)) {
     return Status::AlreadyExists("link exists");
   }
-  item_to_ec_[item].push_back(ec);
-  ec_to_item_[ec].push_back(item);
+  RowFor(item_to_ec_, item).push_back(ec);
+  RowFor(ec_to_item_, ec).push_back(item);
   item_ec_probability_[(static_cast<uint64_t>(item.value) << 32) |
                        ec.value] = probability;
   ++item_ec_edge_count_;
@@ -224,7 +216,7 @@ Status ConceptNet::AddTypedRelation(const std::string& relation,
   ALICOCO_RETURN_NOT_OK(schema_.Validate(taxonomy_, relation,
                                          primitives_[subject.value].cls,
                                          primitives_[object.value].cls));
-  typed_by_subject_[subject].push_back(typed_relations_.size());
+  RowFor(typed_by_subject_, subject).push_back(typed_relations_.size());
   typed_relations_.push_back(TypedRelation{relation, subject, object});
   return Status::OK();
 }
@@ -244,11 +236,11 @@ const Item& ConceptNet::Get(ItemId id) const {
   return items_[id.value];
 }
 
-std::vector<ConceptId> ConceptNet::FindPrimitive(
+std::span<const ConceptId> ConceptNet::FindPrimitive(
     const std::string& surface) const {
   auto it = primitive_by_surface_.find(surface);
-  return it == primitive_by_surface_.end() ? std::vector<ConceptId>()
-                                           : it->second;
+  if (it == primitive_by_surface_.end()) return {};
+  return it->second;
 }
 
 std::optional<ConceptId> ConceptNet::FindPrimitive(const std::string& surface,
@@ -266,20 +258,6 @@ std::optional<EcConceptId> ConceptNet::FindEcConcept(
   return it->second;
 }
 
-std::vector<ConceptId> ConceptNet::PrimitivesOfClass(ClassId cls) const {
-  auto it = primitive_by_class_.find(cls);
-  return it == primitive_by_class_.end() ? std::vector<ConceptId>()
-                                         : it->second;
-}
-
-std::vector<ConceptId> ConceptNet::Hypernyms(ConceptId id) const {
-  return Lookup(hypernyms_, id);
-}
-
-std::vector<ConceptId> ConceptNet::Hyponyms(ConceptId id) const {
-  return Lookup(hyponyms_, id);
-}
-
 std::vector<ConceptId> ConceptNet::HypernymClosure(ConceptId id) const {
   ALICOCO_DCHECK(Contains(id)) << "closure of unknown concept " << id.value;
   std::vector<ConceptId> out;
@@ -288,7 +266,7 @@ std::vector<ConceptId> ConceptNet::HypernymClosure(ConceptId id) const {
   while (!queue.empty()) {
     ConceptId cur = queue.front();
     queue.pop_front();
-    for (ConceptId next : Lookup(hypernyms_, cur)) {
+    for (ConceptId next : Hypernyms(cur)) {
       ALICOCO_DCHECK(Contains(next))
           << "dangling isA endpoint " << next.value << " reachable from "
           << id.value;
@@ -314,39 +292,12 @@ std::vector<std::string> ConceptNet::ExpandWithHypernyms(
   return out;
 }
 
-std::vector<ConceptId> ConceptNet::PrimitivesForEc(EcConceptId ec) const {
-  return Lookup(ec_to_prim_, ec);
-}
-std::vector<EcConceptId> ConceptNet::EcConceptsForPrimitive(
-    ConceptId primitive) const {
-  return Lookup(prim_to_ec_, primitive);
-}
-std::vector<ItemId> ConceptNet::ItemsForEc(EcConceptId ec) const {
-  return Lookup(ec_to_item_, ec);
-}
-std::vector<EcConceptId> ConceptNet::EcConceptsForItem(ItemId item) const {
-  return Lookup(item_to_ec_, item);
-}
-std::vector<ItemId> ConceptNet::ItemsForPrimitive(ConceptId primitive) const {
-  return Lookup(prim_to_item_, primitive);
-}
-std::vector<ConceptId> ConceptNet::PrimitivesForItem(ItemId item) const {
-  return Lookup(item_to_prim_, item);
-}
-std::vector<EcConceptId> ConceptNet::EcParents(EcConceptId id) const {
-  return Lookup(ec_parents_, id);
-}
-std::vector<EcConceptId> ConceptNet::EcChildren(EcConceptId id) const {
-  return Lookup(ec_children_, id);
-}
-
 std::vector<TypedRelation> ConceptNet::TypedRelationsFrom(
     ConceptId subject) const {
   std::vector<TypedRelation> out;
-  auto it = typed_by_subject_.find(subject);
-  if (it == typed_by_subject_.end()) return out;
-  out.reserve(it->second.size());
-  for (size_t idx : it->second) out.push_back(typed_relations_[idx]);
+  for (size_t idx : RowOf(typed_by_subject_, subject)) {
+    out.push_back(typed_relations_[idx]);
+  }
   return out;
 }
 

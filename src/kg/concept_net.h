@@ -6,18 +6,33 @@
 //                                   |
 //   primitive concepts: isA hierarchy + schema-typed relations
 //
-// The store owns the taxonomy and schema, allocates dense ids per layer, and
-// maintains forward/reverse adjacency for every relation kind. Multiple
-// primitive concepts may share a surface form (senses); the surface index
-// returns all of them, which is what gives AliCoCo its disambiguation power.
+// The store owns the taxonomy and schema and allocates dense ids per layer.
+// Each relation direction that something queries is stored as rows indexed
+// by the source node's dense id, in edge insertion order:
+//
+//   primitive isA   hyponym -> hypernyms
+//   e-commerce isA  child -> parents, parent -> children
+//   interpretation  ec -> primitives, primitive -> ecs
+//   item tag        item -> primitives
+//   association     item -> ecs, ec -> items
+//
+// plus class -> primitives and subject -> typed relations. A row is added
+// on its node's first edge; an id past the last row reads as an empty row.
+// Multiple primitive concepts may share a surface form (senses); the
+// surface index returns all of them, which is what gives AliCoCo its
+// disambiguation power.
+//
+// Lending: every adjacency getter returns a std::span into the net's own
+// row, valid until the next write to the net (any non-const call). Copy
+// the span into a vector to keep it across a write.
 
 #ifndef ALICOCO_KG_CONCEPT_NET_H_
 #define ALICOCO_KG_CONCEPT_NET_H_
 
 #include <optional>
+#include <span>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "common/status.h"
@@ -131,7 +146,7 @@ class ConceptNet {
   const Item& Get(ItemId id) const;
 
   /// All senses of a surface form (empty if unknown).
-  std::vector<ConceptId> FindPrimitive(const std::string& surface) const;
+  std::span<const ConceptId> FindPrimitive(const std::string& surface) const;
 
   /// The sense of `surface` within class `cls`, if any.
   std::optional<ConceptId> FindPrimitive(const std::string& surface,
@@ -141,12 +156,15 @@ class ConceptNet {
   std::optional<EcConceptId> FindEcConcept(const std::string& surface) const;
 
   /// All primitive concepts of a class (exact class, not subtree).
-  std::vector<ConceptId> PrimitivesOfClass(ClassId cls) const;
+  std::span<const ConceptId> PrimitivesOfClass(ClassId cls) const {
+    return RowOf(primitive_by_class_, cls);
+  }
 
   // ---- graph queries ----
 
-  std::vector<ConceptId> Hypernyms(ConceptId id) const;
-  std::vector<ConceptId> Hyponyms(ConceptId id) const;
+  std::span<const ConceptId> Hypernyms(ConceptId id) const {
+    return RowOf(hypernyms_, id);
+  }
 
   /// Transitive hypernym closure (excluding `id` itself), BFS order.
   std::vector<ConceptId> HypernymClosure(ConceptId id) const;
@@ -156,14 +174,28 @@ class ConceptNet {
   std::vector<std::string> ExpandWithHypernyms(
       const std::string& surface) const;
 
-  std::vector<ConceptId> PrimitivesForEc(EcConceptId ec) const;
-  std::vector<EcConceptId> EcConceptsForPrimitive(ConceptId primitive) const;
-  std::vector<ItemId> ItemsForEc(EcConceptId ec) const;
-  std::vector<EcConceptId> EcConceptsForItem(ItemId item) const;
-  std::vector<ItemId> ItemsForPrimitive(ConceptId primitive) const;
-  std::vector<ConceptId> PrimitivesForItem(ItemId item) const;
-  std::vector<EcConceptId> EcParents(EcConceptId id) const;
-  std::vector<EcConceptId> EcChildren(EcConceptId id) const;
+  std::span<const ConceptId> PrimitivesForEc(EcConceptId ec) const {
+    return RowOf(ec_to_prim_, ec);
+  }
+  std::span<const EcConceptId> EcConceptsForPrimitive(
+      ConceptId primitive) const {
+    return RowOf(prim_to_ec_, primitive);
+  }
+  std::span<const ItemId> ItemsForEc(EcConceptId ec) const {
+    return RowOf(ec_to_item_, ec);
+  }
+  std::span<const EcConceptId> EcConceptsForItem(ItemId item) const {
+    return RowOf(item_to_ec_, item);
+  }
+  std::span<const ConceptId> PrimitivesForItem(ItemId item) const {
+    return RowOf(item_to_prim_, item);
+  }
+  std::span<const EcConceptId> EcParents(EcConceptId id) const {
+    return RowOf(ec_parents_, id);
+  }
+  std::span<const EcConceptId> EcChildren(EcConceptId id) const {
+    return RowOf(ec_children_, id);
+  }
 
   const std::vector<TypedRelation>& typed_relations() const {
     return typed_relations_;
@@ -191,14 +223,21 @@ class ConceptNet {
   const std::vector<Item>& items() const { return items_; }
 
  private:
-  // The validator audits internal adjacency for invariants unreachable
-  // through the public API (dangling map keys, one-sided edges); the test
-  // peer injects exactly those corruptions to prove the audit catches them.
+  // The validator audits the rows for invariants unreachable through the
+  // public API (rows past the last node, one-sided edges); the test peer
+  // injects exactly those corruptions to prove the audit catches them.
   friend class Validator;
   friend class ValidatorTestPeer;
 
-  template <typename K, typename V>
-  using AdjMap = std::unordered_map<K, std::vector<V>>;
+  // Row i holds the targets of the node with dense id i.
+  template <typename V>
+  using Rows = std::vector<std::vector<V>>;
+
+  template <typename V, typename K>
+  static std::span<const V> RowOf(const Rows<V>& rows, K id) {
+    if (id.value >= rows.size()) return {};
+    return rows[id.value];
+  }
 
   // Returns true if adding hypo->hyper creates a cycle in the isA DAG.
   bool WouldCreateIsACycle(ConceptId hyponym, ConceptId hypernym) const;
@@ -213,20 +252,19 @@ class ConceptNet {
 
   std::unordered_map<std::string, std::vector<ConceptId>> primitive_by_surface_;
   std::unordered_map<std::string, EcConceptId> ec_by_surface_;
-  std::unordered_map<ClassId, std::vector<ConceptId>> primitive_by_class_;
+  Rows<ConceptId> primitive_by_class_;  // by ClassId
 
-  AdjMap<ConceptId, ConceptId> hypernyms_, hyponyms_;
-  AdjMap<EcConceptId, EcConceptId> ec_parents_, ec_children_;
-  AdjMap<EcConceptId, ConceptId> ec_to_prim_;
-  AdjMap<ConceptId, EcConceptId> prim_to_ec_;
-  AdjMap<ItemId, ConceptId> item_to_prim_;
-  AdjMap<ConceptId, ItemId> prim_to_item_;
-  AdjMap<ItemId, EcConceptId> item_to_ec_;
-  AdjMap<EcConceptId, ItemId> ec_to_item_;
+  Rows<ConceptId> hypernyms_;                   // by hyponym
+  Rows<EcConceptId> ec_parents_, ec_children_;  // by child, by parent
+  Rows<ConceptId> ec_to_prim_;                  // by EcConceptId
+  Rows<EcConceptId> prim_to_ec_;                // by ConceptId
+  Rows<ConceptId> item_to_prim_;                // by ItemId
+  Rows<EcConceptId> item_to_ec_;                // by ItemId
+  Rows<ItemId> ec_to_item_;                     // by EcConceptId
   // (item << 32 | ec) -> probability of the dynamic edge.
   std::unordered_map<uint64_t, double> item_ec_probability_;
   std::vector<TypedRelation> typed_relations_;
-  std::unordered_map<ConceptId, std::vector<size_t>> typed_by_subject_;
+  Rows<size_t> typed_by_subject_;  // by ConceptId: typed_relations_ indices
 
   size_t isa_edge_count_ = 0;
   size_t ec_isa_edge_count_ = 0;

@@ -7,7 +7,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <string>
 
 namespace alicoco::kg {
 
@@ -44,11 +43,6 @@ struct EcConceptId : internal::StrongId<EcConceptId> {
 struct ItemId : internal::StrongId<ItemId> {
   using StrongId::StrongId;
 };
-
-std::string ToString(ClassId id);
-std::string ToString(ConceptId id);
-std::string ToString(EcConceptId id);
-std::string ToString(ItemId id);
 
 }  // namespace alicoco::kg
 

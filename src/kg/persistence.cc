@@ -133,9 +133,6 @@ Status SaveConceptNet(const ConceptNet& net, const std::string& path) {
       isa << p.id.value << '\t' << h.value << "\n";
       ++n_isa;
     }
-    for (EcConceptId ec : net.EcConceptsForPrimitive(p.id)) {
-      (void)ec;  // written from the ec side below
-    }
   }
   for (const auto& ec : net.ec_concepts()) {
     for (EcConceptId parent : net.EcParents(ec.id)) {

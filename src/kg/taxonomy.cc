@@ -64,18 +64,6 @@ ClassId Taxonomy::Domain(ClassId id) const {
   return cur;
 }
 
-std::vector<ClassId> Taxonomy::PathToRoot(ClassId id) const {
-  std::vector<ClassId> path;
-  if (!Contains(id)) return path;
-  ClassId cur = id;
-  for (;;) {
-    path.push_back(cur);
-    if (cur == root()) break;
-    cur = classes_[cur.value].parent;
-  }
-  return path;
-}
-
 std::vector<ClassId> Taxonomy::Subtree(ClassId id) const {
   std::vector<ClassId> out;
   if (!Contains(id)) return out;
@@ -85,14 +73,6 @@ std::vector<ClassId> Taxonomy::Subtree(ClassId id) const {
     stack.pop_back();
     out.push_back(cur);
     for (ClassId child : classes_[cur.value].children) stack.push_back(child);
-  }
-  return out;
-}
-
-std::vector<ClassId> Taxonomy::Leaves(ClassId id) const {
-  std::vector<ClassId> out;
-  for (ClassId c : Subtree(id)) {
-    if (classes_[c.value].children.empty()) out.push_back(c);
   }
   return out;
 }

@@ -57,14 +57,8 @@ class Taxonomy {
   /// for the root).
   ClassId Domain(ClassId id) const;
 
-  /// Path from `id` up to and including the root.
-  std::vector<ClassId> PathToRoot(ClassId id) const;
-
   /// All classes in the subtree rooted at `id` (including `id`).
   std::vector<ClassId> Subtree(ClassId id) const;
-
-  /// Leaf classes under `id`.
-  std::vector<ClassId> Leaves(ClassId id) const;
 
   /// First-level classes.
   std::vector<ClassId> Domains() const;

@@ -1,6 +1,7 @@
 #include "kg/validator.h"
 
 #include <algorithm>
+#include <span>
 #include <unordered_set>
 #include <utility>
 
@@ -9,27 +10,17 @@
 namespace alicoco::kg {
 namespace {
 
-template <typename K, typename V>
-bool EdgeExists(const std::unordered_map<K, std::vector<V>>& map, K key,
-                V value) {
-  auto it = map.find(key);
-  if (it == map.end()) return false;
-  return std::find(it->second.begin(), it->second.end(), value) !=
-         it->second.end();
-}
-
-template <typename K, typename V>
-size_t EdgeCount(const std::unordered_map<K, std::vector<V>>& map) {
+template <typename V>
+size_t EdgeCount(const std::vector<std::vector<V>>& rows) {
   size_t total = 0;
-  for (const auto& [key, values] : map) total += values.size();
+  for (const auto& row : rows) total += row.size();
   return total;
 }
 
-// Iterative three-color DFS cycle detection over an adjacency map keyed by
-// dense ids in [0, n).
+// Iterative three-color DFS cycle detection over rows indexed by dense ids
+// in [0, n).
 template <typename Id>
-bool HasCycle(size_t n,
-              const std::unordered_map<Id, std::vector<Id>>& edges,
+bool HasCycle(size_t n, const std::vector<std::vector<Id>>& edges,
               uint32_t* cycle_node) {
   enum : uint8_t { kWhite = 0, kGray = 1, kBlack = 2 };
   std::vector<uint8_t> color(n, kWhite);
@@ -40,14 +31,12 @@ bool HasCycle(size_t n,
     color[start] = kGray;
     while (!stack.empty()) {
       auto& [node, next_edge] = stack.back();
-      auto it = edges.find(Id(node));
-      const auto* out = it == edges.end() ? nullptr : &it->second;
-      if (out == nullptr || next_edge >= out->size()) {
+      if (node >= edges.size() || next_edge >= edges[node].size()) {
         color[node] = kBlack;
         stack.pop_back();
         continue;
       }
-      uint32_t target = (*out)[next_edge++].value;
+      uint32_t target = edges[node][next_edge++].value;
       if (target >= n) continue;  // dangling, reported separately
       if (color[target] == kGray) {
         *cycle_node = target;
@@ -233,13 +222,18 @@ ValidationReport Validator::Validate(const ConceptNet& net) const {
             });
     }
   }
-  for (const auto& [cls, ids] : net.primitive_by_class_) {
-    for (ConceptId id : ids) {
-      check(id.value < num_prims && net.primitives_[id.value].cls == cls,
+  check(net.primitive_by_class_.size() <= num_classes,
+        ValidationCode::kDanglingEdge, [&] {
+          return StringPrintf("class index has %zu rows for %zu classes",
+                              net.primitive_by_class_.size(), num_classes);
+        });
+  for (uint32_t cls = 0; cls < net.primitive_by_class_.size(); ++cls) {
+    for (ConceptId id : net.primitive_by_class_[cls]) {
+      check(id.value < num_prims && net.primitives_[id.value].cls.value == cls,
             ValidationCode::kBadSurface, [&] {
               return StringPrintf(
                   "class index entry %u -> concept %u does not match storage",
-                  cls.value, id.value);
+                  cls, id.value);
             });
     }
   }
@@ -285,52 +279,58 @@ ValidationReport Validator::Validate(const ConceptNet& net) const {
           });
   }
 
-  // ---- adjacency: live endpoints + mirrored reverse edges ----
-  auto audit_adjacency = [&](const auto& fwd, const auto& rev,
-                             size_t key_limit, size_t value_limit,
-                             const char* name) {
-    for (const auto& [key, values] : fwd) {
-      bool key_ok = key.value < key_limit;
-      check(key_ok, ValidationCode::kDanglingEdge, [&] {
-        return StringPrintf("%s edge from unknown node %u", name, key.value);
-      });
-      for (const auto& value : values) {
-        bool value_ok = value.value < value_limit;
-        check(value_ok, ValidationCode::kDanglingEdge, [&] {
-          return StringPrintf("%s edge %u -> unknown node %u", name,
-                              key.value, value.value);
+  // ---- adjacency: no row past the last node, live endpoints, mirrors ----
+  auto audit_rows = [&](const auto& rows, size_t row_limit,
+                        size_t value_limit, const char* name) {
+    check(rows.size() <= row_limit, ValidationCode::kDanglingEdge, [&] {
+      return StringPrintf("%s has %zu rows for %zu source nodes", name,
+                          rows.size(), row_limit);
+    });
+    for (uint32_t from = 0; from < rows.size(); ++from) {
+      for (const auto& to : rows[from]) {
+        check(to.value < value_limit, ValidationCode::kDanglingEdge, [&] {
+          return StringPrintf("%s edge %u -> unknown node %u", name, from,
+                              to.value);
         });
-        if (key_ok && value_ok) {
-          check(EdgeExists(rev, value, key), ValidationCode::kAsymmetricEdge,
-                [&] {
-                  return StringPrintf(
-                      "%s edge %u -> %u has no reverse twin", name, key.value,
-                      value.value);
-                });
-        }
       }
     }
   };
-  audit_adjacency(net.hypernyms_, net.hyponyms_, num_prims, num_prims,
-                  "isA");
-  audit_adjacency(net.hyponyms_, net.hypernyms_, num_prims, num_prims,
-                  "reverse isA");
-  audit_adjacency(net.ec_parents_, net.ec_children_, num_ec, num_ec,
-                  "ec isA");
-  audit_adjacency(net.ec_children_, net.ec_parents_, num_ec, num_ec,
-                  "reverse ec isA");
-  audit_adjacency(net.ec_to_prim_, net.prim_to_ec_, num_ec, num_prims,
-                  "interpretation");
-  audit_adjacency(net.prim_to_ec_, net.ec_to_prim_, num_prims, num_ec,
-                  "reverse interpretation");
-  audit_adjacency(net.item_to_prim_, net.prim_to_item_, num_items, num_prims,
-                  "item tag");
-  audit_adjacency(net.prim_to_item_, net.item_to_prim_, num_prims, num_items,
-                  "reverse item tag");
-  audit_adjacency(net.item_to_ec_, net.ec_to_item_, num_items, num_ec,
-                  "association");
-  audit_adjacency(net.ec_to_item_, net.item_to_ec_, num_ec, num_items,
-                  "reverse association");
+  audit_rows(net.hypernyms_, num_prims, num_prims, "isA");
+  audit_rows(net.ec_parents_, num_ec, num_ec, "ec isA");
+  audit_rows(net.ec_children_, num_ec, num_ec, "reverse ec isA");
+  audit_rows(net.ec_to_prim_, num_ec, num_prims, "interpretation");
+  audit_rows(net.prim_to_ec_, num_prims, num_ec, "reverse interpretation");
+  audit_rows(net.item_to_prim_, num_items, num_prims, "item tag");
+  audit_rows(net.item_to_ec_, num_items, num_ec, "association");
+  audit_rows(net.ec_to_item_, num_ec, num_items, "reverse association");
+
+  // Each edge of a relation stored both ways has its twin in the reverse
+  // rows. Edges to unknown nodes were reported above.
+  auto audit_mirror = [&](const auto& fwd, const auto& rev,
+                          size_t value_limit, const char* name) {
+    for (uint32_t from = 0; from < fwd.size(); ++from) {
+      for (const auto& to : fwd[from]) {
+        if (to.value >= value_limit) continue;
+        check(to.value < rev.size() &&
+                  std::any_of(rev[to.value].begin(), rev[to.value].end(),
+                              [&](const auto& back) {
+                                return back.value == from;
+                              }),
+              ValidationCode::kAsymmetricEdge, [&] {
+                return StringPrintf("%s edge %u -> %u has no reverse twin",
+                                    name, from, to.value);
+              });
+      }
+    }
+  };
+  audit_mirror(net.ec_parents_, net.ec_children_, num_ec, "ec isA");
+  audit_mirror(net.ec_children_, net.ec_parents_, num_ec, "reverse ec isA");
+  audit_mirror(net.ec_to_prim_, net.prim_to_ec_, num_prims, "interpretation");
+  audit_mirror(net.prim_to_ec_, net.ec_to_prim_, num_ec,
+               "reverse interpretation");
+  audit_mirror(net.item_to_ec_, net.ec_to_item_, num_ec, "association");
+  audit_mirror(net.ec_to_item_, net.item_to_ec_, num_items,
+               "reverse association");
 
   // ---- isA acyclicity ----
   uint32_t cycle_node = 0;
@@ -365,22 +365,22 @@ ValidationReport Validator::Validate(const ConceptNet& net) const {
 
   // ---- association probabilities ----
   size_t prob_edges = 0;
-  for (const auto& [item, ecs] : net.item_to_ec_) {
-    for (EcConceptId ec : ecs) {
+  for (uint32_t item = 0; item < net.item_to_ec_.size(); ++item) {
+    for (EcConceptId ec : net.item_to_ec_[item]) {
       ++prob_edges;
-      uint64_t key = (static_cast<uint64_t>(item.value) << 32) | ec.value;
+      uint64_t key = (static_cast<uint64_t>(item) << 32) | ec.value;
       auto it = net.item_ec_probability_.find(key);
       bool found = it != net.item_ec_probability_.end();
       check(found, ValidationCode::kBadProbability, [&] {
-        return StringPrintf("association %u -> %u has no probability",
-                            item.value, ec.value);
+        return StringPrintf("association %u -> %u has no probability", item,
+                            ec.value);
       });
       if (found) {
         check(it->second > 0.0 && it->second <= 1.0,
               ValidationCode::kBadProbability, [&] {
                 return StringPrintf(
                     "association %u -> %u has probability %g outside (0, 1]",
-                    item.value, ec.value, it->second);
+                    item, ec.value, it->second);
               });
       }
     }
@@ -413,21 +413,29 @@ ValidationReport Validator::Validate(const ConceptNet& net) const {
         return StringPrintf("typed relation %zu: %s", r,
                             st.ToString().c_str());
       });
-      check(EdgeExists(net.typed_by_subject_, rel.subject, r),
+      std::span<const size_t> indices =
+          ConceptNet::RowOf(net.typed_by_subject_, rel.subject);
+      check(std::find(indices.begin(), indices.end(), r) != indices.end(),
             ValidationCode::kAsymmetricEdge, [&] {
               return StringPrintf(
                   "typed relation %zu missing from its subject index", r);
             });
     }
   }
-  for (const auto& [subject, indices] : net.typed_by_subject_) {
-    for (size_t idx : indices) {
+  check(net.typed_by_subject_.size() <= num_prims,
+        ValidationCode::kDanglingEdge, [&] {
+          return StringPrintf("subject index has %zu rows for %zu concepts",
+                              net.typed_by_subject_.size(), num_prims);
+        });
+  for (uint32_t subject = 0; subject < net.typed_by_subject_.size();
+       ++subject) {
+    for (size_t idx : net.typed_by_subject_[subject]) {
       check(idx < net.typed_relations_.size() &&
-                net.typed_relations_[idx].subject == subject,
+                net.typed_relations_[idx].subject.value == subject,
             ValidationCode::kDanglingEdge, [&] {
               return StringPrintf(
                   "subject index for concept %u references bad relation %zu",
-                  subject.value, idx);
+                  subject, idx);
             });
     }
   }

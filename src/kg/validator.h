@@ -10,8 +10,11 @@
 //   - every primitive concept and item references a live taxonomy class
 //   - surface indexes agree with node storage (every sense findable, no
 //     duplicate (surface, class) pair, no empty surfaces)
-//   - no dangling edge endpoints in any adjacency map, and every forward
-//     edge has its reverse twin (and vice versa)
+//   - no relation holds a row past its last source node, and no edge
+//     points at an unknown node
+//   - the relations stored both ways (e-commerce isA, interpretation,
+//     association) are mirrored: every forward edge has its reverse twin
+//     and vice versa
 //   - primitive and e-commerce isA graphs are acyclic
 //   - edge counters match the stored adjacency
 //   - every item-concept association carries a probability in (0, 1], with
@@ -19,7 +22,8 @@
 //   - typed relations connect live concepts and satisfy the schema
 //
 // The validator has read-only friend access to ConceptNet so it can see
-// corruption (e.g. a dangling map key) that the public API masks.
+// corruption (e.g. a row for a node id that does not exist) that the public
+// API masks.
 
 #ifndef ALICOCO_KG_VALIDATOR_H_
 #define ALICOCO_KG_VALIDATOR_H_
@@ -39,7 +43,7 @@ enum class ValidationCode {
   kDeadClassReference,  ///< node typed by a class the taxonomy lacks
   kBadSurface,          ///< empty surface or index/storage disagreement
   kDuplicateNode,       ///< two senses share (surface, class) or surface
-  kDanglingEdge,        ///< adjacency endpoint outside the node tables
+  kDanglingEdge,        ///< edge endpoint or row outside the node tables
   kAsymmetricEdge,      ///< forward edge without its reverse twin
   kIsACycle,            ///< primitive or ec isA graph has a cycle
   kCountMismatch,       ///< edge counter disagrees with stored adjacency

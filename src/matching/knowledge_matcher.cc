@@ -5,6 +5,7 @@
 
 #include "common/logging.h"
 #include "matching/match_pyramid.h"
+#include "text/tokenizer.h"
 
 namespace alicoco::matching {
 
@@ -220,6 +221,29 @@ nn::Graph::Var KnowledgeMatcher::Logit(nn::Graph* g,
   // similarity channel between the attended representations.
   if (!kcfg_.use_attention_channel) return head_->Apply(g, ci);
   return head_->Apply(g, g->ConcatCols({c, i, g->Mul(c, i), ci}));
+}
+
+KnowledgeResources NetKnowledge(const datagen::World& world,
+                                const datagen::WorldResources& resources,
+                                const kg::ConceptNet& net) {
+  KnowledgeResources know;
+  know.pos_tagger = &world.pos_tagger();
+  know.gloss_encoder = &resources.gloss_encoder();
+  know.gloss_lookup = [&resources](const std::string& w) {
+    return resources.GlossOf(w);
+  };
+  know.concept_classes = [&net](const std::vector<std::string>& tokens) {
+    std::vector<int> out;
+    auto ec = net.FindEcConcept(text::JoinTokens(tokens));
+    if (ec.has_value()) {
+      for (kg::ConceptId p : net.PrimitivesForEc(*ec)) {
+        out.push_back(static_cast<int>(net.Get(p).cls.value));
+      }
+    }
+    return out;
+  };
+  know.num_classes = static_cast<int>(net.taxonomy().size());
+  return know;
 }
 
 }  // namespace alicoco::matching

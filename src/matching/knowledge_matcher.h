@@ -16,6 +16,9 @@
 
 #include <functional>
 
+#include "datagen/resources.h"
+#include "datagen/world.h"
+#include "kg/concept_net.h"
 #include "matching/neural_base.h"
 #include "text/gloss_encoder.h"
 #include "text/pos_tagger.h"
@@ -47,6 +50,15 @@ struct KnowledgeResources {
       concept_classes;
   int num_classes = 0;  ///< class-embedding table size
 };
+
+/// The knowledge of `net` as the pipeline and the benches hand it to the
+/// matcher: the world's POS tagger, the resources' gloss encoder and
+/// GlossOf, and as a concept's classes those of the primitive concepts
+/// interpreting the e-commerce concept `net` holds under its surface. All
+/// three must outlive the matcher.
+KnowledgeResources NetKnowledge(const datagen::World& world,
+                                const datagen::WorldResources& resources,
+                                const kg::ConceptNet& net);
 
 class KnowledgeMatcher : public NeuralMatcherBase {
  public:

@@ -36,12 +36,6 @@ Graph::Var Embedding::Lookup(Graph* g, const std::vector<int>& ids) const {
   return g->EmbeddingLookup(table_, ids);
 }
 
-void Embedding::LoadPretrained(const std::vector<float>& table) {
-  ALICOCO_CHECK(table.size() == table_->value.size())
-      << "pretrained table size mismatch";
-  std::copy(table.begin(), table.end(), table_->value.data());
-}
-
 Conv1D::Conv1D(ParameterStore* store, const std::string& name, int in_dim,
                int filters, int window, Rng* rng)
     : window_(window), proj_(store, name, in_dim * window, filters, rng) {

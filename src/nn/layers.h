@@ -42,9 +42,6 @@ class Embedding {
   /// Gathers rows by id: len(ids) x dim.
   Graph::Var Lookup(Graph* g, const std::vector<int>& ids) const;
 
-  /// Overwrites the table with pre-trained vectors (row-major vocab x dim).
-  void LoadPretrained(const std::vector<float>& table);
-
   int dim() const { return dim_; }
   int vocab() const { return vocab_; }
   Parameter* parameter() const { return table_; }

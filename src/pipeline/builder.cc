@@ -480,24 +480,9 @@ Status BuildState::AssociateItems(Stage& stage) {
   // (candidate scoring and link writes).
   std::optional<obs::ScopedSpan> train_span(
       std::in_place, config.tracer, "pipeline.item_association.train");
-  matching::KnowledgeResources know_res;
-  know_res.pos_tagger = &world.pos_tagger();
-  know_res.gloss_encoder = &resources.gloss_encoder();
-  know_res.gloss_lookup = [this](const std::string& w) {
-    return resources.GlossOf(w);
-  };
-  know_res.concept_classes = [this](const std::vector<std::string>& tokens) {
-    std::vector<int> out;
-    auto ec = net.FindEcConcept(JoinStrings(tokens, " "));
-    if (ec.has_value()) {
-      for (kg::ConceptId p : net.PrimitivesForEc(*ec)) {
-        out.push_back(static_cast<int>(net.Get(p).cls.value));
-      }
-    }
-    return out;
-  };
-  know_res.num_classes = static_cast<int>(net.taxonomy().size());
-  matching::KnowledgeMatcher matcher(config.matcher, know_res,
+  matching::KnowledgeMatcher matcher(config.matcher,
+                                     matching::NetKnowledge(world, resources,
+                                                            net),
                                      &resources.embeddings(),
                                      &resources.vocab());
   if (config.metrics != nullptr) {

@@ -56,21 +56,4 @@ std::vector<std::string> Vocabulary::Decode(const std::vector<int>& ids) const {
   return out;
 }
 
-void Vocabulary::PruneBelow(int64_t min_count) {
-  std::vector<std::string> kept_tokens = {"<pad>", "<unk>"};
-  std::vector<int64_t> kept_counts = {counts_[0], counts_[1]};
-  for (size_t i = 2; i < tokens_.size(); ++i) {
-    if (counts_[i] >= min_count) {
-      kept_tokens.push_back(tokens_[i]);
-      kept_counts.push_back(counts_[i]);
-    }
-  }
-  tokens_ = std::move(kept_tokens);
-  counts_ = std::move(kept_counts);
-  index_.clear();
-  for (size_t i = 0; i < tokens_.size(); ++i) {
-    index_[tokens_[i]] = static_cast<int>(i);
-  }
-}
-
 }  // namespace alicoco::text

@@ -44,9 +44,6 @@ class Vocabulary {
   /// Maps ids back to tokens.
   std::vector<std::string> Decode(const std::vector<int>& ids) const;
 
-  /// Drops tokens observed fewer than `min_count` times; ids are reassigned.
-  void PruneBelow(int64_t min_count);
-
  private:
   std::unordered_map<std::string, int> index_;
   std::vector<std::string> tokens_;

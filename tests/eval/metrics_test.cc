@@ -155,11 +155,9 @@ TEST(SpanF1Test, MicroAveragesAcrossSentences) {
   EXPECT_DOUBLE_EQ(m.recall, 0.5);
 }
 
-TEST(StatsTest, MeanAndStdDev) {
+TEST(StatsTest, Mean) {
   EXPECT_DOUBLE_EQ(Mean({1, 2, 3}), 2.0);
   EXPECT_DOUBLE_EQ(Mean({}), 0.0);
-  EXPECT_NEAR(StdDev({2, 4, 4, 4, 5, 5, 7, 9}), 2.138, 0.001);
-  EXPECT_DOUBLE_EQ(StdDev({5}), 0.0);
 }
 
 }  // namespace

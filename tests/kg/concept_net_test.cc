@@ -108,9 +108,47 @@ TEST(ConceptNetTest, ItemAssociations) {
   auto prims = f.net.PrimitivesForItem(f.grill_item);
   ASSERT_EQ(prims.size(), 1u);
   EXPECT_EQ(prims[0], f.grill);
-  auto rev = f.net.ItemsForPrimitive(f.grill);
-  ASSERT_EQ(rev.size(), 1u);
-  EXPECT_EQ(rev[0], f.grill_item);
+}
+
+TEST(ConceptNetTest, RowsAreLentAndEmptyWithoutEdges) {
+  Fixture f;
+  // Nodes with no edges, and ids past the last node of each layer.
+  EcConceptId lone_ec = *f.net.GetOrAddEcConcept({"village", "fair"});
+  ItemId lone_item = *f.net.AddItem({"plain", "box"}, f.category);
+  ClassId empty_cls = *f.net.taxonomy().AddClass("Dessert", f.category);
+  const ConceptId past_prim(
+      static_cast<uint32_t>(f.net.num_primitive_concepts()));
+  const EcConceptId past_ec(static_cast<uint32_t>(f.net.num_ec_concepts()));
+  const ItemId past_item(static_cast<uint32_t>(f.net.num_items()));
+  const ClassId past_cls(static_cast<uint32_t>(f.net.taxonomy().size()));
+
+  for (ConceptId c : {f.village_style, past_prim}) {
+    EXPECT_TRUE(f.net.Hypernyms(c).empty()) << c.value;
+    EXPECT_TRUE(f.net.EcConceptsForPrimitive(c).empty()) << c.value;
+  }
+  for (EcConceptId ec : {lone_ec, past_ec}) {
+    EXPECT_TRUE(f.net.PrimitivesForEc(ec).empty()) << ec.value;
+    EXPECT_TRUE(f.net.ItemsForEc(ec).empty()) << ec.value;
+    EXPECT_TRUE(f.net.EcParents(ec).empty()) << ec.value;
+    EXPECT_TRUE(f.net.EcChildren(ec).empty()) << ec.value;
+  }
+  for (ItemId item : {lone_item, past_item}) {
+    EXPECT_TRUE(f.net.EcConceptsForItem(item).empty()) << item.value;
+    EXPECT_TRUE(f.net.PrimitivesForItem(item).empty()) << item.value;
+  }
+  EXPECT_TRUE(f.net.PrimitivesOfClass(empty_cls).empty());
+  EXPECT_TRUE(f.net.PrimitivesOfClass(past_cls).empty());
+  EXPECT_TRUE(f.net.FindPrimitive("fair").empty());
+
+  // A row is lent, not copied: two reads see the same storage.
+  auto first = f.net.PrimitivesForEc(f.outdoor_barbecue);
+  auto second = f.net.PrimitivesForEc(f.outdoor_barbecue);
+  ASSERT_EQ(first.size(), 2u);
+  EXPECT_EQ(first.data(), second.data());
+  EXPECT_EQ(f.net.FindPrimitive("village").data(),
+            f.net.FindPrimitive("village").data());
+  EXPECT_EQ(f.net.EcConceptsForItem(f.grill_item).data(),
+            f.net.EcConceptsForItem(f.grill_item).data());
 }
 
 TEST(ConceptNetTest, DuplicateLinksRejected) {
@@ -134,9 +172,9 @@ TEST(ConceptNetTest, IsAHierarchyAndClosure) {
   ASSERT_EQ(closure.size(), 2u);
   EXPECT_EQ(closure[0], jacket);
   EXPECT_EQ(closure[1], clothing);
-  auto hypos = f.net.Hyponyms(clothing);
-  ASSERT_EQ(hypos.size(), 1u);
-  EXPECT_EQ(hypos[0], jacket);
+  auto hypers = f.net.Hypernyms(parka);
+  ASSERT_EQ(hypers.size(), 1u);
+  EXPECT_EQ(hypers[0], jacket);
 }
 
 TEST(ConceptNetTest, IsACycleRejected) {

@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <fstream>
 
+#include "datagen/world.h"
 #include "kg/stats.h"
 
 namespace alicoco::kg {
@@ -109,13 +111,16 @@ TEST(PersistenceTest, TruncatedFileRejected) {
 // Status::Corruption — never a crash, an uncaught exception, or a
 // count-driven over-allocation.
 
-std::string SaveNetToString(const char* name) {
-  ConceptNet net = BuildNet();
+std::string SnapshotOf(const ConceptNet& net, const char* name) {
   std::string path = TempPath(name);
   EXPECT_TRUE(SaveConceptNet(net, path).ok());
-  std::ifstream in(path);
+  std::ifstream in(path, std::ios::binary);
   return std::string((std::istreambuf_iterator<char>(in)),
                      std::istreambuf_iterator<char>());
+}
+
+std::string SaveNetToString(const char* name) {
+  return SnapshotOf(BuildNet(), name);
 }
 
 Status LoadFromString(const char* name, const std::string& content) {
@@ -204,6 +209,81 @@ TEST(PersistenceTest, GarbageEdgeProbabilityRejected) {
   edge.replace(last_tab + 1, std::string::npos, "not-a-number");
   content.replace(line_start, line_end - line_start, edge);
   EXPECT_TRUE(LoadFromString("badprob.txt", content).IsCorruption());
+}
+
+// ---------------------------------------------------------------------------
+// Snapshot bytes. Edge lines follow row order, so a reordered row changes
+// the snapshot even where a round trip still passes. A change that alters
+// BuildNet() re-records the literal, and one that alters the generated
+// world below re-records the digest; either says so in CHANGES.md.
+
+uint64_t Fnv1a64(const std::string& bytes) {
+  uint64_t h = 0xcbf29ce484222325ull;
+  for (unsigned char c : bytes) {
+    h ^= c;
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+TEST(PersistenceTest, SnapshotBytesOfHandBuiltNetArePinned) {
+  const std::string expected =
+      "ALICOCO_NET v1\n"
+      "TAXONOMY 4\n"
+      "0\tCategory\n"
+      "0\tEvent\n"
+      "0\tTime\n"
+      "3\tSeason\n"
+      "SCHEMA 1\n"
+      "1\t4\tsuitable_when\n"
+      "PRIMITIVE 4\n"
+      "1\tgrill\tmetal rack for cooking\n"
+      "1\tcookware\t\n"
+      "2\tbarbecue\t\n"
+      "4\twinter\t\n"
+      "EC 2\n"
+      "outdoor barbecue\n"
+      "barbecue\n"
+      "ITEM 1\n"
+      "1\tsteel grill\n"
+      "ISA 1\n"
+      "0\t1\n"
+      "EC_ISA 1\n"
+      "0\t1\n"
+      "EC_PRIM 1\n"
+      "0\t2\n"
+      "ITEM_PRIM 1\n"
+      "0\t0\n"
+      "ITEM_EC 1\n"
+      "0\t0\t1\n"
+      "TYPED 1\n"
+      "0\t3\tsuitable_when\n";
+  EXPECT_EQ(SaveNetToString("pinned.txt"), expected);
+}
+
+TEST(PersistenceTest, SnapshotDigestOfGeneratedGoldNetIsPinned) {
+  datagen::WorldConfig cfg;
+  cfg.seed = 7;
+  cfg.heads_per_leaf = 2;
+  cfg.derived_per_head = 3;
+  cfg.per_domain_vocab = 12;
+  cfg.num_events = 10;
+  cfg.num_items = 400;
+  cfg.num_good_ec_concepts = 60;
+  cfg.num_bad_ec_concepts = 60;
+  cfg.titles = 500;
+  cfg.reviews = 300;
+  cfg.guides = 200;
+  cfg.queries = 200;
+  cfg.num_users = 30;
+  cfg.num_needs_queries = 100;
+  // World::Generate runs no nn code, so its gold net is the same on every
+  // SIMD tier and pool size.
+  const datagen::World world = datagen::World::Generate(cfg);
+  const std::string bytes = SnapshotOf(world.net(), "gold_net.txt");
+  EXPECT_GT(bytes.size(), 10000u);
+  EXPECT_EQ(Fnv1a64(bytes), 0x43234b6b7add654bull)
+      << std::hex << Fnv1a64(bytes);
 }
 
 }  // namespace

@@ -11,26 +11,31 @@ namespace alicoco::kg {
 class ValidatorTestPeer {
  public:
   // Completes an isA 2-cycle on top of an existing hyponym->hypernym edge.
-  // Mirrors and counters are kept consistent so only the cycle is wrong.
+  // The counter is kept consistent so only the cycle is wrong.
   static void InjectIsACycle(ConceptNet* net, ConceptId hyponym,
                              ConceptId hypernym) {
-    net->hypernyms_[hypernym].push_back(hyponym);
-    net->hyponyms_[hyponym].push_back(hypernym);
+    Row(&net->hypernyms_, hypernym.value).push_back(hyponym);
     ++net->isa_edge_count_;
   }
 
   // Forward edge to a concept id outside the node table.
   static void InjectDanglingEdge(ConceptNet* net, ConceptId from) {
-    net->hypernyms_[from].push_back(ConceptId(0x7fffffff));
+    Row(&net->hypernyms_, from.value).push_back(ConceptId(0x7fffffff));
     ++net->isa_edge_count_;
   }
 
-  // Forward edge between live nodes with no reverse twin (counter kept in
-  // sync so the asymmetry is the only defect on that map pair).
-  static void InjectAsymmetricEdge(ConceptNet* net, ConceptId from,
+  // Interpretation edge between live nodes with no reverse twin (counter
+  // kept in sync so the asymmetry is the only defect on that relation).
+  static void InjectAsymmetricEdge(ConceptNet* net, EcConceptId from,
                                    ConceptId to) {
-    net->hypernyms_[from].push_back(to);
-    ++net->isa_edge_count_;
+    Row(&net->ec_to_prim_, from.value).push_back(to);
+    ++net->ec_prim_edge_count_;
+  }
+
+  // An empty association row for an e-commerce concept id the net does not
+  // hold: the layout's form of an edge list keyed by a dangling id.
+  static void InjectRowPastTheLastNode(ConceptNet* net) {
+    Row(&net->ec_to_item_, static_cast<uint32_t>(net->ec_concepts_.size()));
   }
 
   // Second node with the same (surface, class) sense, registered in the
@@ -40,7 +45,7 @@ class ValidatorTestPeer {
     copy.id = ConceptId(static_cast<uint32_t>(net->primitives_.size()));
     net->primitives_.push_back(copy);
     net->primitive_by_surface_[copy.surface].push_back(copy.id);
-    net->primitive_by_class_[copy.cls].push_back(copy.id);
+    Row(&net->primitive_by_class_, copy.cls.value).push_back(copy.id);
   }
 
   // Breaks the dense-id invariant: node at index i no longer carries id i.
@@ -56,6 +61,14 @@ class ValidatorTestPeer {
   }
 
   static void CorruptIsACounter(ConceptNet* net) { ++net->isa_edge_count_; }
+
+ private:
+  template <typename V>
+  static std::vector<V>& Row(std::vector<std::vector<V>>* rows,
+                             uint32_t index) {
+    if (index >= rows->size()) rows->resize(index + 1);
+    return (*rows)[index];
+  }
 };
 
 namespace {
@@ -138,10 +151,19 @@ TEST(ValidatorTest, DetectsDanglingEdge) {
 
 TEST(ValidatorTest, DetectsAsymmetricEdge) {
   Net n = MakeValidNet();
-  ValidatorTestPeer::InjectAsymmetricEdge(&n.net, n.winter, n.jeans);
+  ValidatorTestPeer::InjectAsymmetricEdge(&n.net, n.ec, n.winter);
   ValidationReport report = Validator().Validate(n.net);
   EXPECT_FALSE(report.ok());
   EXPECT_TRUE(HasCode(report, ValidationCode::kAsymmetricEdge))
+      << report.Summary();
+}
+
+TEST(ValidatorTest, DetectsRowPastTheLastNode) {
+  Net n = MakeValidNet();
+  ValidatorTestPeer::InjectRowPastTheLastNode(&n.net);
+  ValidationReport report = Validator().Validate(n.net);
+  EXPECT_FALSE(report.ok());
+  EXPECT_TRUE(HasCode(report, ValidationCode::kDanglingEdge))
       << report.Summary();
 }
 

@@ -50,24 +50,7 @@ struct Fixture {
   }
 
   KnowledgeResources KnowRes() const {
-    KnowledgeResources r;
-    r.pos_tagger = &world.pos_tagger();
-    r.gloss_encoder = &resources.gloss_encoder();
-    r.gloss_lookup = [this](const std::string& w) {
-      return resources.GlossOf(w);
-    };
-    r.concept_classes = [this](const std::vector<std::string>& tokens) {
-      std::vector<int> out;
-      auto ec = world.net().FindEcConcept(text::JoinTokens(tokens));
-      if (ec.has_value()) {
-        for (kg::ConceptId p : world.net().PrimitivesForEc(*ec)) {
-          out.push_back(static_cast<int>(world.net().Get(p).cls.value));
-        }
-      }
-      return out;
-    };
-    r.num_classes = static_cast<int>(world.net().taxonomy().size());
-    return r;
+    return NetKnowledge(world, resources, world.net());
   }
 };
 

@@ -23,9 +23,8 @@ TEST(EmbeddingTest, LookupAndPretrained) {
   Rng rng(2);
   ParameterStore store;
   Embedding emb(&store, "emb", 4, 3, &rng);
-  std::vector<float> table(12);
+  float* table = emb.parameter()->value.data();
   for (size_t i = 0; i < 12; ++i) table[i] = static_cast<float>(i);
-  emb.LoadPretrained(table);
   Graph g;
   auto e = emb.Lookup(&g, {2});
   EXPECT_FLOAT_EQ(g.Value(e).At(0, 0), 6.0f);

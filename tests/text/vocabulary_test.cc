@@ -52,18 +52,5 @@ TEST(VocabularyTest, EncodeDecode) {
   EXPECT_EQ(back[2], "<unk>");
 }
 
-TEST(VocabularyTest, PruneReassignsIds) {
-  Vocabulary v;
-  v.Add("rare");
-  for (int i = 0; i < 5; ++i) v.Add("common");
-  v.PruneBelow(2);
-  EXPECT_FALSE(v.Contains("rare"));
-  ASSERT_TRUE(v.Contains("common"));
-  int id = v.Id("common");
-  EXPECT_EQ(v.Token(id), "common");
-  EXPECT_EQ(v.Count(id), 5);
-  EXPECT_EQ(v.size(), 3);
-}
-
 }  // namespace
 }  // namespace alicoco::text
