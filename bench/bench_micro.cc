@@ -472,8 +472,9 @@ std::vector<std::pair<std::string, double>> RunKernelSuite() {
   }
 
   // One training batch through nn::Train: sequential path and a 2-worker
-  // pool (the pooled entry measures sharding + reduction overhead on
-  // single-core CI boxes, and real speedup where cores exist).
+  // pool, which runs the batch's four shards two at a time (the pooled
+  // entry measures sharding + reduction overhead on single-core CI boxes,
+  // and real speedup where cores exist).
   {
     nn::ParameterStore store;
     nn::Mlp mlp(&store, "mlp", {24, 24, 1}, &rng);

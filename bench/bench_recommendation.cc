@@ -1,9 +1,11 @@
 // Reproduces Section 8.2.1: cognitive recommendation (concept cards) vs
-// item-based CF.
+// item-based CF, and Section 8.2.2's recommendation reasons: how many
+// recommended items a concept-grounded reason can explain.
 //
 // Paper: concept cards ran in production for over a year with high CTR and
 // GMV; a user survey found they bring more novelty and satisfaction than
-// behavior-lookalike recommendation.
+// behavior-lookalike recommendation. E-commerce concepts are short and
+// clear, so they serve as recommendation reasons.
 
 #include <cstdio>
 
@@ -39,10 +41,16 @@ int main() {
                 TablePrinter::Num(report.cognitive_novelty, 3)});
   table.AddRow({"latent-need hit rate (per user)", "-",
                 TablePrinter::Num(report.needs_hit_rate, 3)});
+  table.AddRow({"explainable item rate (8.2.2)",
+                TablePrinter::Num(report.cf_explainable_rate, 3),
+                TablePrinter::Num(report.cog_explainable_rate, 3)});
   table.Print();
   std::printf(
       "\nShape check: concept cards should satisfy gold needs at a much "
       "higher rate than item-CF while still surfacing novel categories, and "
-      "most users should see at least one of their true needs as a card.\n");
+      "most users should see at least one of their true needs as a card. "
+      "A card's items come from a concept the user's history supports, so "
+      "they should get a concept-grounded reason more often than item-CF's "
+      "lookalike items.\n");
   return 0;
 }

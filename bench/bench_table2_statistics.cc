@@ -31,16 +31,8 @@ int main() {
         world, datagen::ResourcesConfig{});
   }();
 
-  pipeline::PipelineConfig cfg;
-  cfg.labeler.epochs = 3;
-  cfg.mining_epochs = 2;
-  cfg.projection.epochs = 3;
-  cfg.classifier.epochs = 3;
-  cfg.tagger.epochs = 4;
-  cfg.matcher.base.epochs = 2;
-  cfg.association_candidates = 120;
-
-  pipeline::AliCoCoBuilder builder(&world, resources.get(), cfg);
+  pipeline::AliCoCoBuilder builder(&world, resources.get(),
+                                   bench::BenchPipelineConfig());
   pipeline::BuildReport report;
   Result<kg::ConceptNet> net = [&] {
     bench::StageTimer t("full construction pipeline");

@@ -1,7 +1,7 @@
 // Shared setup for the table/figure reproduction harnesses: a bench-scale
-// world configuration and a printing wall-clock stage timer. Every
-// harness prints the paper's rows plus the measured values on the
-// synthetic world.
+// world configuration, the pipeline configuration that builds a net from
+// it, and a printing wall-clock stage timer. Every harness prints the
+// paper's rows plus the measured values on the synthetic world.
 
 #ifndef ALICOCO_BENCH_BENCH_UTIL_H_
 #define ALICOCO_BENCH_BENCH_UTIL_H_
@@ -11,6 +11,7 @@
 
 #include "datagen/resources.h"
 #include "datagen/world.h"
+#include "pipeline/builder.h"
 
 namespace alicoco::bench {
 
@@ -31,6 +32,20 @@ inline datagen::WorldConfig BenchWorldConfig() {
   cfg.queries = 600;
   cfg.num_users = 200;
   cfg.num_needs_queries = 600;
+  return cfg;
+}
+
+/// The pipeline configuration the full-pipeline harnesses build the bench
+/// world with; callers attach their own probes.
+inline pipeline::PipelineConfig BenchPipelineConfig() {
+  pipeline::PipelineConfig cfg;
+  cfg.labeler.epochs = 3;
+  cfg.mining_epochs = 2;
+  cfg.projection.epochs = 3;
+  cfg.classifier.epochs = 3;
+  cfg.tagger.epochs = 4;
+  cfg.matcher.base.epochs = 2;
+  cfg.association_candidates = 120;
   return cfg;
 }
 

@@ -186,14 +186,7 @@ int main(int argc, char** argv) {
         world, datagen::ResourcesConfig{});
   }();
 
-  pipeline::PipelineConfig cfg;
-  cfg.labeler.epochs = 3;
-  cfg.mining_epochs = 2;
-  cfg.projection.epochs = 3;
-  cfg.classifier.epochs = 3;
-  cfg.tagger.epochs = 4;
-  cfg.matcher.base.epochs = 2;
-  cfg.association_candidates = 120;
+  pipeline::PipelineConfig cfg = bench::BenchPipelineConfig();
   cfg.tracer = &tracer;
   cfg.metrics = &registry;
 

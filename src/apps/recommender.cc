@@ -5,6 +5,7 @@
 #include <cmath>
 #include <unordered_set>
 
+#include "apps/explanation.h"
 #include "common/logging.h"
 
 namespace alicoco::apps {
@@ -181,6 +182,8 @@ RecommendationReport CompareRecommenders(const datagen::World& world,
   size_t cog_total = 0, cog_novel = 0, cog_need = 0;
   size_t users_with_hit = 0, users_counted = 0;
   size_t items_per_card = std::max<size_t>(1, k_items / num_cards);
+  // Each user's recommended items, for the explainer.
+  std::vector<std::vector<kg::ItemId>> cf_items, cog_items;
 
   for (const auto& user : users) {
     std::unordered_set<uint32_t> history_heads;
@@ -193,8 +196,10 @@ RecommendationReport CompareRecommenders(const datagen::World& world,
       if (!history_heads.count(head_of(item))) ++cf_novel;
       if (gold_items.count(item.value)) ++cf_need;
     }
+    cf_items.push_back(std::move(cf_rec));
 
     auto cards = cognitive.Recommend(user, num_cards, items_per_card);
+    std::vector<kg::ItemId>& card_items = cog_items.emplace_back();
     bool hit = false;
     for (const auto& card : cards) {
       if (std::find(user.needs.begin(), user.needs.end(), card.concept_id) !=
@@ -202,6 +207,7 @@ RecommendationReport CompareRecommenders(const datagen::World& world,
         hit = true;
       }
       for (kg::ItemId item : card.items) {
+        card_items.push_back(item);
         ++cog_total;
         if (!history_heads.count(head_of(item))) ++cog_novel;
         if (gold_items.count(item.value)) ++cog_need;
@@ -223,6 +229,9 @@ RecommendationReport CompareRecommenders(const datagen::World& world,
     report.needs_hit_rate =
         static_cast<double>(users_with_hit) / users_counted;
   }
+  const RecommendationExplainer explainer(&world.net());
+  report.cf_explainable_rate = explainer.ExplainableRate(users, cf_items);
+  report.cog_explainable_rate = explainer.ExplainableRate(users, cog_items);
   return report;
 }
 

@@ -86,6 +86,10 @@ struct RecommendationReport {
                                  ///< among their cards
   double cf_need_item_rate = 0;  ///< CF items that satisfy a gold need
   double cog_need_item_rate = 0; ///< card items that satisfy a gold need
+  /// Items that get a concept-grounded reason (Section 8.2.2,
+  /// RecommendationExplainer::ExplainableRate), for item-CF and for cards.
+  double cf_explainable_rate = 0;
+  double cog_explainable_rate = 0;
 };
 
 RecommendationReport CompareRecommenders(

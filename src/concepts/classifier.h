@@ -50,8 +50,8 @@ struct ConceptClassifierConfig {
   int epochs = 4;
   uint64_t seed = 31;
   /// Optional worker pool for data-parallel minibatches (not owned; null
-  /// trains on the calling thread). The trained model depends on the pool's
-  /// thread count only through the summation order of batch gradients.
+  /// trains on the calling thread). Every pool size trains the same model;
+  /// the null pool sums batch gradients in another order.
   ThreadPool* pool = nullptr;
 };
 

@@ -1121,13 +1121,4 @@ bool World::IsGoodConcept(const std::vector<std::string>& tokens) const {
   return false;
 }
 
-std::vector<std::vector<std::string>> World::SentencesBySource(
-    Sentence::Source source) const {
-  std::vector<std::vector<std::string>> out;
-  for (const auto& s : sentences_) {
-    if (s.source == source) out.push_back(s.tokens);
-  }
-  return out;
-}
-
 }  // namespace alicoco::datagen

@@ -126,10 +126,6 @@ class World {
 
   const std::vector<Sentence>& sentences() const { return sentences_; }
 
-  /// Token sequences of all sentences from one source.
-  std::vector<std::vector<std::string>> SentencesBySource(
-      Sentence::Source source) const;
-
   /// Gold hyponym->hypernym pairs inside Category (Section 7.3 dataset).
   const std::vector<HypernymGold>& hypernym_gold() const {
     return hypernym_gold_;

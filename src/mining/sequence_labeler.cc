@@ -1,20 +1,9 @@
 #include "mining/sequence_labeler.h"
 
-#include <fstream>
-
 #include "common/logging.h"
-#include "nn/serialize.h"
 #include "nn/trainer.h"
 
 namespace alicoco::mining {
-namespace {
-
-// Bound on the word_dim and hidden_dim a checkpoint header may give. It is
-// far above any trained size, and it keeps BuildModel's tables and the
-// BiLSTM's 4 * hidden gate width small when a header is corrupt.
-constexpr int kMaxCheckpointDim = 1024;
-
-}  // namespace
 
 SequenceLabeler::SequenceLabeler(const SequenceLabelerConfig& config)
     : config_(config), init_rng_(config.seed) {}
@@ -43,7 +32,16 @@ void SequenceLabeler::Train(const std::vector<LabeledSentence>& data) {
     }
   }
 
-  BuildModel();
+  const int num_labels = static_cast<int>(label_names_.size());
+  embedding_ = std::make_unique<nn::Embedding>(
+      &store_, "emb", vocab_.size(), config_.word_dim, &init_rng_);
+  bilstm_ = std::make_unique<nn::BiLstm>(&store_, "bilstm", config_.word_dim,
+                                         config_.hidden_dim, &init_rng_);
+  proj_ = std::make_unique<nn::Linear>(&store_, "proj",
+                                       2 * config_.hidden_dim, num_labels,
+                                       &init_rng_);
+  crf_ = std::make_unique<nn::LinearChainCrf>(&store_, "crf", num_labels,
+                                              &init_rng_);
 
   constexpr float kLr = 0.01f;
   constexpr int kBatchSize = 8;
@@ -77,83 +75,6 @@ void SequenceLabeler::Train(const std::vector<LabeledSentence>& data) {
         return crf_->NegLogLikelihood(g, emissions, gold);
       });
   trained_ = true;
-}
-
-void SequenceLabeler::BuildModel() {
-  int num_labels = static_cast<int>(label_names_.size());
-  embedding_ = std::make_unique<nn::Embedding>(
-      &store_, "emb", vocab_.size(), config_.word_dim, &init_rng_);
-  bilstm_ = std::make_unique<nn::BiLstm>(&store_, "bilstm", config_.word_dim,
-                                         config_.hidden_dim, &init_rng_);
-  proj_ = std::make_unique<nn::Linear>(&store_, "proj",
-                                       2 * config_.hidden_dim, num_labels,
-                                       &init_rng_);
-  crf_ = std::make_unique<nn::LinearChainCrf>(&store_, "crf", num_labels,
-                                              &init_rng_);
-}
-
-Status SequenceLabeler::Save(const std::string& path) const {
-  if (!trained_) return Status::FailedPrecondition("Save before Train");
-  std::ofstream out(path);
-  if (!out) return Status::IOError("cannot open for write: " + path);
-  out << "ALICOCO_LABELER v1\n";
-  out << config_.word_dim << ' ' << config_.hidden_dim << "\n";
-  out << vocab_.size() << "\n";
-  // Ids 0/1 are the implicit specials.
-  for (int id = 2; id < vocab_.size(); ++id) out << vocab_.Token(id) << "\n";
-  out << label_names_.size() << "\n";
-  for (const auto& label : label_names_) out << label << "\n";
-  if (!out) return Status::IOError("write failed: " + path);
-  return nn::SaveParameters(store_, path + ".weights");
-}
-
-Result<SequenceLabeler> SequenceLabeler::Load(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return Status::IOError("cannot open for read: " + path);
-  std::string line;
-  if (!std::getline(in, line) || line != "ALICOCO_LABELER v1") {
-    return Status::Corruption("bad labeler header in " + path);
-  }
-  SequenceLabelerConfig config;
-  size_t vocab_size = 0, num_labels = 0;
-  if (!(in >> config.word_dim >> config.hidden_dim >> vocab_size)) {
-    return Status::Corruption("truncated labeler header");
-  }
-  if (config.word_dim <= 0 || config.hidden_dim <= 0 ||
-      config.word_dim > kMaxCheckpointDim ||
-      config.hidden_dim > kMaxCheckpointDim) {
-    return Status::Corruption("labeler header dims out of range in " + path);
-  }
-  if (vocab_size < 2) {
-    return Status::Corruption("labeler vocab smaller than the specials in " +
-                              path);
-  }
-  std::getline(in, line);  // consume rest of line
-  SequenceLabeler labeler(config);
-  for (size_t i = 2; i < vocab_size; ++i) {
-    if (!std::getline(in, line) || line.empty()) {
-      return Status::Corruption("truncated vocabulary");
-    }
-    labeler.vocab_.Add(line);
-  }
-  if (!(in >> num_labels)) return Status::Corruption("missing label count");
-  if (num_labels == 0) {
-    return Status::Corruption("labeler has an empty label inventory in " +
-                              path);
-  }
-  std::getline(in, line);
-  for (size_t i = 0; i < num_labels; ++i) {
-    if (!std::getline(in, line) || line.empty()) {
-      return Status::Corruption("truncated labels");
-    }
-    labeler.label_ids_[line] = static_cast<int>(labeler.label_names_.size());
-    labeler.label_names_.push_back(line);
-  }
-  labeler.BuildModel();
-  ALICOCO_RETURN_NOT_OK(
-      nn::LoadParameters(&labeler.store_, path + ".weights"));
-  labeler.trained_ = true;
-  return labeler;
 }
 
 nn::Graph::Var SequenceLabeler::Emissions(nn::Graph* g,

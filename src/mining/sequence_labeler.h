@@ -34,8 +34,8 @@ struct SequenceLabelerConfig {
   int epochs = 3;
   uint64_t seed = 11;
   /// Optional worker pool for data-parallel minibatches (not owned; null
-  /// trains on the calling thread). The trained model depends on the pool's
-  /// thread count only through the summation order of batch gradients.
+  /// trains on the calling thread). Every pool size trains the same model;
+  /// the null pool sums batch gradients in another order.
   ThreadPool* pool = nullptr;
 };
 
@@ -54,13 +54,6 @@ class SequenceLabeler {
   /// Span-level micro precision/recall/F1 against gold.
   eval::BinaryMetrics Evaluate(const std::vector<LabeledSentence>& gold) const;
 
-  /// Checkpoints the trained model: `path` holds the vocabulary, labels and
-  /// dimensions; `path`.weights holds the parameters.
-  Status Save(const std::string& path) const;
-
-  /// Restores a trained labeler from a checkpoint.
-  static Result<SequenceLabeler> Load(const std::string& path);
-
   const std::vector<std::string>& labels() const { return label_names_; }
   size_t vocab_size() const { return vocab_.size(); }
 
@@ -68,8 +61,6 @@ class SequenceLabeler {
   int LabelId(const std::string& label) const;
   nn::Graph::Var Emissions(nn::Graph* g, const std::vector<int>& ids,
                            bool train, Rng* rng) const;
-  /// Creates the layers for the current vocab/label inventory.
-  void BuildModel();
 
   SequenceLabelerConfig config_;
   Rng init_rng_;

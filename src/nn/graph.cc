@@ -180,12 +180,6 @@ void ParameterStore::ZeroGrad() {
   for (auto& p : params_) p->grad.Zero();
 }
 
-size_t ParameterStore::TotalWeights() const {
-  size_t total = 0;
-  for (const auto& p : params_) total += p->value.size();
-  return total;
-}
-
 void GradientBuffer::ReduceInto() {
   for (size_t i = 0; i < grads_.size(); ++i) {
     if (grads_[i].empty()) continue;

@@ -67,9 +67,6 @@ class ParameterStore {
     return params_;
   }
 
-  /// Total number of scalar weights.
-  size_t TotalWeights() const;
-
  private:
   std::vector<std::unique_ptr<Parameter>> params_;
 };
@@ -160,10 +157,8 @@ class Graph {
   /// Elementwise (Hadamard) product, same shape.
   Var Mul(Var a, Var b);
   Var ScalarMul(Var a, float s);
-  Var AddScalar(Var a, float s);
 
   // ---- nonlinearities ----
-  Var Sigmoid(Var a);
   Var Tanh(Var a);
   Var Relu(Var a);
   /// Softmax independently over each row.

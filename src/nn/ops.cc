@@ -133,32 +133,6 @@ Graph::Var Graph::ScalarMul(Var a, float s) {
   return out;
 }
 
-Graph::Var Graph::AddScalar(Var a, float s) {
-  Tensor v(nodes_[a].value, arena());
-  for (size_t i = 0; i < v.size(); ++i) v.data()[i] += s;
-  Var out = NewNode(std::move(v));
-  SetBackward(out, [this, out, a] {
-    nodes_[a].grad.AddInPlace(nodes_[out].grad);
-  });
-  return out;
-}
-
-Graph::Var Graph::Sigmoid(Var a) {
-  Tensor v(nodes_[a].value, arena());
-  for (size_t i = 0; i < v.size(); ++i) v.data()[i] = SigmoidOf(v.data()[i]);
-  Var out = NewNode(std::move(v));
-  SetBackward(out, [this, out, a] {
-    const Tensor& y = nodes_[out].value;
-    const Tensor& g = nodes_[out].grad;
-    Tensor& ag = nodes_[a].grad;
-    for (size_t i = 0; i < g.size(); ++i) {
-      float yi = y.data()[i];
-      ag.data()[i] += g.data()[i] * yi * (1.0f - yi);
-    }
-  });
-  return out;
-}
-
 Graph::Var Graph::Tanh(Var a) {
   Tensor v(nodes_[a].value, arena());
   kernels::Tanh(v.size(), v.data(), v.data());

@@ -10,6 +10,14 @@
 #include "obs/trace.h"
 
 namespace alicoco::nn {
+namespace {
+
+// Shards per pooled batch, whatever the pool's size: the weights depend on
+// the shard boundaries, so fixing their number makes every pool size train
+// the same model.
+constexpr size_t kShards = 4;
+
+}  // namespace
 
 void Train(ParameterStore* store, size_t num_examples,
            const TrainOptions& options, const ExampleLoss& loss) {
@@ -31,11 +39,10 @@ void Train(ParameterStore* store, size_t num_examples,
   std::vector<size_t> order(num_examples);
   std::iota(order.begin(), order.end(), size_t{0});
   const size_t batch = static_cast<size_t>(std::max(1, options.batch_size));
-  const size_t workers =
-      options.pool == nullptr ? 1 : options.pool->num_threads();
   // One gradient buffer and one loss per shard, kept across batches.
-  std::vector<GradientBuffer> buffers(std::min(batch, workers),
-                                      GradientBuffer(store));
+  std::vector<GradientBuffer> buffers(
+      options.pool == nullptr ? 0 : std::min(batch, kShards),
+      GradientBuffer(store));
   std::vector<float> shard_loss(buffers.size());
   uint64_t epoch = 0;
 
@@ -53,11 +60,11 @@ void Train(ParameterStore* store, size_t num_examples,
   // returns their summed loss.
   auto run_batch = [&](const size_t* ids, size_t count) {
     float total = 0.0f;
-    if (workers <= 1 || count <= 1) {
+    if (options.pool == nullptr || count <= 1) {
       for (size_t i = 0; i < count; ++i) total += example(nullptr, ids[i]);
       return total;
     }
-    const size_t shards = std::min(count, workers);
+    const size_t shards = std::min(count, kShards);
     const size_t per = (count + shards - 1) / shards;
     std::fill(shard_loss.begin(), shard_loss.end(), 0.0f);
     for (size_t s = 0; s < shards; ++s) {

@@ -5,16 +5,17 @@
 // each epoch, fixed-size minibatches (the last one may be shorter), the
 // step and ZeroGrad after each batch, and the pool shards.
 //
-// Shards: a batch of `count` examples is split into min(count, workers)
-// contiguous shards. Each shard builds its graphs against its own
-// GradientBuffer, so concurrent backward passes never touch the shared
+// Shards: with a pool, a batch of `count` examples is split into
+// min(count, 4) contiguous shards, whatever the pool's size; a pool with
+// fewer threads runs them in turn. Each shard builds its graphs against its
+// own GradientBuffer, so concurrent backward passes never touch the shared
 // Parameter::grad tensors; after the batch barrier the buffers are reduced
 // into Parameter::grad on the calling thread, in shard order. With a null
-// pool, one worker or a one-example batch, graphs add straight into
-// Parameter::grad. Shard boundaries are a pure function of (batch size,
-// worker count) and the reduction order is fixed, so one pool size always
-// gives bit-identical weights; across pool sizes only the summation order
-// of the batch gradient changes.
+// pool or a one-example batch, graphs add straight into Parameter::grad.
+// Shard boundaries are a pure function of the batch size and the reduction
+// order is fixed, so every pool size gives bit-identical weights. The null
+// pool sums each batch gradient in another order, so its weights differ
+// from the pooled ones by rounding.
 //
 // Spans: with a span open on the calling thread, Train records
 // `<model>.train` (attributes: examples, epochs) under it, with one

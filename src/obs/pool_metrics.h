@@ -2,10 +2,10 @@
 // high-water mark), queue-wait and task-run latency histograms, and a
 // completed-task counter, all under one name prefix.
 //
-//   obs::ThreadPoolMetrics pool_metrics(&registry, "pipeline.scorer_pool");
+//   obs::ThreadPoolMetrics pool_metrics(&registry, "pipeline.worker_pool");
 //   ThreadPool pool(8);
 //   pool.SetObserver(&pool_metrics);
-//   ... registry now carries pipeline.scorer_pool.queue_depth,
+//   ... registry now carries pipeline.worker_pool.queue_depth,
 //       .queue_wait_us, .task_run_us, .tasks_completed
 
 #ifndef ALICOCO_OBS_POOL_METRICS_H_

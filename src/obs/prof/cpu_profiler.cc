@@ -24,8 +24,16 @@ namespace {
 
 // Process-wide handler state. `g_active` is the single rendezvous point
 // between Start/Stop and the signal handler; `g_in_handler` counts
-// handlers that loaded a non-null g_active and are still executing, so
-// Stop can quiesce before tearing the ring down.
+// handlers that are still executing, so Stop can wait for every handler
+// that saw a non-null g_active before it reads the sample array.
+//
+// The handler increments g_in_handler and then loads g_active; Stop
+// stores null to g_active and then loads g_in_handler. All four are
+// seq_cst: in their single total order either the increment comes before
+// Stop's load (Stop waits for that handler) or Stop's store comes before
+// the handler's load (the handler sees null and writes nothing). With
+// acquire/release alone both loads could read the old values (store
+// buffering), and a handler could write a slot while Stop reads it.
 std::atomic<CpuProfiler*> g_active{nullptr};
 std::atomic<int> g_in_handler{0};
 
@@ -33,14 +41,15 @@ std::atomic<int> g_in_handler{0};
 
 void CpuProfilerSignalHandler(int /*signo*/) {
   // Async-signal-safe: atomics and backtrace() into a stack buffer only.
-  g_in_handler.fetch_add(1, std::memory_order_acq_rel);
-  CpuProfiler* profiler = g_active.load(std::memory_order_acquire);
+  g_in_handler.fetch_add(1, std::memory_order_seq_cst);
+  CpuProfiler* profiler = g_active.load(std::memory_order_seq_cst);
   if (profiler != nullptr) {
     const int saved_errno = errno;
     profiler->HandleSignal();
     errno = saved_errno;
   }
-  g_in_handler.fetch_sub(1, std::memory_order_acq_rel);
+  // Release: publishes this handler's slot write to Stop's load.
+  g_in_handler.fetch_sub(1, std::memory_order_release);
 }
 
 #if ALICOCO_PROF_HAVE_BACKTRACE
@@ -51,7 +60,6 @@ struct CpuProfiler::PlatformState {
 };
 
 void CpuProfiler::HandleSignal() {
-  RawSample sample;
   // One extra slot so "filled the buffer" is distinguishable from
   // "exactly fit": backtrace gives no truncation signal of its own.
   void* frames[kMaxFrames + 1];
@@ -61,12 +69,13 @@ void CpuProfiler::HandleSignal() {
     truncated_.fetch_add(1, std::memory_order_relaxed);
     depth = static_cast<int>(kMaxFrames);
   }
+  // Stop orders this claim and the slot write through g_in_handler.
+  const uint64_t claim = claimed_.fetch_add(1, std::memory_order_relaxed);
+  if (claim >= kCapacity) return;  // full: Stop counts it as dropped
+  RawSample& sample = slots_[claim];
   sample.depth = depth;
   std::memcpy(sample.frames, frames,
               static_cast<size_t>(depth) * sizeof(void*));
-  if (ring_->TryPush(sample)) {
-    samples_.fetch_add(1, std::memory_order_relaxed);
-  }
 }
 
 Status CpuProfiler::Start(const CpuProfilerOptions& options) {
@@ -75,14 +84,11 @@ Status CpuProfiler::Start(const CpuProfilerOptions& options) {
     return Status::InvalidArgument(
         StringPrintf("sample_hz %d outside (0, 10000]", options.sample_hz));
   }
-  // Ring capacity in samples (rounded up to a power of two). 8192 at
-  // 197Hz is over 40 CPU-seconds of headroom between drains.
-  constexpr size_t kRingCapacity = 8192;
-  ring_ = std::make_unique<SampleRing<RawSample>>(kRingCapacity);
-  collected_.clear();
-  samples_.store(0, std::memory_order_relaxed);
+  slots_ = std::make_unique<RawSample[]>(kCapacity);
+  claimed_.store(0, std::memory_order_relaxed);
   truncated_.store(0, std::memory_order_relaxed);
-  dropped_at_stop_ = 0;
+  samples_ = 0;
+  dropped_ = 0;
   platform_ = std::make_unique<PlatformState>();
 
   // Warm up backtrace: its first call may dlopen libgcc, which allocates
@@ -127,7 +133,7 @@ Status CpuProfiler::Stop() {
   // Teardown order matters: disarm the timer (no new signals queue up),
   // restore the old disposition, clear g_active (handlers already past
   // their g_active load still hold a valid pointer), then wait for those
-  // stragglers before touching the ring from this thread.
+  // stragglers before reading the sample array from this thread.
   struct itimerval disarm;
   std::memset(&disarm, 0, sizeof(disarm));
   if (setitimer(ITIMER_PROF, &disarm, nullptr) != 0) {
@@ -135,13 +141,14 @@ Status CpuProfiler::Stop() {
                                          std::strerror(errno)));
   }
   sigaction(SIGPROF, &platform_->saved_action, nullptr);
-  g_active.store(nullptr, std::memory_order_release);
-  while (g_in_handler.load(std::memory_order_acquire) != 0) {
+  g_active.store(nullptr, std::memory_order_seq_cst);
+  while (g_in_handler.load(std::memory_order_seq_cst) != 0) {
     // Handlers run for microseconds; a plain spin outlives them all.
   }
 
-  DrainRing();
-  dropped_at_stop_ = ring_->dropped();
+  const uint64_t claimed = claimed_.load(std::memory_order_relaxed);
+  samples_ = std::min<uint64_t>(claimed, kCapacity);
+  dropped_ = claimed - samples_;
   running_ = false;
   return Status::OK();
 }
@@ -171,14 +178,8 @@ CpuProfiler::~CpuProfiler() {
 bool CpuProfiler::running() const { return running_; }
 
 uint64_t CpuProfiler::ApproxSamples() const {
-  return samples_.load(std::memory_order_relaxed);
-}
-
-void CpuProfiler::DrainRing() {
-  RawSample sample;
-  while (ring_ != nullptr && ring_->TryPop(&sample)) {
-    collected_.push_back(sample);
-  }
+  return std::min<uint64_t>(claimed_.load(std::memory_order_relaxed),
+                            kCapacity);
 }
 
 namespace {
@@ -224,19 +225,19 @@ bool IsProfilerInternalFrame(const std::string& symbol) {
 
 }  // namespace
 
-CpuProfile CpuProfiler::TakeProfile() {
-  DrainRing();
+CpuProfile CpuProfiler::TakeProfile() const {
+  ALICOCO_CHECK(!running_) << "CpuProfiler::TakeProfile while running";
   CpuProfile profile;
-  profile.samples = samples_.load(std::memory_order_relaxed);
-  profile.dropped =
-      running_ ? (ring_ != nullptr ? ring_->dropped() : 0) : dropped_at_stop_;
+  profile.samples = samples_;
+  profile.dropped = dropped_;
   profile.truncated_frames = truncated_.load(std::memory_order_relaxed);
 
 #if ALICOCO_PROF_HAVE_BACKTRACE
   // Symbolize each distinct address once; samples repeat hot addresses
   // thousands of times and __cxa_demangle is not cheap.
   std::map<void*, std::string> symbol_cache;
-  for (const RawSample& sample : collected_) {
+  for (uint64_t i = 0; i < samples_; ++i) {
+    const RawSample& sample = slots_[i];
     std::vector<std::string> stack;
     stack.reserve(static_cast<size_t>(sample.depth));
     // Frames arrive leaf-first; emit root-first for collapsed output.
@@ -283,7 +284,6 @@ CpuProfile CpuProfiler::TakeProfile() {
     ++profile.stacks[std::move(stack)];
   }
 #endif
-  collected_.clear();
   return profile;
 }
 

@@ -1,15 +1,16 @@
-// Sampling CPU profiler: SIGPROF-driven stack capture into a lock-free
-// ring, offline symbolization, collapsed-stack and top-N reports.
+// Sampling CPU profiler: SIGPROF-driven stack capture into a fixed sample
+// array, offline symbolization, collapsed-stack and top-N reports.
 //
 // How it works (DESIGN.md §6): Start() arms ITIMER_PROF at `sample_hz`;
 // the kernel delivers SIGPROF to whichever thread is burning CPU, and the
-// handler captures a backtrace() into a SampleRing slot — the handler
-// touches only pre-allocated memory and atomics, so it is async-signal-
-// safe (backtrace itself is warmed up once in Start before the handler
-// can run). Stop() disarms the timer, restores the previous handler,
-// waits for in-flight handlers to retire, and drains the ring. All
-// symbolization (backtrace_symbols + demangling) happens offline in
-// TakeProfile(), never in the signal path.
+// handler claims the next slot of a pre-allocated array with one atomic
+// fetch_add and writes a backtrace() into it; a claim past the array's end
+// counts as dropped. The handler touches only pre-allocated memory and
+// atomics, so it is async-signal-safe (backtrace itself is warmed up once
+// in Start before the handler can run). Stop() disarms the timer, restores
+// the previous handler and waits for in-flight handlers to retire; then
+// the filled slots are stable. All symbolization (backtrace_symbols +
+// demangling) happens offline in TakeProfile(), never in the signal path.
 //
 //   prof::CpuProfiler profiler;
 //   ALICOCO_CHECK(profiler.Start({}).ok());
@@ -27,6 +28,8 @@
 #ifndef ALICOCO_OBS_PROF_CPU_PROFILER_H_
 #define ALICOCO_OBS_PROF_CPU_PROFILER_H_
 
+#include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -34,7 +37,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "obs/prof/sample_ring.h"
 
 namespace alicoco::obs::prof {
 
@@ -47,7 +49,7 @@ struct CpuProfilerOptions {
 /// Aggregated, symbolized result of one profiling session.
 struct CpuProfile {
   uint64_t samples = 0;          ///< stacks captured
-  uint64_t dropped = 0;          ///< lost to a full ring
+  uint64_t dropped = 0;          ///< lost to a full sample array
   uint64_t truncated_frames = 0; ///< stacks deeper than the frame budget
   /// Symbolized stacks, root-to-leaf, with sample counts.
   std::map<std::vector<std::string>, uint64_t> stacks;
@@ -75,7 +77,7 @@ class CpuProfiler {
   /// unavailable. CHECK-fails if any CpuProfiler is already running.
   [[nodiscard]] Status Start(const CpuProfilerOptions& options);
 
-  /// Disarms, quiesces the handler, drains remaining samples. Idempotent.
+  /// Disarms and waits for in-flight handlers to finish. Idempotent.
   [[nodiscard]] Status Stop();
 
   bool running() const;
@@ -83,10 +85,13 @@ class CpuProfiler {
   /// Samples captured so far (approximate while running).
   uint64_t ApproxSamples() const;
 
-  /// Symbolizes and aggregates everything captured since Start. Call
-  /// after Stop; clears the accumulated raw stacks.
-  CpuProfile TakeProfile();
+  /// Symbolizes and aggregates everything captured since Start.
+  /// CHECK-fails while running: call after Stop.
+  CpuProfile TakeProfile() const;
 
+  /// Samples kept per session; later ones are counted as dropped. 8192 at
+  /// the default 197 Hz is over 40 CPU-seconds.
+  static constexpr size_t kCapacity = 8192;
   /// Maximum frames kept per sample; deeper stacks are truncated at the
   /// root end (the leaf frames are the ones attribution needs).
   static constexpr size_t kMaxFrames = 48;
@@ -99,13 +104,15 @@ class CpuProfiler {
  private:
   friend void CpuProfilerSignalHandler(int);
   void HandleSignal();  // async-signal-safe
-  void DrainRing();
 
-  std::unique_ptr<SampleRing<RawSample>> ring_;
-  std::vector<RawSample> collected_;
-  std::atomic<uint64_t> samples_{0};
+  // kCapacity slots, allocated by Start. A handler writes the slot whose
+  // index it claimed from `claimed_`; Stop reads the claim count once the
+  // handlers have quiesced, and [0, samples_) then holds the samples.
+  std::unique_ptr<RawSample[]> slots_;
+  std::atomic<uint64_t> claimed_{0};
   std::atomic<uint64_t> truncated_{0};
-  uint64_t dropped_at_stop_ = 0;
+  uint64_t samples_ = 0;
+  uint64_t dropped_ = 0;
   bool running_ = false;
   // Saved handler/timer state lives in the .cc (platform types).
   struct PlatformState;

@@ -59,8 +59,9 @@ struct PipelineConfig {
   /// Observability (src/obs). When `tracer` is set, Build() runs inside a
   /// root span `pipeline.build` with one child span per stage
   /// (`pipeline.<stage>`). When `metrics` is set, stages publish domain
-  /// counters/gauges under `pipeline.<stage>.<name>`, the stage-7 scorer
-  /// pool reports queue metrics, and the knowledge matcher records score
+  /// counters/gauges under `pipeline.<stage>.<name>`, Build's one worker
+  /// pool (training shards and stage-7 scoring) reports queue metrics under
+  /// `pipeline.worker_pool`, and the knowledge matcher records score
   /// latency. Both may be null (the default): instrumentation is then a
   /// no-op. Neither is owned; both must outlive Build().
   obs::Tracer* tracer = nullptr;

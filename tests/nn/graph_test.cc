@@ -201,15 +201,5 @@ TEST(ParameterStoreTest, DuplicateNameAborts) {
                "duplicate");
 }
 
-TEST(ParameterStoreTest, TotalWeights) {
-  Rng rng(5);
-  ParameterStore store;
-  store.Create("a", 2, 3, ParameterStore::Init::kXavier, &rng);
-  store.Create("b", 1, 4, ParameterStore::Init::kZero, nullptr);
-  EXPECT_EQ(store.TotalWeights(), 10u);
-  EXPECT_NE(store.Get("a"), nullptr);
-  EXPECT_EQ(store.Get("zzz"), nullptr);
-}
-
 }  // namespace
 }  // namespace alicoco::nn

@@ -1,5 +1,5 @@
 // Tests for nn::Train (nn/trainer.h): the dense gradient buffer, per-example
-// seeds, pooled-vs-serial equivalence, bit-exactness against the serial
+// seeds, pooled-vs-serial equivalence, equal weights at every pool size, bit-exactness against the serial
 // and labeler-style loops the models ran before Train existed, the rule for
 // empty examples, the train/epoch spans, and a stress test sized for
 // ThreadSanitizer (many concurrent backward passes against one shared
@@ -339,8 +339,8 @@ TEST(TrainerTest, PerExampleEqualsTheLabelerLoop) {
   EXPECT_TRUE(SameWeights(trained.store, reference.store));
 }
 
-// The same pool size gives the same weights, bit for bit; another pool
-// size moves only the summation order of each batch gradient.
+// A pool gives the same weights on every run, bit for bit, and the null
+// pool lands within summation-order noise of them.
 TEST(ParallelTrainingTest, PooledPerExampleIsDeterministic) {
   const std::vector<ToyExample> data = ToyData(23, 3);
   ThreadPool pool(3);
@@ -350,6 +350,25 @@ TEST(ParallelTrainingTest, PooledPerExampleIsDeterministic) {
   TrainToy(&serial, data, ToyOptions(ExampleRng::kPerExample, 3, 8));
   EXPECT_TRUE(SameWeights(first.store, second.store));
   ExpectNearWeights(first.store, serial.store);
+}
+
+// Every pool size trains the same weights, bit for bit: a pooled batch is
+// cut into the same four shards whatever the pool's size, and a one-thread
+// pool runs them in turn. 19 examples in batches of 8 leave a tail of 3,
+// which is cut into three shards.
+TEST(ParallelTrainingTest, EveryPoolSizeTrainsTheSameWeights) {
+  const std::vector<ToyExample> data = ToyData(19, 12);
+  ThreadPool one(1);
+  ToyModel reference(13);
+  TrainToy(&reference, data, ToyOptions(ExampleRng::kPerExample, 3, 8, &one));
+  for (size_t threads : {2, 4, 8}) {
+    ThreadPool pool(threads);
+    ToyModel trained(13);
+    TrainToy(&trained, data,
+             ToyOptions(ExampleRng::kPerExample, 3, 8, &pool));
+    EXPECT_TRUE(SameWeights(trained.store, reference.store))
+        << threads << " threads";
+  }
 }
 
 // An example whose callback returns nothing keeps its slot in its batch and

@@ -110,6 +110,21 @@ TEST(CpuProfilerTest, RestartAfterStopCollectsFreshSamples) {
   ASSERT_TRUE(profiler.Stop().ok());
 }
 
+TEST(CpuProfilerDeathTest, TakeProfileWhileRunningFails) {
+  CpuProfiler probe;
+  if (probe.Start({}).IsNotImplemented()) {
+    GTEST_SKIP() << "no backtrace() on this platform";
+  }
+  ASSERT_TRUE(probe.Stop().ok());
+  EXPECT_DEATH(
+      {
+        CpuProfiler profiler;
+        (void)profiler.Start({});
+        (void)profiler.TakeProfile();
+      },
+      "TakeProfile while running");
+}
+
 TEST(CpuProfileTest, CollapsedFormatSortsByCountAndEscapesSeparator) {
   CpuProfile profile;
   profile.stacks[{"main", "a()"}] = 3;

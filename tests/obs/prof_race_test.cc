@@ -1,65 +1,53 @@
-// TSan stress test for the profiling tier's sample ring (tools/ci.sh runs
-// the ProfRace* suite under ThreadSanitizer).
+// TSan stress test for the CPU profiler's sample path (tools/ci.sh runs
+// the ProfRace* suite under ThreadSanitizer): several threads take samples
+// at once, past the sample array's capacity.
 
 #include <gtest/gtest.h>
 
-#include <atomic>
+#include <csignal>
 #include <cstdint>
 #include <thread>
 #include <vector>
 
-#include "obs/prof/sample_ring.h"
+#include "common/status.h"
+#include "obs/prof/cpu_profiler.h"
 
 namespace alicoco::obs::prof {
 namespace {
 
-TEST(ProfRaceTest, SampleRingMpmcDeliversEveryAcceptedPush) {
-  SampleRing<uint64_t> ring(256);
-  constexpr int kProducers = 4;
-  constexpr int kConsumers = 2;
-  constexpr uint64_t kPerProducer = 20000;
+// Each raise(SIGPROF) runs the profiler's handler on the raising thread
+// before it returns, so every thread claims and writes slots concurrently
+// with the others. Claims past the capacity are dropped, the first
+// kCapacity are kept, and every kept slot holds a written stack.
+TEST(ProfRaceTest, ConcurrentSamplesFillTheArrayAndCountTheRest) {
+  CpuProfiler profiler;
+  // 1 Hz of process CPU time: the timer itself adds at most a few samples.
+  Status started = profiler.Start({/*sample_hz=*/1});
+  if (started.IsNotImplemented()) {
+    GTEST_SKIP() << "no backtrace() on this platform";
+  }
+  ASSERT_TRUE(started.ok()) << started.ToString();
 
-  std::atomic<uint64_t> pushed_ok{0};
-  std::atomic<uint64_t> popped{0};
-  std::atomic<uint64_t> popped_sum{0};
-  std::atomic<bool> producing{true};
-
+  constexpr int kThreads = 4;
+  constexpr uint64_t kPerThread = CpuProfiler::kCapacity / 2;
   std::vector<std::thread> threads;
-  for (int p = 0; p < kProducers; ++p) {
-    threads.emplace_back([&, p] {
-      for (uint64_t i = 0; i < kPerProducer; ++i) {
-        // Values are globally unique so a duplicated or torn slot would
-        // corrupt the checksum below.
-        const uint64_t value = static_cast<uint64_t>(p) * kPerProducer + i + 1;
-        if (ring.TryPush(value)) {
-          pushed_ok.fetch_add(1, std::memory_order_relaxed);
-        }
-      }
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([] {
+      for (uint64_t i = 0; i < kPerThread; ++i) std::raise(SIGPROF);
     });
   }
-  std::vector<std::thread> consumers;
-  for (int c = 0; c < kConsumers; ++c) {
-    consumers.emplace_back([&] {
-      uint64_t value = 0;
-      for (;;) {
-        if (ring.TryPop(&value)) {
-          popped.fetch_add(1, std::memory_order_relaxed);
-          popped_sum.fetch_add(value, std::memory_order_relaxed);
-          continue;
-        }
-        // An empty pop is final only once the producers have all joined:
-        // no slot can still be mid-publish at that point.
-        if (!producing.load(std::memory_order_acquire)) break;
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  producing.store(false, std::memory_order_release);
-  for (auto& t : consumers) t.join();
+  // Every raise has returned before Stop restores the old disposition.
+  for (std::thread& t : threads) t.join();
+  ASSERT_TRUE(profiler.Stop().ok());
 
-  EXPECT_EQ(popped.load(), pushed_ok.load());
-  EXPECT_EQ(pushed_ok.load() + ring.dropped(), kProducers * kPerProducer);
-  EXPECT_GT(popped_sum.load(), 0u);
+  const CpuProfile profile = profiler.TakeProfile();
+  EXPECT_EQ(profile.samples, CpuProfiler::kCapacity);
+  EXPECT_GE(profile.samples + profile.dropped, kThreads * kPerThread);
+  uint64_t stacked = 0;
+  for (const auto& [stack, count] : profile.stacks) stacked += count;
+  EXPECT_EQ(stacked, profile.samples);
+  // An unwritten slot has depth 0 and would symbolize as a lone "??".
+  EXPECT_EQ(profile.stacks.count({"??"}), 0u);
 }
 
 }  // namespace

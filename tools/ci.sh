@@ -16,7 +16,7 @@
 #      timing gate: clean timing is perfbench's, see BENCHMARK.json)
 #   4. kernel smoke gate (bench_micro vs committed BENCH_kernels.json)
 #   5. ASan+UBSan build + full ctest   (DCHECKs forced on), then an
-#      explicit corrupted-checkpoint corpus replay: every deserializer
+#      explicit kg-snapshot and JSON corpus replay: both deserializers
 #      over the committed truncated/bit-flipped inputs in tests/corpus/
 #   6. TSan build + threaded tests     (DCHECKs forced on)
 #
@@ -92,11 +92,11 @@ ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" \
 UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
   ctest --preset asan --output-junit "${JUNIT}/asan.xml"
 
-step "corrupted-checkpoint corpus replay (ASan)"
+step "kg-snapshot and JSON corpus replay (ASan)"
 # Replays tests/corpus/ — truncated, bit-flipped, and oversized-count
-# inputs for every deserializer (kg snapshot, nn checkpoint, JSON reader)
-# — under ASan explicitly, so a corrupt-input regression is named by the
-# gate that catches it.
+# inputs for every deserializer (kg snapshot loader, JSON reader) — under
+# ASan explicitly, so a corrupt-input regression is named by the gate that
+# catches it.
 ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" \
 UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
   ctest --preset asan -R CorpusReplay --output-on-failure \
@@ -107,9 +107,10 @@ cmake --preset tsan >/dev/null
 cmake --build --preset tsan -j "${JOBS}"
 # The threaded surface: the thread pool (incl. the race stress suite), the
 # observability registry/tracer stress suite, the profiling-tier stress
-# suite (ProfRace: the sample ring), CondVar's park-and-notify handoff, the
-# per-thread graph arenas, nn::Train's pooled shards (every pooled trainer
-# test is in ParallelTrainingTest, which `Training` selects), the knowledge
+# suite (ProfRace: concurrent samples into the CPU profiler's array),
+# CondVar's park-and-notify handoff, the per-thread graph arenas,
+# nn::Train's pooled shards (every pooled trainer test is in
+# ParallelTrainingTest, which `Training` selects), the knowledge
 # matcher's per-thread concept-side memo (KnowledgeMatchingRaceTest scores
 # concept-grouped pairs from the pool, as stage 7 does), the serving apps
 # shared by concurrent clients, and one full AliCoCoBuilder::Build

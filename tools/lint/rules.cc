@@ -428,10 +428,7 @@ class UnorderedPersistIterRule : public Rule {
   }
   void Check(const FileContext& file,
              std::vector<Finding>* out) const override {
-    if (!StartsWith(file.path, "src/kg/persistence") &&
-        !StartsWith(file.path, "src/nn/serialize")) {
-      return;
-    }
+    if (!StartsWith(file.path, "src/kg/persistence")) return;
     auto code = CodeTokens(file);
 
     // Pass 1: names declared with an unordered container type.
