@@ -2,8 +2,14 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstddef>
+#include <cstring>
+#include <memory>
+#include <unordered_map>
+#include <vector>
 
 #include "common/logging.h"
+#include "common/mutex.h"
 #include "matching/match_pyramid.h"
 #include "text/tokenizer.h"
 
@@ -29,9 +35,105 @@ struct ConceptMemo {
 
 thread_local ConceptMemo tls_concept_memo;
 
+constexpr int kCnnFilters = 24;  // f: both CNNs' output width
 constexpr int kPoolGrid = 3;  // each pyramid layer pools to kPoolGrid^2 cells
 
 }  // namespace
+
+// The item side of a title: the item-CNN output t_enc and its attention
+// projection att_t = att_w2(t_enc), both l x f. They depend on the title's
+// token ids alone, and titles recur across concepts, so one table per
+// matcher keeps them for every scoring thread (DESIGN §5, "The stage-7
+// forward pass"). An entry is one heap block: l, the l ids, then t_enc's
+// and att_t's floats. It is filled before the lock publishes it and is
+// never changed or freed while the table lives, so a reader copies it out
+// after unlocking. The catalog bounds the table: no entry is ever evicted.
+class KnowledgeMatcher::ItemSideTable {
+ public:
+  enum Part { kTEnc = 0, kAttT = 1 };
+
+  /// The entry holding the item side of `ids`, or null.
+  const std::byte* Find(const std::vector<int>& ids) const
+      ALICOCO_EXCLUDES(mu_) {
+    const uint64_t hash = Hash(ids);
+    MutexLock lock(mu_);
+    return FindLocked(ids, hash);
+  }
+
+  /// Stores the item side of `ids`. A thread that raced this one to the
+  /// same title computed the same floats, so the first insert wins.
+  void Insert(const std::vector<int>& ids, const nn::Tensor& t_enc,
+              const nn::Tensor& att_t) ALICOCO_EXCLUDES(mu_) {
+    ALICOCO_CHECK(t_enc.rows() == static_cast<int>(ids.size()) &&
+                  t_enc.cols() == kCnnFilters && att_t.SameShape(t_enc));
+    const size_t id_bytes = sizeof(int) * ids.size();
+    const size_t part_bytes = sizeof(float) * t_enc.size();
+    auto entry = std::make_unique_for_overwrite<std::byte[]>(
+        sizeof(int) + id_bytes + 2 * part_bytes);
+    const int len = static_cast<int>(ids.size());
+    std::memcpy(entry.get(), &len, sizeof(int));
+    std::memcpy(entry.get() + sizeof(int), ids.data(), id_bytes);
+    std::memcpy(entry.get() + sizeof(int) + id_bytes, t_enc.data(),
+                part_bytes);
+    std::memcpy(entry.get() + sizeof(int) + id_bytes + part_bytes,
+                att_t.data(), part_bytes);
+    const uint64_t hash = Hash(ids);
+    MutexLock lock(mu_);
+    if (FindLocked(ids, hash) == nullptr) {
+      entries_.emplace(hash, std::move(entry));
+    }
+  }
+
+  /// A copy of one part of `entry`, an l x f tensor in `mr`.
+  static nn::Tensor Read(const std::byte* entry, Part part,
+                         std::pmr::memory_resource* mr) {
+    const int len = Length(entry);
+    nn::Tensor out(len, kCnnFilters, mr);
+    std::memcpy(out.data(),
+                entry + sizeof(int) * (1 + static_cast<size_t>(len)) +
+                    part * sizeof(float) * out.size(),
+                sizeof(float) * out.size());
+    return out;
+  }
+
+  size_t size() const ALICOCO_EXCLUDES(mu_) {
+    MutexLock lock(mu_);
+    return entries_.size();
+  }
+
+ private:
+  static int Length(const std::byte* entry) {
+    int len;
+    std::memcpy(&len, entry, sizeof(int));
+    return len;
+  }
+
+  static uint64_t Hash(const std::vector<int>& ids) {
+    uint64_t h = 0xcbf29ce484222325ull;  // FNV-1a over the ids
+    for (int id : ids) h = (h ^ static_cast<uint32_t>(id)) * 0x100000001b3ull;
+    return h;
+  }
+
+  const std::byte* FindLocked(const std::vector<int>& ids,
+                              uint64_t hash) const ALICOCO_REQUIRES(mu_) {
+    // Entries with one hash are adjacent in a multimap's iteration order.
+    for (auto it = entries_.find(hash);
+         it != entries_.end() && it->first == hash; ++it) {
+      const std::byte* entry = it->second.get();
+      if (Length(entry) == static_cast<int>(ids.size()) &&
+          std::memcmp(entry + sizeof(int), ids.data(),
+                      sizeof(int) * ids.size()) == 0) {
+        return entry;
+      }
+    }
+    return nullptr;
+  }
+
+  mutable Mutex mu_;
+  /// Keyed by the ids' hash; equal hashes are told apart by their ids.
+  std::unordered_multimap<uint64_t, std::unique_ptr<std::byte[]>> entries_
+      ALICOCO_GUARDED_BY(mu_);
+};
 
 KnowledgeMatcher::KnowledgeMatcher(const KnowledgeMatcherConfig& config,
                                    const KnowledgeResources& resources,
@@ -40,7 +142,8 @@ KnowledgeMatcher::KnowledgeMatcher(const KnowledgeMatcherConfig& config,
     : NeuralMatcherBase(config.base, embeddings, corpus_vocab),
       kcfg_(config),
       res_(resources),
-      memo_id_(NextMemoId()) {
+      memo_id_(NextMemoId()),
+      item_sides_(std::make_unique<ItemSideTable>()) {
   ALICOCO_CHECK(res_.pos_tagger != nullptr) << "POS tagger required";
   if (kcfg_.use_knowledge) {
     ALICOCO_CHECK(res_.gloss_encoder != nullptr && res_.gloss_lookup &&
@@ -49,9 +152,12 @@ KnowledgeMatcher::KnowledgeMatcher(const KnowledgeMatcherConfig& config,
   }
 }
 
+KnowledgeMatcher::~KnowledgeMatcher() = default;
+
+size_t KnowledgeMatcher::items_encoded() const { return item_sides_->size(); }
+
 void KnowledgeMatcher::BuildModel() {
   constexpr int kPosDim = 6;
-  constexpr int kCnnFilters = 24;
   constexpr int kCnnWindow = 3;
   constexpr int kPyramidLayers = 3;  ///< K of Eq. 16
   int d = kEmbedDim;
@@ -133,27 +239,39 @@ nn::Graph::Var KnowledgeMatcher::Logit(nn::Graph* g,
   // Scoring runs many items against one concept, so a forward-only graph
   // takes the concept side from this thread's memo when the last such
   // Logit saw the same matcher and concept ids, and refills the memo on a
-  // miss. A recording graph always builds the concept side, with its nodes
-  // in the order below: Backward sums the shared gradients (emb_ is read
-  // four times, w_enc twice) in reverse node order.
-  ConceptMemo* memo =
-      g->forward_only() && !train ? &tls_concept_memo : nullptr;
+  // miss. Titles recur across concepts, so the same graphs take the item
+  // side from the matcher's shared table, and fill it on a miss. A
+  // recording graph always builds both sides, with its nodes in the order
+  // below: Backward sums the shared gradients (emb_ is read four times,
+  // w_enc twice) in reverse node order.
+  const bool forward_only = g->forward_only() && !train;
+  ConceptMemo* memo = forward_only ? &tls_concept_memo : nullptr;
   const bool hit = memo != nullptr && memo->matcher == memo_id_ &&
                    memo->concept_ids == concept_ids;
   const bool fill = memo != nullptr && !hit;
   auto stored = [g](const nn::Tensor& value) {
     return g->Input(nn::Tensor(value, g->arena()));
   };
+  const std::byte* item = forward_only ? item_sides_->Find(item_ids) : nullptr;
+  auto item_part = [g, item](ItemSideTable::Part part) {
+    return g->Input(ItemSideTable::Read(item, part, g->arena()));
+  };
 
   nn::Graph::Var w_enc = hit ? stored(memo->w_enc)  // m x f
                              : encode_side(concept_ids, *concept_cnn_);
-  nn::Graph::Var t_enc = encode_side(item_ids, *item_cnn_);  // l x f
+  nn::Graph::Var t_enc = item != nullptr  // l x f
+                             ? item_part(ItemSideTable::kTEnc)
+                             : encode_side(item_ids, *item_cnn_);
 
   // Two-way additive attention (Eq. 11-14). Its three inputs keep the node
   // order they had as the arguments of one call, which GCC evaluates last
   // first.
   nn::Graph::Var att_v = g->Use(att_v_);
-  nn::Graph::Var att_t = att_w2_->Apply(g, t_enc);
+  nn::Graph::Var att_t = item != nullptr ? item_part(ItemSideTable::kAttT)
+                                         : att_w2_->Apply(g, t_enc);
+  if (forward_only && item == nullptr) {
+    item_sides_->Insert(item_ids, g->Value(t_enc), g->Value(att_t));
+  }
   nn::Graph::Var att_w =
       hit ? stored(memo->att_w) : att_w1_->Apply(g, w_enc);
   nn::Graph::Var att = g->AdditiveAttention(att_w, att_t, att_v);  // m x l

@@ -15,6 +15,7 @@
 #define ALICOCO_MATCHING_KNOWLEDGE_MATCHER_H_
 
 #include <functional>
+#include <memory>
 
 #include "datagen/resources.h"
 #include "datagen/world.h"
@@ -66,10 +67,15 @@ class KnowledgeMatcher : public NeuralMatcherBase {
                    const KnowledgeResources& resources,
                    const text::SkipgramModel* embeddings,
                    const text::Vocabulary* corpus_vocab);
+  ~KnowledgeMatcher() override;
 
   std::string name() const override {
     return kcfg_.use_knowledge ? "Ours + Knowledge" : "Ours";
   }
+
+  /// How many titles' item sides the shared item table holds: one per
+  /// distinct title (token ids) this matcher has scored.
+  size_t items_encoded() const;
 
  protected:
   void BuildModel() override;
@@ -83,6 +89,10 @@ class KnowledgeMatcher : public NeuralMatcherBase {
   /// Process-unique, never reused: keys this matcher's entries in the
   /// per-thread concept-side memo (a freed matcher's address can repeat).
   const uint64_t memo_id_;
+  /// The item side of every title scored so far, shared by every scoring
+  /// thread (knowledge_matcher.cc).
+  class ItemSideTable;
+  std::unique_ptr<ItemSideTable> item_sides_;
   /// Filled by BuildModel, indexed by vocabulary id: POS tag ids, and
   /// gloss encodings (vocab x gloss dim; empty without knowledge).
   std::vector<int> pos_of_id_;

@@ -564,6 +564,8 @@ Status BuildState::AssociateItems(Stage& stage) {
     stage.Count("edges_above_threshold", edges_above);
     stage.Count("edges_below_threshold",
                 num_concepts * config.association_candidates - edges_above);
+    // The distinct titles the calibration and the scoring above encoded.
+    stage.Count("items_encoded", matcher.items_encoded());
   }
   stage.Count("items_added", report.items_added);
   stage.Count("item_primitive_links", report.item_primitive_links);

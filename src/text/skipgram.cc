@@ -61,20 +61,50 @@ void SkipgramModel::TrainPair(int center, int context, float lr, Rng* rng) {
   float* v_in = &in_[static_cast<size_t>(center) * d];
   std::vector<float> grad_in(static_cast<size_t>(d), 0.0f);
   constexpr int kNegatives = 5;  ///< negative samples per positive
-  for (int n = 0; n <= kNegatives; ++n) {
-    int target;
-    float label;
-    if (n == 0) {
-      target = context;
-      label = 1.0f;
-    } else {
-      target = neg_table_[rng->Uniform(neg_table_.size())];
-      if (target == context) continue;
-      label = 0.0f;
+  constexpr int kRows = kNegatives + 1;
+  // The positive row, then the negatives, all drawn before any arithmetic
+  // (no draw depends on a dot); -1 marks a negative equal to the context,
+  // which is skipped.
+  int targets[kRows] = {context};
+  bool distinct = true;
+  for (int n = 1; n < kRows; ++n) {
+    targets[n] = neg_table_[rng->Uniform(neg_table_.size())];
+    if (targets[n] == context) {
+      targets[n] = -1;
+      distinct = false;
     }
+    for (int m = 1; m < n; ++m) distinct &= targets[m] != targets[n];
+  }
+  // v_in changes only after the loop below, and row n's update touches only
+  // row n. So when the six rows differ, each dot can be taken before any
+  // update: one pass over k with six accumulators, each adding in the same
+  // k order as the loop. Otherwise a row's dot must see the updates before
+  // it, and the loop takes it in turn.
+  float dots[kRows] = {};
+  if (distinct) {
+    const float* rows[kRows];
+    for (int n = 0; n < kRows; ++n) {
+      rows[n] = &out_[static_cast<size_t>(targets[n]) * d];
+    }
+    for (int k = 0; k < d; ++k) {
+      const float x = v_in[k];
+      dots[0] += x * rows[0][k];
+      dots[1] += x * rows[1][k];
+      dots[2] += x * rows[2][k];
+      dots[3] += x * rows[3][k];
+      dots[4] += x * rows[4][k];
+      dots[5] += x * rows[5][k];
+    }
+  }
+  for (int n = 0; n < kRows; ++n) {
+    const int target = targets[n];
+    if (target < 0) continue;
+    const float label = n == 0 ? 1.0f : 0.0f;
     float* v_out = &out_[static_cast<size_t>(target) * d];
-    float dot = 0.0f;
-    for (int k = 0; k < d; ++k) dot += v_in[k] * v_out[k];
+    float dot = dots[n];
+    if (!distinct) {
+      for (int k = 0; k < d; ++k) dot += v_in[k] * v_out[k];
+    }
     float g = (label - FastSigmoid(dot)) * lr;
     for (int k = 0; k < d; ++k) {
       grad_in[static_cast<size_t>(k)] += g * v_out[k];

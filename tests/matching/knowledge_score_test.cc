@@ -1,9 +1,11 @@
 // Scoring tests for the knowledge matcher. The forward-only Score must equal
 // the recorded Logit, also when it takes the concept side from its
-// per-thread memo: runs of one concept (memo hits), interleaved concepts
-// (misses), matchers taking turns, the Table 6 ablations, recording graphs
-// after a scoring run, and concurrent scoring through a thread pool. The
-// race tests run under the TSan preset (their names match ci.sh's regex).
+// per-thread memo or the item side from its shared item table: runs of one
+// concept (memo hits), interleaved concepts (misses), titles scored under
+// several concepts (table hits), matchers taking turns, the Table 6
+// ablations, recording graphs after a scoring run, and concurrent scoring
+// through a thread pool. The race tests run under the TSan preset (their
+// names match ci.sh's regex).
 
 #include <gtest/gtest.h>
 
@@ -13,6 +15,7 @@
 #include <cstring>
 #include <memory>
 #include <optional>
+#include <set>
 #include <string>
 #include <thread>
 #include <utility>
@@ -98,8 +101,8 @@ Fixture& SharedFixture() {
 }
 
 // Exposes the knowledge matcher's Logit: RecordedScore scores a pair on a
-// recording graph, which never uses the concept-side memo, and every Logit
-// call notes its graph's node count.
+// recording graph, which never uses the concept-side memo or the item
+// table, and every Logit call notes its graph's node count.
 class ProbedKnowledgeMatcher : public KnowledgeMatcher {
  public:
   using KnowledgeMatcher::KnowledgeMatcher;
@@ -139,6 +142,13 @@ class ProbedKnowledgeMatcher : public KnowledgeMatcher {
   }
 
   size_t last_graph_nodes() const { return last_graph_nodes_.load(); }
+
+  // The entries the item table needs for `titles`: their distinct token ids.
+  size_t DistinctTitles(const std::vector<Tokens>& titles) const {
+    std::set<std::vector<int>> keys;
+    for (const Tokens& title : titles) keys.insert(Encode(title));
+    return keys.size();
+  }
 
  protected:
   nn::Graph::Var Logit(nn::Graph* g, const std::vector<int>& concept_ids,
@@ -211,16 +221,9 @@ TEST(ForwardOnlyScoreTest, EqualsRecordedLogitAndKeepsTheGraphSmall) {
   Fixture& f = SharedFixture();
   auto model = TrainedMatcher(f);
 
-  const size_t n = std::min<size_t>(f.dataset.test.size(), 64);
-  for (size_t i = 0; i < n; ++i) {
-    const auto& ex = f.dataset.test[i];
-    EXPECT_EQ(model->Score(ex.concept_tokens, ex.item_tokens, ex.item_id),
-              model->RecordedScore(ex.concept_tokens, ex.item_tokens))
-        << "example " << i;
-  }
-
   // A 3-token concept against a 6-token title: the composed pyramid
-  // readouts made this graph 209 nodes.
+  // readouts made this graph 209 nodes. Scored first, so the matcher's
+  // item table does not hold the title yet.
   const MatchingExample* pair = nullptr;
   for (const auto& ex : f.dataset.test) {
     if (ex.concept_tokens.size() == 3 && ex.item_tokens.size() >= 6) {
@@ -231,15 +234,25 @@ TEST(ForwardOnlyScoreTest, EqualsRecordedLogitAndKeepsTheGraphSmall) {
   ASSERT_NE(pair, nullptr);
   const std::vector<std::string> title(pair->item_tokens.begin(),
                                        pair->item_tokens.begin() + 6);
-  // Another concept first, so the pair below misses the memo and builds
-  // its whole graph.
+  // A miss on both the concept memo and the item table builds the whole
+  // graph.
+  model->Score(pair->concept_tokens, title, pair->item_id);
+  EXPECT_EQ(model->last_graph_nodes(), 53u);
+  // A hit on both: the memo alone made it 40.
+  model->Score(pair->concept_tokens, title, pair->item_id);
+  EXPECT_EQ(model->last_graph_nodes(), 36u);
+  // Another concept in between: a memo miss, an item table hit.
   model->Score({"unseen"}, title, pair->item_id);
   model->Score(pair->concept_tokens, title, pair->item_id);
-  EXPECT_GT(model->last_graph_nodes(), 0u);
-  EXPECT_LT(model->last_graph_nodes(), 60u);
-  const size_t miss_nodes = model->last_graph_nodes();
-  model->Score(pair->concept_tokens, title, pair->item_id);
-  EXPECT_LT(model->last_graph_nodes(), miss_nodes);
+  EXPECT_EQ(model->last_graph_nodes(), 49u);
+
+  const size_t n = std::min<size_t>(f.dataset.test.size(), 64);
+  for (size_t i = 0; i < n; ++i) {
+    const auto& ex = f.dataset.test[i];
+    EXPECT_EQ(model->Score(ex.concept_tokens, ex.item_tokens, ex.item_id),
+              model->RecordedScore(ex.concept_tokens, ex.item_tokens))
+        << "example " << i;
+  }
 }
 
 TEST(KnowledgeScoreMemoTest, OneConceptInARowEqualsColdAndRecordedScores) {
@@ -331,9 +344,43 @@ TEST(KnowledgeScoreMemoTest, AblationsEqualRecordedScores) {
                                          concepts, titles);
 }
 
-// A recording graph never reads the memo, even with train = false: after
-// this thread has scored the concept, every parameter gets the gradient it
-// gets on a thread that never scored.
+// The item table holds one entry per distinct title, whatever the concept,
+// and a title scored under a later concept (a table hit) scores as the
+// recording graph does, on the full model and on both Table 6 ablations.
+TEST(KnowledgeItemTableTest, TitlesUnderSeveralConceptsEqualRecorded) {
+  Fixture& f = SharedFixture();
+  const std::vector<Tokens> concepts = f.Concepts(3);
+  ASSERT_EQ(concepts.size(), 3u);
+  const std::vector<Tokens> titles = f.Titles(60);
+
+  KnowledgeMatcherConfig no_knowledge = OneEpoch();
+  no_knowledge.use_knowledge = false;
+  KnowledgeMatcherConfig no_attention = OneEpoch();
+  no_attention.use_attention_channel = false;
+  for (const KnowledgeMatcherConfig& cfg :
+       {OneEpoch(), no_knowledge, no_attention}) {
+    auto model = TrainedMatcher(f, cfg);
+    SCOPED_TRACE(model->name() + (cfg.use_attention_channel
+                                      ? ""
+                                      : ", no attention channel"));
+    EXPECT_EQ(model->items_encoded(), 0u);
+    for (const Tokens& title : titles) model->Score(concepts[0], title, -1);
+    const size_t distinct = model->DistinctTitles(titles);
+    EXPECT_EQ(model->items_encoded(), distinct);
+    for (size_t c = 1; c < concepts.size(); ++c) {
+      for (size_t t = 0; t < titles.size(); ++t) {
+        EXPECT_EQ(model->Score(concepts[c], titles[t], -1),
+                  model->RecordedScore(concepts[c], titles[t]))
+            << "concept " << c << " item " << t;
+      }
+    }
+    EXPECT_EQ(model->items_encoded(), distinct);
+  }
+}
+
+// A recording graph never reads the memo or the item table, even with
+// train = false: after this thread has scored the pair, every parameter
+// gets the gradient it gets on a thread that never scored.
 TEST(KnowledgeScoreMemoTest, RecordingGraphAfterScoringKeepsEveryGradient) {
   Fixture& f = SharedFixture();
   auto model = TrainedMatcher(f);
@@ -359,9 +406,10 @@ TEST(KnowledgeScoreMemoTest, RecordingGraphAfterScoringKeepsEveryGradient) {
               0)
         << name;
   }
-  // The concept side's parameters take part in this gradient.
+  // Both sides' parameters take part in this gradient.
   for (const char* name : {"emb.table", "concept_cnn.W", "att_w1.W",
-                           "gloss_proj.b", "class_emb.table", "pyramid0"}) {
+                           "gloss_proj.b", "class_emb.table", "pyramid0",
+                           "pos_emb.table", "item_cnn.W", "att_w2.W"}) {
     auto it = std::find_if(warm.begin(), warm.end(),
                            [&](const auto& e) { return e.first == name; });
     ASSERT_NE(it, warm.end()) << name;
@@ -418,11 +466,42 @@ TEST(KnowledgeScoreMemoTest, ConceptClassesRunsOncePerRunOfOneConcept) {
   EXPECT_EQ(calls, 5);
 }
 
+// Cell i of the grid pairs title i / 4 with concept i % 4, and each cell is
+// a task of its own: the four workers score one title under four concepts
+// at once, so they race to fill the same item table entries and read the
+// entries the others filled.
+TEST(KnowledgeMatchingRaceTest, InterleavedGridFillsTheSharedItemTable) {
+  Fixture& f = SharedFixture();
+  auto model = TrainedMatcher(f);
+  const std::vector<Tokens> concepts = f.Concepts(4);
+  ASSERT_EQ(concepts.size(), 4u);
+  const std::vector<Tokens> titles = f.Titles(60);
+
+  const size_t cells = concepts.size() * titles.size();
+  std::vector<double> parallel(cells);
+  ThreadPool pool(4);
+  pool.ParallelFor(
+      cells,
+      [&](size_t i) {
+        parallel[i] = model->Score(concepts[i % concepts.size()],
+                                   titles[i / concepts.size()], -1);
+      },
+      /*grain=*/1);
+  EXPECT_EQ(model->items_encoded(), model->DistinctTitles(titles));
+  for (size_t i = 0; i < cells; ++i) {
+    const size_t c = i % concepts.size();
+    const size_t t = i / concepts.size();
+    EXPECT_EQ(parallel[i], model->RecordedScore(concepts[c], titles[t]))
+        << "concept " << c << " item " << t;
+  }
+}
+
 // Score() is const: the per-id knowledge tables and the parameters are
 // read-only after training, every call builds its own forward-only graph,
-// and each thread keeps its own concept-side memo. Hammer it from the pool
-// to let TSan check that claim on the shared buffers.
-TEST(QuantizedMatchingRaceTest, ConcurrentFp32Scoring) {
+// each thread keeps its own concept-side memo, and the item table takes a
+// lock. Hammer it from the pool to let TSan check that claim on the shared
+// buffers.
+TEST(KnowledgeMatchingRaceTest, ConcurrentScoringEqualsSerial) {
   Fixture& f = SharedFixture();
   KnowledgeMatcherConfig cfg;
   cfg.base.epochs = 1;

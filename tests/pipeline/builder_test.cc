@@ -305,6 +305,22 @@ TEST(PipelineTest, PublishesTheMetricsPerfbenchReads) {
   EXPECT_EQ(counter("item_association.items_added"), r.items_added);
 }
 
+// Stage 7's matcher keeps one item table entry per distinct title it
+// scored: at least one, and no more than the catalog's titles or the
+// stage's scores.
+TEST(PipelineTest, ItemTableHoldsAtMostOneEntryPerTitle) {
+  Built& b = SharedBuilt();
+  const obs::Counter* encoded =
+      b.metrics.FindCounter("pipeline.item_association.items_encoded");
+  ASSERT_NE(encoded, nullptr);
+  const obs::Histogram* scores =
+      b.metrics.FindHistogram("matching.knowledge_matcher.score_latency_us");
+  ASSERT_NE(scores, nullptr);
+  EXPECT_GT(encoded->value(), 0u);
+  EXPECT_LE(encoded->value(), b.world.net().items().size());
+  EXPECT_LE(encoded->value(), scores->count());
+}
+
 // Every stage fact is published twice, as the `pipeline.<stage>.<fact>`
 // counter or gauge and as an attribute of the stage's span; both must agree.
 TEST(PipelineTest, StageSpanAttributesMatchStageMetrics) {

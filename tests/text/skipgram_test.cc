@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <string>
+#include <vector>
 
 namespace alicoco::text {
 namespace {
@@ -88,6 +91,48 @@ TEST(SkipgramTest, NearestExcludesSelfAndRanks) {
     if (w == "blue" || w == "green" || w == "color") ++in_cluster;
   }
   EXPECT_GE(in_cluster, 2);
+}
+
+uint64_t TableDigest(const SkipgramModel& model) {
+  uint64_t h = 0xcbf29ce484222325ull;  // FNV-1a over the table's bytes
+  const std::vector<float> table = model.EmbeddingTable();
+  const auto* bytes = reinterpret_cast<const unsigned char*>(table.data());
+  for (size_t i = 0; i < table.size() * sizeof(float); ++i) {
+    h = (h ^ bytes[i]) * 0x100000001b3ull;
+  }
+  return h;
+}
+
+// The trained tables, pinned bit for bit. The cluster world's 8 words make
+// the negatives repeat or hit the context in most pairs; the wide corpus's
+// 300 words give most pairs six distinct rows.
+TEST(SkipgramTest, TrainedTablesKeepTheirDigests) {
+  ClusterWorld cluster;
+  SkipgramConfig cfg;
+  cfg.dim = 20;
+  cfg.epochs = 2;
+  SkipgramModel narrow(cluster.vocab.size(), cfg);
+  narrow.Train(cluster.corpus, cluster.vocab);
+  EXPECT_EQ(TableDigest(narrow), 0xb90a4b6d17822051ull)
+      << std::hex << TableDigest(narrow);
+
+  Vocabulary vocab;
+  std::vector<std::vector<int>> corpus;
+  Rng rng(11);
+  for (int s = 0; s < 600; ++s) {
+    std::vector<int> ids;
+    for (int w = 0; w < 8; ++w) {
+      // Squaring skews the draw toward low word numbers, as word counts are.
+      const double u = rng.NextDouble();
+      ids.push_back(vocab.Add("w" + std::to_string(static_cast<int>(
+                                       300 * u * u))));
+    }
+    corpus.push_back(ids);
+  }
+  SkipgramModel wide(vocab.size(), cfg);
+  wide.Train(corpus, vocab);
+  EXPECT_EQ(TableDigest(wide), 0x7775979965a86e45ull)
+      << std::hex << TableDigest(wide);
 }
 
 TEST(SkipgramTest, CosineBounds) {

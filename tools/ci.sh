@@ -15,10 +15,13 @@
 #      Prometheus dump carrying all nine per-stage attribution series (no
 #      timing gate: clean timing is perfbench's, see BENCHMARK.json)
 #   4. kernel smoke gate (bench_micro vs committed BENCH_kernels.json)
-#   5. ASan+UBSan build + full ctest   (DCHECKs forced on), then an
+#   5. perfbench smoke: one 1 s run of each workload, which builds
+#      perfbench from source and must pass its exact checks (build's net
+#      digest, rank_pages' AUC and top-12 precision, app_queries' digests)
+#   6. ASan+UBSan build + full ctest   (DCHECKs forced on), then an
 #      explicit kg-snapshot and JSON corpus replay: both deserializers
 #      over the committed truncated/bit-flipped inputs in tests/corpus/
-#   6. TSan build + threaded tests     (DCHECKs forced on)
+#   7. TSan build + threaded tests     (DCHECKs forced on)
 #
 # Any sanitizer report aborts the offending test (halt_on_error /
 # -fno-sanitize-recover), so a non-zero ctest exit IS the sanitizer gate.
@@ -80,6 +83,25 @@ step "kernel smoke gate"
 build/bench/bench_micro --kernels-out build/obs/BENCH_kernels.json \
   --baseline BENCH_kernels.json --max-regress 2.0 --slack-us 200
 
+step "perfbench smoke"
+# One short run per BENCHMARK.json workload: run.py builds perfbench from
+# this checkout into .bench_build/, and the binary checks its outputs
+# against perfbench/reference.json (build's net digest, rank_pages' AUC and
+# top-12 precision, app_queries' net and response digests). Its times are
+# not compared here. On a host whose kernel tier or core count differs
+# from reference.json's, perfbench checks build's and rank_pages' figures
+# against their bands only, not against the exact recorded values.
+for workload in build rank_pages app_queries; do
+  out="build/obs/perfbench-${workload}.txt"
+  if ! python3 perfbench/run.py --workload "${workload}" --seed 2020 \
+      --seconds 1 >"${out}" ||
+     ! tail -n 1 "${out}" | grep -q '^{"correct": true'; then
+    cat "${out}"
+    echo "perfbench ${workload}: a check failed"
+    exit 1
+  fi
+done
+
 if [ "${FAST}" -eq 1 ]; then
   echo "--fast: skipping sanitizer builds"
   exit 0
@@ -111,8 +133,10 @@ cmake --build --preset tsan -j "${JOBS}"
 # CondVar's park-and-notify handoff, the per-thread graph arenas,
 # nn::Train's pooled shards (every pooled trainer test is in
 # ParallelTrainingTest, which `Training` selects), the knowledge
-# matcher's per-thread concept-side memo (KnowledgeMatchingRaceTest scores
-# concept-grouped pairs from the pool, as stage 7 does), the serving apps
+# matcher's per-thread concept-side memo and its shared item table
+# (KnowledgeMatchingRaceTest scores concept-grouped pairs from the pool, as
+# stage 7 does, and a concept-interleaved grid whose workers race to fill
+# the same table entries), the serving apps
 # shared by concurrent clients, and one full AliCoCoBuilder::Build
 # (PipelineTest.AllStagesProduceStructure runs the shared Build): its
 # trainers on the build's pool, stage-7 scoring whose workers read the net
